@@ -614,8 +614,7 @@ let interp_bench () =
   header
     (Printf.sprintf
        "VM throughput: dynamic instructions / second per benchmark \
-        (uninstrumented, input 0, AVX, schedule %s, fusion %s)"
-       (if !Vulfi.Experiment.schedule_enabled then "on" else "off")
+        (uninstrumented, input 0, AVX, fusion %s)"
        (if !Vulfi.Experiment.fusion_enabled then "on" else "off"));
   let reps = getenv_int "VULFI_INTERP_REPS" 5 in
   (* VULFI_BENCH_ONLY=substr restricts the table to matching rows: used
@@ -636,24 +635,16 @@ let interp_bench () =
         Benchmarks.Registry.all
   in
   let chains_annotated = ref 0 and chains_fused = ref 0 in
-  let sched_moves = ref 0 in
   let fused_hist : (int, int) Hashtbl.t = Hashtbl.create 8 in
   let rows =
     List.map
       (fun (b : Benchmarks.Harness.benchmark) ->
         let w = (scale_workload b.Benchmarks.Harness.bench) in
         let m = w.Vulfi.Workload.w_build Vir.Target.Avx in
-        (* Same pass order as Experiment.prepare: schedule, then fuse. *)
-        let moves =
-          if !Vulfi.Experiment.schedule_enabled then
-            Passes.Schedule.run_module m
-          else 0
-        in
-        sched_moves := !sched_moves + moves;
         if !Vulfi.Experiment.fusion_enabled then begin
           chains_annotated := !chains_annotated + Passes.Fuse.run_module m;
           if Sys.getenv_opt "VULFI_FUSION_STATS" <> None then begin
-            Printf.printf "%s: sched_moves=%d" w.Vulfi.Workload.w_name moves;
+            Printf.printf "fusion_stats %s:" w.Vulfi.Workload.w_name;
             List.iter
               (fun (k, n) -> Printf.printf " %s=%d" k n)
               (Passes.Fuse.rule_stats m);
@@ -745,8 +736,8 @@ let interp_bench () =
   in
   Printf.printf "%-18s %33s  %8.2f M instr/s  %7.2f B/instr\n" "AGGREGATE" ""
     agg_mips agg_bpi;
-  Printf.printf "fused chains: %d of %d annotated; scheduler moves: %d\n"
-    !chains_fused !chains_annotated !sched_moves;
+  Printf.printf "fused chains: %d of %d annotated\n" !chains_fused
+    !chains_annotated;
   (* Allocation-regression tripwire for the one workload that used to
      blow the aggregate gate (23 B/instr before the memory fast paths):
      fail loudly right here rather than letting CI bisect the
@@ -766,11 +757,9 @@ let interp_bench () =
     |> List.sort compare
   in
   let oc = open_out "BENCH_interp.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"vulfi-interp-bench-v4\",\n";
+  Printf.fprintf oc "{\n  \"schema\": \"vulfi-interp-bench-v5\",\n";
   Printf.fprintf oc "  \"reps\": %d,\n" reps;
-  Printf.fprintf oc "  \"schedule\": %b,\n" !Vulfi.Experiment.schedule_enabled;
   Printf.fprintf oc "  \"fusion\": %b,\n" !Vulfi.Experiment.fusion_enabled;
-  Printf.fprintf oc "  \"sched_moves\": %d,\n" !sched_moves;
   Printf.fprintf oc "  \"chains_annotated\": %d,\n" !chains_annotated;
   Printf.fprintf oc "  \"chains_fused\": %d,\n" !chains_fused;
   Printf.fprintf oc "  \"chain_length_hist\": [%s],\n"
@@ -791,7 +780,7 @@ let interp_bench () =
     "  \"baseline_pre_fusion\": {\"aggregate_minstr_per_s\": 50.095, \
      \"aggregate_bytes_per_instr\": 6.129},\n";
   (* Pre-superblock reference point (PR 8 tree, same harness, right
-     before the list scheduler and whole-superblock kernels landed). *)
+     before the whole-superblock kernels landed). *)
   Printf.fprintf oc
     "  \"baseline_pre_superblock\": {\"aggregate_minstr_per_s\": 70.325, \
      \"aggregate_bytes_per_instr\": 4.275},\n";
@@ -1094,9 +1083,6 @@ let () =
       parse_args acc rest
     | "--no-fusion" :: rest ->
       Vulfi.Experiment.fusion_enabled := false;
-      parse_args acc rest
-    | "--no-schedule" :: rest ->
-      Vulfi.Experiment.schedule_enabled := false;
       parse_args acc rest
     | cmd :: rest -> parse_args (cmd :: acc) rest
   in

@@ -274,10 +274,8 @@ let print_cell ~detectors (r : Vulfi.Campaign.result) =
 
 let campaign_cmd =
   let run target category name experiments campaigns with_detectors
-      fault_kind jobs trace trace_timings legacy ff prune no_fusion
-      no_schedule =
+      fault_kind jobs trace trace_timings legacy ff prune no_fusion =
     if no_fusion then Vulfi.Experiment.fusion_enabled := false;
-    if no_schedule then Vulfi.Experiment.schedule_enabled := false;
     (* executor flags are mutually exclusive, pairwise *)
     List.iter
       (fun (a, b, msg) ->
@@ -425,23 +423,13 @@ let campaign_cmd =
                  either way; the flag exists for cross-checking and \
                  timing comparisons.")
   in
-  let no_schedule_arg =
-    Arg.(value & flag & info [ "no-schedule" ]
-           ~doc:"Disable the list-scheduling pass before fusion \
-                 (equivalent to VULFI_NO_SCHEDULE=1). The scheduler \
-                 only permutes pure instructions between fences \
-                 (injection calls, memory ops, trap points), so results \
-                 and traces are byte-identical either way; the flag \
-                 exists for cross-checking and timing comparisons.")
-  in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:"Run a statistically sized fault-injection campaign")
     Term.(const run $ target_arg $ category_arg $ bench_arg
           $ experiments_arg $ campaigns_arg $ detectors_arg
           $ fault_kind_arg $ jobs_arg $ trace_arg $ trace_timings_arg
-          $ legacy_arg $ ff_arg $ prune_arg $ no_fusion_arg
-          $ no_schedule_arg)
+          $ legacy_arg $ ff_arg $ prune_arg $ no_fusion_arg)
 
 (* ---------------- report ---------------- *)
 
@@ -584,10 +572,10 @@ let opt_cmd =
   in
   let pipeline_arg =
     Arg.(value & flag & info [ "O"; "pipeline" ]
-           ~doc:"Run the optimizing pass pipeline (constfold, the list \
-                 scheduler, then the fusion annotator) with per-pass \
-                 statistics (scheduler moves, per-rule chain counts, \
-                 chain-length histogram) and post-pass verification.")
+           ~doc:"Run the optimizing pass pipeline (constfold, then the \
+                 fusion annotator) with per-pass statistics (per-rule \
+                 chain counts, chain-length histogram) and post-pass \
+                 verification.")
   in
   let constfold_arg =
     Arg.(value & flag & info [ "constfold" ] ~doc:"Run constant folding.")

@@ -102,8 +102,9 @@ and tblock = {
   t_body : texec;
   t_term : tterm;
   (* The same body closures, one per instruction, annotated with the
-     call structure ([skind]). Only the tracked executor and the
-     resume path walk this array; the hot path ([t_body]) never does. *)
+     call structure ([skind]). Only the resumable driver
+     ([exec_resumable]) walks this array; the hot path ([t_body]) never
+     does. *)
   t_steps : tstep array;
 }
 
@@ -378,25 +379,35 @@ let exec_cfunc (st : state) (cf : cfunc) (regs : Vvalue.t array) :
   go (-1) 0
 
 (* ------------------------------------------------------------------ *)
-(* Tracked execution and full-machine checkpoints.
+(* The resumable tracked driver, full-machine checkpoints and
+   convergence checks.
 
-   [exec_tracked] runs the same threaded closures as [exec_cfunc] but
-   walks [t_steps] one instruction at a time, maintaining a shadow call
-   stack of (function, block, instruction) positions. At every extern
-   call it offers the pending argument list to a caller-supplied probe;
-   when the probe answers [true] it captures a [checkpoint]: the memory
-   image (through {!Memory.snapshot}'s dirty-span machinery), a deep
-   copy of every live register frame, the call-stack positions, and the
-   dynamic counters. The capture happens *before* the extern call
-   executes, so a resumed run re-executes that call — an injection
-   planted at the probed site happens naturally on resume.
+   [exec_resumable] is the one execution path besides the hot
+   [exec_cfunc]. It runs the same threaded closures, but while the run
+   is *attached* it walks [t_steps] one instruction at a time,
+   maintaining a shadow call stack of (function, block, instruction)
+   positions, and offers every extern call — before it executes — to a
+   caller-supplied [check] together with that stack. A check may
+   [capture] a checkpoint there (the checkpoint-laying replay), or
+   compare the machine against one with [state_equal] and raise to
+   terminate the run (the converge-pruned executor).
 
-   [exec_resume] is the inverse: restore memory and counters, copy the
-   saved registers back into the (machine-owned) pool frames, then
-   unwind the recorded stack innermost-first, finishing each partial
-   block from its saved instruction index and re-entering each caller
-   just after its pending call instruction. Both functions are off the
-   hot path: [t_body] and [exec_cfunc] are untouched. *)
+   [check] returns whether a future call can still matter. The first
+   [false] *detaches* the run: tracking stops, the interrupted block
+   finishes through its per-step closures, and every later block — of
+   this activation and of every enclosing one — runs through the
+   composed [t_body] closures at full speed (per-step tracking forgoes
+   the fused superblock kernels, so a suffix that can no longer check
+   would otherwise pay the tracked-interpreter tax for nothing). A run
+   without a [check] starts detached.
+
+   A run starts either fresh, entering a function at block 0, or from
+   a checkpoint: memory, counters and register frames roll back, then
+   the recorded call stack unwinds innermost-first. The innermost frame
+   restarts at its saved step — the checked extern call, which
+   therefore re-executes, so an injection planted at that site happens
+   naturally on resume — and each outer frame consumes its callee's
+   return value and continues just past its pending call instruction. *)
 
 type tracked_frame = {
   tf_func : cfunc;
@@ -424,14 +435,20 @@ type checkpoint = {
   ck_vec : int;  (** [dyn_vector] at capture *)
 }
 
-let checkpoint_spent (ck : checkpoint) = ck.ck_spent
+(* Fired before each extern call of an attached run with the shadow
+   stack (innermost activation first), the callee's extern slot and the
+   argument values; [false] detaches the run. *)
+type check = state -> tracked_frame list -> slot:int -> Vvalue.t list -> bool
 
-let exec_tracked (st : state) (cf : cfunc) (regs : Vvalue.t array)
-    ~(probe : state -> slot:int -> Vvalue.t list -> bool)
-    ~(on_capture : checkpoint -> unit) : Vvalue.t option =
-  let stack : tracked_frame list ref = ref [] in
-  let capture () =
-    let frames =
+(* The full machine state at the position [stack] describes: the memory
+   image (through {!Memory.snapshot}'s dirty-span machinery), a deep
+   copy of every live register frame, the call-stack positions, and the
+   dynamic counters. Taken inside a [check], it sits before the pending
+   extern call, which a resume re-executes. *)
+let capture (st : state) (stack : tracked_frame list) : checkpoint =
+  {
+    ck_mem = Memory.snapshot st.mem;
+    ck_stack =
       Array.of_list
         (List.rev_map
            (fun tf ->
@@ -442,198 +459,13 @@ let exec_tracked (st : state) (cf : cfunc) (regs : Vvalue.t array)
                fc_frame = tf.tf_regs;
                fc_saved =
                  Array.map
-                   (fun v ->
-                     if v == default_value then v else Vvalue.copy v)
+                   (fun v -> if v == default_value then v else Vvalue.copy v)
                    tf.tf_regs;
              })
-           !stack)
-    in
-    on_capture
-      {
-        ck_mem = Memory.snapshot st.mem;
-        ck_stack = frames;
-        ck_spent = st.budget0 - st.fuel;
-        ck_vec = st.dyn_vector;
-      }
-  in
-  let rec exec_tf (tf : tracked_frame) : Vvalue.t option =
-    let blocks = tf.tf_func.tblocks in
-    st.regs <- tf.tf_regs;
-    let rec go prev cur =
-      let b = Array.unsafe_get blocks cur in
-      if Array.length b.t_phis <> 0 then b.t_phis.(prev + 1) st;
-      tf.tf_block <- cur;
-      let steps = b.t_steps in
-      for k = 0 to Array.length steps - 1 do
-        tf.tf_instr <- k;
-        let s = Array.unsafe_get steps k in
-        match s.s_kind with
-        | Kplain -> s.s_exec st
-        | Kextern { x_slot; x_gs; _ } ->
-          let args =
-            Array.to_list (Array.map (fun g -> g tf.tf_regs) x_gs)
-          in
-          if probe st ~slot:x_slot args then capture ();
-          s.s_exec st
-        | Kcall { k_target; k_gs; k_dst; k_chg; _ } ->
-          (* Mirrors the direct-call closure built by [thread_call]
-             step for step, with the callee run under tracking. *)
-          k_chg st;
-          st.depth <- st.depth + 1;
-          if st.depth > st.max_depth then
-            Trap.raise_ Trap.Stack_overflow_vm;
-          let regs' = frame_for st k_target in
-          for a = 0 to Array.length k_gs - 1 do
-            Vvalue.copy_into
-              ~dst:(Array.unsafe_get regs' a)
-              ((Array.unsafe_get k_gs a) tf.tf_regs)
-          done;
-          let callee =
-            { tf_func = k_target; tf_regs = regs'; tf_block = 0;
-              tf_instr = 0 }
-          in
-          stack := callee :: !stack;
-          let r = exec_tf callee in
-          stack := List.tl !stack;
-          st.regs <- tf.tf_regs;
-          st.depth <- st.depth - 1;
-          (match r with
-          | Some v when k_dst >= 0 ->
-            Vvalue.copy_into ~dst:(Array.unsafe_get tf.tf_regs k_dst) v
-          | Some _ | None -> ())
-      done;
-      charge st;
-      match b.t_term with
-      | Ct_br next -> go cur next
-      | Ct_condbr_reg (r, l1, l2) -> (
-        match Array.unsafe_get tf.tf_regs r with
-        | Vvalue.I (_, ba) -> if Ilanes.unsafe_get ba 0 <> 0L then go cur l1 else go cur l2
-        | v -> if Vvalue.as_bool v then go cur l1 else go cur l2)
-      | Ct_condbr (c, l1, l2) ->
-        if Vvalue.as_bool (c tf.tf_regs) then go cur l1 else go cur l2
-      | Ct_ret g -> Some (g tf.tf_regs)
-      | Ct_ret_void -> None
-      | Ct_unreachable -> Trap.raise_ Trap.Unreachable_executed
-    in
-    go (-1) 0
-  in
-  let tf0 = { tf_func = cf; tf_regs = regs; tf_block = 0; tf_instr = 0 } in
-  stack := [ tf0 ];
-  exec_tf tf0
-
-(* Finish one activation from a saved position: run the remainder of
-   the interrupted block step-by-step, then fall back to the composed
-   [t_body] closures for every subsequent block (full speed — the
-   resumed suffix pays the per-step walk only once). *)
-let exec_cfunc_resume (st : state) (cf : cfunc) (regs : Vvalue.t array)
-    ~(block : int) ~(instr : int) : Vvalue.t option =
-  st.regs <- regs;
-  let blocks = cf.tblocks in
-  let rec go prev cur =
-    let b = Array.unsafe_get blocks cur in
-    if Array.length b.t_phis <> 0 then b.t_phis.(prev + 1) st;
-    b.t_body st;
-    charge st;
-    match b.t_term with
-    | Ct_br next -> go cur next
-    | Ct_condbr_reg (r, l1, l2) -> (
-      match Array.unsafe_get regs r with
-      | Vvalue.I (_, ba) -> if Ilanes.unsafe_get ba 0 <> 0L then go cur l1 else go cur l2
-      | v -> if Vvalue.as_bool v then go cur l1 else go cur l2)
-    | Ct_condbr (c, l1, l2) ->
-      if Vvalue.as_bool (c regs) then go cur l1 else go cur l2
-    | Ct_ret g -> Some (g regs)
-    | Ct_ret_void -> None
-    | Ct_unreachable -> Trap.raise_ Trap.Unreachable_executed
-  in
-  let b = Array.unsafe_get blocks block in
-  let steps = b.t_steps in
-  for k = instr to Array.length steps - 1 do
-    (Array.unsafe_get steps k).s_exec st
-  done;
-  charge st;
-  match b.t_term with
-  | Ct_br next -> go block next
-  | Ct_condbr_reg (r, l1, l2) -> (
-    match Array.unsafe_get regs r with
-    | Vvalue.I (_, ba) -> if Ilanes.unsafe_get ba 0 <> 0L then go block l1 else go block l2
-    | v -> if Vvalue.as_bool v then go block l1 else go block l2)
-  | Ct_condbr (c, l1, l2) ->
-    if Vvalue.as_bool (c regs) then go block l1 else go block l2
-  | Ct_ret g -> Some (g regs)
-  | Ct_ret_void -> None
-  | Ct_unreachable -> Trap.raise_ Trap.Unreachable_executed
-
-(* Resume a machine from a checkpoint it captured earlier: memory,
-   counters and register frames roll back, then the recorded call stack
-   unwinds innermost-first — the innermost frame restarts at its saved
-   step (the probed extern call, which therefore re-executes), each
-   outer frame consumes its callee's return value and continues just
-   past its pending call instruction. [budget] re-arms the fuel epoch
-   exactly like [Machine.reset ~budget] before a fresh run would:
-   [dyn_count] after resume equals prefix + suffix. Traps unwind out of
-   the resumed suffix exactly as they do out of a fresh run. *)
-let exec_resume (st : state) ~(budget : int) (ck : checkpoint) :
-    Vvalue.t option =
-  Memory.restore st.mem ck.ck_mem;
-  st.budget0 <- budget;
-  st.fuel <- budget - ck.ck_spent;
-  st.dyn_vector <- ck.ck_vec;
-  Array.iter
-    (fun fr ->
-      let dst = fr.fc_frame and src = fr.fc_saved in
-      for k = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst k in
-        if d != default_value then
-          Vvalue.copy_into ~dst:d (Array.unsafe_get src k)
-      done)
-    ck.ck_stack;
-  let n = Array.length ck.ck_stack in
-  if n = 0 then invalid_arg "Compile.exec_resume: empty checkpoint stack";
-  let rec unwind level ret =
-    let fr = ck.ck_stack.(level) in
-    st.depth <- level;
-    let r =
-      if level = n - 1 then
-        exec_cfunc_resume st fr.fc_func fr.fc_frame ~block:fr.fc_block
-          ~instr:fr.fc_instr
-      else begin
-        (match
-           fr.fc_func.tblocks.(fr.fc_block).t_steps.(fr.fc_instr).s_kind
-         with
-        | Kcall { k_dst; _ } -> (
-          match ret with
-          | Some v when k_dst >= 0 ->
-            Vvalue.copy_into ~dst:fr.fc_frame.(k_dst) v
-          | _ -> ())
-        | _ -> assert false);
-        exec_cfunc_resume st fr.fc_func fr.fc_frame ~block:fr.fc_block
-          ~instr:(fr.fc_instr + 1)
-      end
-    in
-    if level = 0 then r else unwind (level - 1) r
-  in
-  unwind (n - 1) None
-
-(* ------------------------------------------------------------------ *)
-(* Convergence-checked execution (the Converge_pruned executor's
-   engine). [exec_converge] / [exec_converge_resume] mirror
-   [exec_tracked] / [exec_resume], but instead of capturing checkpoints
-   they offer every extern call to a [check] callback together with the
-   current shadow stack; the callback typically calls [state_equal]
-   against a golden checkpoint at the same dynamic site and raises to
-   terminate the run early when the states match (the caller splices
-   the golden outcome — see Experiment.faulty_run_pruned).
-
-   [check] returns whether a future call can still matter. The first
-   [false] answer *detaches* the run: tracking stops and the rest of
-   the activation stack executes through the composed [t_body]
-   closures at full speed (per-step tracking forgoes the fused
-   superblock kernels, so a suffix that can no longer prune would
-   otherwise pay the tracked-interpreter tax for nothing). *)
-
-type converge_check =
-  state -> tracked_frame list -> slot:int -> Vvalue.t list -> bool
+           stack);
+    ck_spent = st.budget0 - st.fuel;
+    ck_vec = st.dyn_vector;
+  }
 
 (* Exact machine-state comparison against a checkpoint, restricted to
    what can influence the continuation: dynamic counters, the call
@@ -681,45 +513,53 @@ let state_equal (st : state) (stack : tracked_frame list)
   frames_eq (n - 1) stack
   && Memory.equal_since st.mem ck.ck_mem ~since
 
-(* Shared tracked interpreter for the convergence executors: runs one
-   activation, firing [check] before every extern step. [resume_mid]
-   starts the frame at its recorded (block, instr) position without
-   re-running the block's phi moves (the resume entry); a fresh frame
-   enters at block 0 with the entry phi move, exactly like
-   [exec_tracked]. [live] is the shared detach latch: the first [false]
-   from [check] (anywhere in the activation tree) clears it, the
-   current block's remaining steps run through [exec_cfunc_resume]'s
-   full-speed path, and every enclosing activation follows suit. *)
-let rec converge_tf (st : state) (stack : tracked_frame list ref)
-    ~(check : converge_check) ~(live : bool ref) (tf : tracked_frame)
-    ~(resume_mid : bool) : Vvalue.t option =
-  let blocks = tf.tf_func.tblocks in
-  st.regs <- tf.tf_regs;
-  let rec go ~run_phis ~instr0 prev cur =
-    let b = Array.unsafe_get blocks cur in
-    if run_phis && Array.length b.t_phis <> 0 then b.t_phis.(prev + 1) st;
-    tf.tf_block <- cur;
-    let steps = b.t_steps in
-    let n = Array.length steps in
-    (* Returns -1 when the block completed under tracking, or the index
-       of the first unexecuted step after a detach. *)
-    let rec step k =
-      if k >= n then -1
-      else begin
-        tf.tf_instr <- k;
-        let s = Array.unsafe_get steps k in
-        match s.s_kind with
-        | Kplain ->
-          s.s_exec st;
-          step (k + 1)
+(* Where an [exec_resumable] run starts. [Resume]'s [budget] re-arms
+   the fuel epoch exactly like [Machine.reset ~budget] before a fresh
+   run would: [dyn_count] after the resume reads prefix + suffix. *)
+type entry =
+  | Fresh of cfunc * Vvalue.t array
+      (** enter the function at block 0 over its prepared frame *)
+  | Resume of { ck : checkpoint; budget : int }
+
+(* A callee's result (frame-buffer alias or extern-produced value) is
+   copied into the caller's destination buffer: nothing escaping a
+   frame is ever shared. *)
+let store_ret (regs : Vvalue.t array) dst (r : Vvalue.t option) =
+  match r with
+  | Some v when dst >= 0 -> Vvalue.copy_into ~dst:(Array.unsafe_get regs dst) v
+  | Some _ | None -> ()
+
+let exec_resumable (st : state) ?(check : check option) (entry : entry) :
+    Vvalue.t option =
+  (* the detach latch, shared by every activation of the run *)
+  let live = ref (Option.is_some check) in
+  let check = Option.value check ~default:(fun _ _ ~slot:_ _ -> false) in
+  let stack = ref [] in
+  (* Run activation [tf] to its return: from block 0 when [at < 0],
+     else from step [at] of its current block (no phi moves). *)
+  let rec activation (tf : tracked_frame) ~(at : int) : Vvalue.t option =
+    let blocks = tf.tf_func.tblocks and regs = tf.tf_regs in
+    st.regs <- regs;
+    (* Steps [k0..] of block [cur]: tracked while attached, the rest
+       (after a detach, or all of them when detached) through the
+       plain step closures. *)
+    let walk cur b k0 =
+      tf.tf_block <- cur;
+      let steps = b.t_steps in
+      let n = Array.length steps in
+      let k = ref k0 in
+      while !live && !k < n do
+        tf.tf_instr <- !k;
+        let s = Array.unsafe_get steps !k in
+        (match s.s_kind with
+        | Kplain -> s.s_exec st
         | Kextern { x_slot; x_gs; _ } ->
-          let args =
-            Array.to_list (Array.map (fun g -> g tf.tf_regs) x_gs)
-          in
+          let args = Array.to_list (Array.map (fun g -> g regs) x_gs) in
           if not (check st !stack ~slot:x_slot args) then live := false;
-          s.s_exec st;
-          if !live then step (k + 1) else k + 1
+          s.s_exec st
         | Kcall { k_target; k_gs; k_dst; k_chg; _ } ->
+          (* Mirrors the direct-call closure built by [thread_call]
+             step for step, with the callee run under tracking. *)
           k_chg st;
           st.depth <- st.depth + 1;
           if st.depth > st.max_depth then Trap.raise_ Trap.Stack_overflow_vm;
@@ -727,127 +567,96 @@ let rec converge_tf (st : state) (stack : tracked_frame list ref)
           for a = 0 to Array.length k_gs - 1 do
             Vvalue.copy_into
               ~dst:(Array.unsafe_get regs' a)
-              ((Array.unsafe_get k_gs a) tf.tf_regs)
+              ((Array.unsafe_get k_gs a) regs)
           done;
           let callee =
-            { tf_func = k_target; tf_regs = regs'; tf_block = 0;
-              tf_instr = 0 }
+            { tf_func = k_target; tf_regs = regs'; tf_block = 0; tf_instr = 0 }
           in
           stack := callee :: !stack;
-          let r = converge_tf st stack ~check ~live callee ~resume_mid:false in
+          let r = activation callee ~at:(-1) in
           stack := List.tl !stack;
-          st.regs <- tf.tf_regs;
+          st.regs <- regs;
           st.depth <- st.depth - 1;
-          (match r with
-          | Some v when k_dst >= 0 ->
-            Vvalue.copy_into ~dst:(Array.unsafe_get tf.tf_regs k_dst) v
-          | Some _ | None -> ());
-          if !live then step (k + 1) else k + 1
-      end
+          store_ret regs k_dst r);
+        incr k
+      done;
+      for j = !k to n - 1 do
+        (Array.unsafe_get steps j).s_exec st
+      done
     in
-    let detached_at = step instr0 in
-    if detached_at >= 0 then
-      (* no further check can matter: finish this activation through
-         the composed closures (fused superblock kernels and all) *)
-      exec_cfunc_resume st tf.tf_func tf.tf_regs ~block:cur
-        ~instr:detached_at
-    else begin
+    let rec enter prev cur =
+      let b = Array.unsafe_get blocks cur in
+      if Array.length b.t_phis <> 0 then b.t_phis.(prev + 1) st;
+      if !live then walk cur b 0 else b.t_body st;
+      leave cur b
+    and leave cur b =
       charge st;
       match b.t_term with
-      | Ct_br next -> go ~run_phis:true ~instr0:0 cur next
+      | Ct_br next -> enter cur next
       | Ct_condbr_reg (r, l1, l2) -> (
-        match Array.unsafe_get tf.tf_regs r with
+        match Array.unsafe_get regs r with
         | Vvalue.I (_, ba) ->
-          if Ilanes.unsafe_get ba 0 <> 0L then
-            go ~run_phis:true ~instr0:0 cur l1
-          else go ~run_phis:true ~instr0:0 cur l2
-        | v ->
-          if Vvalue.as_bool v then go ~run_phis:true ~instr0:0 cur l1
-          else go ~run_phis:true ~instr0:0 cur l2)
+          if Ilanes.unsafe_get ba 0 <> 0L then enter cur l1 else enter cur l2
+        | v -> if Vvalue.as_bool v then enter cur l1 else enter cur l2)
       | Ct_condbr (c, l1, l2) ->
-        if Vvalue.as_bool (c tf.tf_regs) then
-          go ~run_phis:true ~instr0:0 cur l1
-        else go ~run_phis:true ~instr0:0 cur l2
-      | Ct_ret g -> Some (g tf.tf_regs)
+        if Vvalue.as_bool (c regs) then enter cur l1 else enter cur l2
+      | Ct_ret g -> Some (g regs)
       | Ct_ret_void -> None
       | Ct_unreachable -> Trap.raise_ Trap.Unreachable_executed
+    in
+    if at < 0 then enter (-1) 0
+    else begin
+      let cur = tf.tf_block in
+      let b = Array.unsafe_get blocks cur in
+      walk cur b at;
+      leave cur b
     end
   in
-  if resume_mid then go ~run_phis:false ~instr0:tf.tf_instr (-1) tf.tf_block
-  else go ~run_phis:true ~instr0:0 (-1) 0
-
-(* Fresh convergence run: [exec_tracked] with [check] instead of the
-   capture probe. Used when the fault site precedes every checkpoint
-   (nothing to resume from) but later checkpoint sites can still prune. *)
-let exec_converge (st : state) (cf : cfunc) (regs : Vvalue.t array)
-    ~(check : converge_check) : Vvalue.t option =
-  let tf0 = { tf_func = cf; tf_regs = regs; tf_block = 0; tf_instr = 0 } in
-  let stack = ref [ tf0 ] in
-  converge_tf st stack ~check ~live:(ref true) tf0 ~resume_mid:false
-
-(* [exec_resume] with the whole resumed suffix run under tracking so
-   [check] fires at every extern along the way. The restore prologue
-   and the innermost-first unwind are identical to [exec_resume]; each
-   level's suffix just goes through [converge_tf] instead of the
-   full-speed [exec_cfunc_resume]. *)
-let exec_converge_resume (st : state) ~(budget : int) (ck : checkpoint)
-    ~(check : converge_check) : Vvalue.t option =
-  Memory.restore st.mem ck.ck_mem;
-  st.budget0 <- budget;
-  st.fuel <- budget - ck.ck_spent;
-  st.dyn_vector <- ck.ck_vec;
-  Array.iter
-    (fun fr ->
-      let dst = fr.fc_frame and src = fr.fc_saved in
-      for k = 0 to Array.length dst - 1 do
-        let d = Array.unsafe_get dst k in
-        if d != default_value then
-          Vvalue.copy_into ~dst:d (Array.unsafe_get src k)
-      done)
-    ck.ck_stack;
-  let n = Array.length ck.ck_stack in
-  if n = 0 then
-    invalid_arg "Compile.exec_converge_resume: empty checkpoint stack";
-  let tfs =
-    Array.map
-      (fun fr ->
-        { tf_func = fr.fc_func; tf_regs = fr.fc_frame;
-          tf_block = fr.fc_block; tf_instr = fr.fc_instr })
-      ck.ck_stack
-  in
-  (* innermost-first shadow stack over the pending outer activations *)
-  let stack = ref [] in
-  for level = 0 to n - 1 do
-    stack := tfs.(level) :: !stack
-  done;
-  let live = ref true in
-  let rec unwind level ret =
-    let tf = tfs.(level) in
-    st.depth <- level;
-    let r =
-      if level = n - 1 then
-        converge_tf st stack ~check ~live tf ~resume_mid:true
-      else begin
-        (match
-           tf.tf_func.tblocks.(tf.tf_block).t_steps.(tf.tf_instr).s_kind
-         with
-        | Kcall { k_dst; _ } -> (
-          match ret with
-          | Some v when k_dst >= 0 ->
-            Vvalue.copy_into ~dst:tf.tf_regs.(k_dst) v
-          | _ -> ())
-        | _ -> assert false);
-        tf.tf_instr <- tf.tf_instr + 1;
-        if !live then converge_tf st stack ~check ~live tf ~resume_mid:true
-        else
-          exec_cfunc_resume st tf.tf_func tf.tf_regs ~block:tf.tf_block
-            ~instr:tf.tf_instr
-      end
+  match entry with
+  | Fresh (cf, regs) ->
+    let tf = { tf_func = cf; tf_regs = regs; tf_block = 0; tf_instr = 0 } in
+    stack := [ tf ];
+    activation tf ~at:(-1)
+  | Resume { ck; budget } ->
+    let n = Array.length ck.ck_stack in
+    if n = 0 then invalid_arg "Compile.exec_resumable: empty checkpoint stack";
+    Memory.restore st.mem ck.ck_mem;
+    st.budget0 <- budget;
+    st.fuel <- budget - ck.ck_spent;
+    st.dyn_vector <- ck.ck_vec;
+    let tfs =
+      Array.map
+        (fun fc ->
+          let dst = fc.fc_frame and src = fc.fc_saved in
+          for k = 0 to Array.length dst - 1 do
+            let d = Array.unsafe_get dst k in
+            if d != default_value then
+              Vvalue.copy_into ~dst:d (Array.unsafe_get src k)
+          done;
+          { tf_func = fc.fc_func; tf_regs = fc.fc_frame;
+            tf_block = fc.fc_block; tf_instr = fc.fc_instr })
+        ck.ck_stack
     in
-    stack := List.tl !stack;
-    if level = 0 then r else unwind (level - 1) r
-  in
-  unwind (n - 1) None
+    stack := Array.fold_left (fun inner tf -> tf :: inner) [] tfs;
+    let rec unwind level ret =
+      let tf = tfs.(level) in
+      st.depth <- level;
+      let at =
+        if level = n - 1 then tf.tf_instr
+        else begin
+          (match
+             tf.tf_func.tblocks.(tf.tf_block).t_steps.(tf.tf_instr).s_kind
+           with
+          | Kcall { k_dst; _ } -> store_ret tf.tf_regs k_dst ret
+          | _ -> assert false);
+          tf.tf_instr + 1
+        end
+      in
+      let r = activation tf ~at in
+      stack := List.tl !stack;
+      if level = 0 then r else unwind (level - 1) r
+    in
+    unwind (n - 1) None
 
 (* ------------------------------------------------------------------ *)
 (* Stage 2: closure threading                                          *)
@@ -1330,15 +1139,6 @@ and thread_call (cm : cmodule) (ci : cinstr) (callee : string)
     | [| g0; g1; g2 |] -> fun regs -> [ g0 regs; g1 regs; g2 regs ]
     | gs -> fun regs -> Array.to_list (Array.map (fun g -> g regs) gs)
   in
-  (* A callee's result (frame-buffer alias or extern-produced value) is
-     copied into the caller's destination buffer: nothing escaping a
-     frame is ever shared. *)
-  let store_ret regs (r : Vvalue.t option) =
-    match r with
-    | Some v when dst >= 0 ->
-      Vvalue.copy_into ~dst:(Array.unsafe_get regs dst) v
-    | Some _ | None -> ()
-  in
   match Hashtbl.find_opt cm.cfuncs callee with
   | Some target ->
     if nargs <> target.nparams then
@@ -1363,7 +1163,7 @@ and thread_call (cm : cmodule) (ci : cinstr) (callee : string)
         let r = exec_cfunc st target regs' in
         st.regs <- regs;
         st.depth <- st.depth - 1;
-        store_ret regs r
+        store_ret regs dst r
   | None -> (
     match Vir.Intrinsics.lookup callee with
     | Some { Vir.Intrinsics.kind = Vir.Intrinsics.Math m; _ } -> (
@@ -1502,7 +1302,7 @@ and thread_call (cm : cmodule) (ci : cinstr) (callee : string)
         let regs = st.regs in
         chg st;
         (match Array.unsafe_get st.extern_slots slot with
-        | Some handler -> store_ret regs (handler st (mk_args regs))
+        | Some handler -> store_ret regs dst (handler st (mk_args regs))
         | None -> Trap.raise_ (Trap.Unknown_function callee)))
 
 (* ------------------------------------------------------------------ *)
@@ -1623,7 +1423,7 @@ let step_live_sets (cf : cfunc) (live_in : bool array array) (bi : int)
 
 (* Call-structure annotation for [t_steps], resolved with exactly the
    same chain as [thread_call] (module functions, then intrinsics, then
-   extern slots) so the tracked executor enters precisely the calls the
+   extern slots) so the resumable driver enters precisely the calls the
    fast closures enter. Arity-mismatched direct calls and intrinsics
    stay [Kplain]: their closures never run callee code under a deeper
    frame, so position tracking has nothing to record. *)
@@ -1868,8 +1668,7 @@ let rec compose_body (body : texec array) lo hi : texec =
      leaves the same fuel as unfused stepping. Pure producers allow
      grouping the charges up front: the only state a reordered trap
      could expose is a partial register write, which is unobservable;
-   - the tracked executor and the resume path use [t_steps], which is
-     NEVER fused — fault sites and checkpoint positions stay per
+   - the resumable driver uses [t_steps], which is NEVER fused — fault sites and checkpoint positions stay per
      original instruction.
 
    The emitter re-checks every structural assumption (operand

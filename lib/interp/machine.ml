@@ -79,89 +79,54 @@ let eval_fcmp_lane = Eval.eval_fcmp_lane
 
 let eval_cast = Eval.eval_cast
 
+(* Resolve [name], check the arity, and copy [args] into the entry
+   frame's pinned buffers ([Compile.frame_for st cf] at depth 0).
+   Callers may reuse their arg values across runs (the campaign driver
+   does): the lanes are copied, never aliased. A previous run may have
+   unwound through a trap mid-call-stack, so the depth counter restarts
+   with the fresh activation. *)
+let enter (st : state) name (args : Vvalue.t list) : Compile.cfunc =
+  match Hashtbl.find_opt st.Compile.code.Compile.cfuncs name with
+  | Some cf ->
+    let nargs = List.length args in
+    if nargs <> cf.Compile.nparams then
+      invalid_arg
+        (Printf.sprintf
+           "Machine: call to @%s with %d argument(s), expects %d" name nargs
+           cf.Compile.nparams);
+    st.Compile.depth <- 0;
+    let regs = Compile.frame_for st cf in
+    List.iteri (fun i v -> Vvalue.copy_into ~dst:regs.(i) v) args;
+    cf
+  | None -> Trap.raise_ (Trap.Unknown_function name)
+
 (* Run function [name] with [args]; returns its value (None for void).
    Raises {!Trap.Trap} on a crash, [Invalid_argument] on an arity
    mismatch (previously extra arguments were silently dropped and
-   missing ones defaulted to i32 0).
-
-   Buffer discipline at the host boundary: argument lanes are copied
-   into the entry frame's pinned buffers (callers may reuse their arg
-   values across runs — the campaign driver does), and the result is a
-   deep copy, never an alias of a frame buffer the next run would
-   overwrite. *)
+   missing ones defaulted to i32 0). The result is a deep copy, never
+   an alias of a frame buffer the next run would overwrite. *)
 let run (st : state) name (args : Vvalue.t list) : Vvalue.t option =
-  match Hashtbl.find_opt st.Compile.code.Compile.cfuncs name with
-  | Some cf ->
-    let nargs = List.length args in
-    if nargs <> cf.Compile.nparams then
-      invalid_arg
-        (Printf.sprintf
-           "Machine: call to @%s with %d argument(s), expects %d" name nargs
-           cf.Compile.nparams);
-    (* A previous run may have unwound through a trap mid-call-stack;
-       the depth counter restarts with the fresh activation. *)
-    st.Compile.depth <- 0;
-    let regs = Compile.frame_for st cf in
-    List.iteri
-      (fun i v -> Vvalue.copy_into ~dst:regs.(i) v)
-      args;
-    Option.map Vvalue.copy (Compile.exec_cfunc st cf regs)
-  | None -> Trap.raise_ (Trap.Unknown_function name)
+  let cf = enter st name args in
+  Option.map Vvalue.copy (Compile.exec_cfunc st cf (Compile.frame_for st cf))
 
 (* ------------------------------------------------------------------ *)
-(* Full-machine checkpoints (fast-forward executor support).           *)
+(* Tracked runs, full-machine checkpoints and convergence checks       *)
 
 type checkpoint = Compile.checkpoint
 
-let checkpoint_spent = Compile.checkpoint_spent
-
 (* The extern slot a callee name was compiled to, if any call site
-   references it. Lets checkpoint probes compare slots (ints) instead
-   of names on the tracked path. *)
+   references it. Lets checks compare slots (ints) instead of names on
+   the tracked path. *)
 let extern_slot (st : state) name =
   Hashtbl.find_opt st.Compile.code.Compile.extern_index name
 
-(* [run] with position tracking: same entry discipline, but every
-   extern call is offered to [probe] first, and each [true] answer
-   captures a full-machine checkpoint at that point (before the extern
-   executes) and hands it to [on_capture]. Noticeably slower than
-   [run] — meant for the one instrumented replay that lays a cell's
-   checkpoints, never for the per-experiment path. *)
-let run_tracked (st : state) name (args : Vvalue.t list)
-    ~(probe : state -> slot:int -> Vvalue.t list -> bool)
-    ~(on_capture : checkpoint -> unit) : Vvalue.t option =
-  match Hashtbl.find_opt st.Compile.code.Compile.cfuncs name with
-  | Some cf ->
-    let nargs = List.length args in
-    if nargs <> cf.Compile.nparams then
-      invalid_arg
-        (Printf.sprintf
-           "Machine: call to @%s with %d argument(s), expects %d" name nargs
-           cf.Compile.nparams);
-    st.Compile.depth <- 0;
-    let regs = Compile.frame_for st cf in
-    List.iteri
-      (fun i v -> Vvalue.copy_into ~dst:regs.(i) v)
-      args;
-    Option.map Vvalue.copy
-      (Compile.exec_tracked st cf regs ~probe ~on_capture)
-  | None -> Trap.raise_ (Trap.Unknown_function name)
-
-(* Resume the machine from a checkpoint it captured earlier (the
-   checkpoint's register frames alias this machine's frame pool, so
-   cross-machine resume is meaningless). Memory, counters and frames
-   roll back; [budget] re-arms the epoch like [reset ~budget] would, so
-   [dyn_count] afterwards reads prefix + suffix. The result is a deep
-   copy, exactly as [run] returns one. *)
-let resume ~budget (st : state) (ck : checkpoint) : Vvalue.t option =
-  Option.map Vvalue.copy (Compile.exec_resume st ~budget ck)
-
-(* ------------------------------------------------------------------ *)
-(* Convergence checks (converge-pruned executor support).              *)
-
 type stack_view = Compile.tracked_frame list
 
-type converge_check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
+type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
+
+(* Capture the machine at the position a [check] sees: before the
+   pending extern call, which a resume re-executes. *)
+let checkpoint = Compile.capture
 
 (* Exact machine-state equality against a golden checkpoint captured at
    the same dynamic site: counters, call-stack positions, live
@@ -170,37 +135,27 @@ type converge_check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
    machine's own live dirty spans. [true] implies the continuation of
    this machine is bit-identical to the golden run's continuation from
    the checkpoint (see DESIGN.md, convergence soundness). *)
-let state_equal (st : state) (stack : stack_view) (ck : checkpoint)
-    ~(since : Memory.spans) : bool =
-  Compile.state_equal st stack ck ~since
+let state_equal = Compile.state_equal
 
-(* [run] with every extern call offered to [check] (together with the
-   current shadow call stack) before it executes. [check] terminates
-   the run by raising; used by the converge-pruned executor when the
-   fault site precedes every checkpoint. *)
-let run_converge (st : state) name (args : Vvalue.t list)
-    ~(check : converge_check) : Vvalue.t option =
-  match Hashtbl.find_opt st.Compile.code.Compile.cfuncs name with
-  | Some cf ->
-    let nargs = List.length args in
-    if nargs <> cf.Compile.nparams then
-      invalid_arg
-        (Printf.sprintf
-           "Machine: call to @%s with %d argument(s), expects %d" name nargs
-           cf.Compile.nparams);
-    st.Compile.depth <- 0;
-    let regs = Compile.frame_for st cf in
-    List.iteri
-      (fun i v -> Vvalue.copy_into ~dst:regs.(i) v)
-      args;
-    Option.map Vvalue.copy (Compile.exec_converge st cf regs ~check)
-  | None -> Trap.raise_ (Trap.Unknown_function name)
+(* [run] with position tracking: same entry discipline, but every
+   extern call is offered to [check] first, until [check] answers
+   [false] and the run detaches to full speed. *)
+let run_tracked (st : state) name (args : Vvalue.t list) ~(check : check) :
+    Vvalue.t option =
+  let cf = enter st name args in
+  Option.map Vvalue.copy
+    (Compile.exec_resumable st ~check
+       (Compile.Fresh (cf, Compile.frame_for st cf)))
 
-(* [resume] with the whole resumed suffix run under position tracking
-   so [check] fires at every extern along the way. Slower than [resume]
-   per instruction; the converge-pruned executor buys that cost back by
-   terminating at the first post-injection checkpoint site whose state
-   matches the golden run's. *)
-let resume_converge ~budget (st : state) (ck : checkpoint)
-    ~(check : converge_check) : Vvalue.t option =
-  Option.map Vvalue.copy (Compile.exec_converge_resume st ~budget ck ~check)
+(* Resume the machine from a checkpoint it captured earlier (the
+   checkpoint's register frames alias this machine's frame pool, so
+   cross-machine resume is meaningless). Memory, counters and frames
+   roll back; [budget] re-arms the epoch like [reset ~budget] would, so
+   [dyn_count] afterwards reads prefix + suffix. With a [check] the
+   suffix runs tracked until the check detaches it; without one it runs
+   at full speed from the end of the interrupted block. The result is a
+   deep copy, exactly as [run] returns one. *)
+let resume ?(check : check option) ~budget (st : state) (ck : checkpoint) :
+    Vvalue.t option =
+  Option.map Vvalue.copy
+    (Compile.exec_resumable st ?check (Compile.Resume { ck; budget }))

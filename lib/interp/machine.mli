@@ -58,75 +58,46 @@ val eval_cast : Vir.Instr.cast_op -> Vir.Vtype.t -> Vvalue.t -> Vvalue.t
       function's parameter count. *)
 val run : state -> string -> Vvalue.t list -> Vvalue.t option
 
-(** {1 Full-machine checkpoints}
+(** {1 Tracked runs, full-machine checkpoints and convergence checks}
 
-    Support for the fault-point fast-forward executor: capture the
-    complete machine state (memory image, live register frames, call
-    stack positions, dynamic counters) at an extern-call boundary
-    during one tracked replay, then resume faulty runs from the nearest
-    checkpoint at or before their injection site so only the
-    post-injection suffix executes. *)
+    One resumable tracked driver serves the fast-forward and
+    converge-pruned executors. A tracked run offers every extern call,
+    before it executes, to a {!check} callback together with the shadow
+    call stack. A check can capture a full-machine {!checkpoint} there
+    (memory image, live register frames, call stack positions, dynamic
+    counters) — the checkpoint-laying golden replay — or compare the
+    machine against a golden checkpoint with {!state_equal} and raise
+    to terminate the run — convergence pruning. Faulty runs {!resume}
+    from the nearest checkpoint at or before their injection site, so
+    only the post-injection suffix executes. *)
 
 (** An opaque full-machine checkpoint. It aliases the frame pool of the
     machine that captured it: resume it only on that machine. *)
 type checkpoint
 
-(** Dynamic instructions executed when the checkpoint was captured
-    (the prefix length a resume skips). *)
-val checkpoint_spent : checkpoint -> int
-
 (** The extern slot index a callee name was compiled to, or [None] if
-    no call site references it. Checkpoint probes compare these dense
-    ints instead of names. *)
+    no call site references it. Checks compare these dense ints
+    instead of names. *)
 val extern_slot : state -> string -> int option
 
-(** [run] with position tracking: before each extern call executes,
-    [probe] sees the machine, the callee's extern slot and the
-    argument values (register-buffer aliases — copy to retain);
-    answering [true] captures a checkpoint at that point (the extern
-    call itself re-executes on resume) and passes it to [on_capture].
-    Slower than [run]; meant for the single instrumented replay that
-    lays a cell's checkpoints.
-    @raise Trap.Trap and [Invalid_argument] as {!run} does. *)
-val run_tracked :
-  state -> string -> Vvalue.t list ->
-  probe:(state -> slot:int -> Vvalue.t list -> bool) ->
-  on_capture:(checkpoint -> unit) ->
-  Vvalue.t option
-
-(** Resume from a checkpoint captured by this machine: memory,
-    counters and register frames roll back, the recorded call stack is
-    re-entered, and execution continues from the checkpointed extern
-    call. [budget] re-arms the fuel epoch as [reset ~budget] would;
-    {!dyn_count} afterwards reads prefix + suffix, exactly what a
-    fresh run to the same point would report. Returns a deep copy of
-    the function result, like {!run}.
-    @raise Trap.Trap on a crash in the resumed suffix. *)
-val resume : budget:int -> state -> checkpoint -> Vvalue.t option
-
-(** {1 Convergence checks}
-
-    Support for the converge-pruned executor: run (or resume) a faulty
-    experiment with every extern call offered to a [check] callback,
-    which compares the machine against the golden run's checkpoint at
-    the same dynamic site via {!state_equal} and raises to terminate
-    the run as soon as the states match — the suffix from that point is
-    provably identical to the golden run's, so the caller splices the
-    golden outcome. *)
-
 (** The shadow call stack at a check point (innermost activation
-    first); opaque outside {!state_equal}. *)
+    first); opaque outside {!checkpoint} and {!state_equal}. *)
 type stack_view
 
-(** Callback fired before each extern call executes, with the machine,
-    the current shadow stack, the callee's extern slot and the argument
-    values. Terminate the run by raising. The return value says whether
-    a future call could still matter: the first [false] detaches the
-    run — tracking stops and the remaining suffix executes at full
-    speed through the fused kernels, with no further [check] calls.
-    Detaching is purely physical; the run's results and traces are
-    unchanged. *)
-type converge_check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
+(** Callback fired before each extern call of a tracked run, with the
+    machine, the current shadow stack, the callee's extern slot and the
+    argument values (register-buffer aliases — copy to retain). It may
+    terminate the run by raising. The return value says whether a
+    future call could still matter: the first [false] detaches the run
+    — tracking stops and the remaining suffix executes at full speed
+    through the fused kernels, with no further checks. Detaching is
+    purely physical; the run's results are unchanged. *)
+type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
+
+(** [checkpoint st stack] captures the machine inside a {!check}: the
+    checkpoint sits before the pending extern call, which therefore
+    re-executes on {!resume}. *)
+val checkpoint : state -> stack_view -> checkpoint
 
 (** [state_equal st stack ck ~since] — exact equality of the running
     machine against checkpoint [ck] (captured by the same machine at
@@ -139,16 +110,21 @@ type converge_check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
 val state_equal :
   state -> stack_view -> checkpoint -> since:Memory.spans -> bool
 
-(** [run] under position tracking with [check] fired before every
-    extern call (no checkpoints are captured). Used when the fault site
-    precedes every checkpoint, so the faulty run starts fresh but later
-    checkpoint sites can still prune it.
+(** {!run} under position tracking, with [check] fired before every
+    extern call until it detaches the run. Slower than {!run} while
+    attached.
     @raise Trap.Trap and [Invalid_argument] as {!run} does. *)
-val run_converge :
-  state -> string -> Vvalue.t list -> check:converge_check -> Vvalue.t option
+val run_tracked :
+  state -> string -> Vvalue.t list -> check:check -> Vvalue.t option
 
-(** {!resume} with the resumed suffix run under position tracking and
-    [check] fired before every extern call along the way.
+(** Resume from a checkpoint captured by this machine: memory,
+    counters and register frames roll back, the recorded call stack is
+    re-entered, and execution continues from the checkpointed extern
+    call. [budget] re-arms the fuel epoch as [reset ~budget] would;
+    {!dyn_count} afterwards reads prefix + suffix, exactly what a
+    fresh run to the same point would report. Without [check] the
+    suffix runs at full speed; with one, tracked as in {!run_tracked}.
+    Returns a deep copy of the function result, like {!run}.
     @raise Trap.Trap on a crash in the resumed suffix. *)
-val resume_converge :
-  budget:int -> state -> checkpoint -> check:converge_check -> Vvalue.t option
+val resume :
+  ?check:check -> budget:int -> state -> checkpoint -> Vvalue.t option

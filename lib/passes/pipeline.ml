@@ -1,13 +1,10 @@
 type pass = { p_name : string; p_run : Vir.Vmodule.t -> int }
 
 let constfold = { p_name = "constfold"; p_run = Constfold.run_module }
-let schedule = { p_name = "schedule"; p_run = Schedule.run_module }
 let fuse = { p_name = "fuse"; p_run = Fuse.run_module }
-let default = [ schedule; fuse ]
-let optimizing = [ constfold; schedule; fuse ]
+let optimizing = [ constfold; fuse ]
 
-let run ?(verify = true) ?(passes = default) (m : Vir.Vmodule.t) :
-    (string * int) list =
+let run ?(verify = true) ~passes (m : Vir.Vmodule.t) : (string * int) list =
   List.map
     (fun p ->
       let n = p.p_run m in

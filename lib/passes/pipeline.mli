@@ -1,20 +1,11 @@
 (** The optimisation pass pipeline: an ordered registry of named passes
     with per-pass statistics and verification.
 
-    Two pipelines ship:
-
-    - {!default} — the production pipeline ([schedule] then [fuse]).
-      Every pass in it preserves semantics {e and} observable execution
-      shape (dynamic instruction counts, fault-site numbering, traces),
-      so the campaign path can run it unconditionally: results stay
-      byte-identical with the pipeline on or off. The scheduler only
-      permutes pure instructions between fences (DESIGN.md, "Scheduler
-      legality"), which changes no observable either.
-    - {!optimizing} — [constfold], [schedule], then [fuse]: the "-O"
-      pipeline for the CLI [opt]/[compile] flow and the differential
-      fuzzers. Constant folding rewrites the IR (fewer dynamic
-      instructions), so this one is never applied inside
-      fault-injection campaigns. *)
+    {!optimizing} — [constfold] then [fuse] — is the "-O" pipeline for
+    the CLI [opt] flow and the differential fuzzers. Constant folding
+    rewrites the IR (fewer dynamic instructions), so it is never applied
+    inside fault-injection campaigns; campaigns run only the fusion
+    annotator, directly from [Experiment.prepare]. *)
 
 type pass = {
   p_name : string;
@@ -22,10 +13,8 @@ type pass = {
 }
 
 val constfold : pass
-val schedule : pass
 val fuse : pass
 
-val default : pass list
 val optimizing : pass list
 
 (** Run the passes in order, verifying the module after each one
@@ -33,4 +22,4 @@ val optimizing : pass list
     pass, in execution order.
     @raise Vir.Verify.Invalid_ir if a pass breaks the module. *)
 val run :
-  ?verify:bool -> ?passes:pass list -> Vir.Vmodule.t -> (string * int) list
+  ?verify:bool -> passes:pass list -> Vir.Vmodule.t -> (string * int) list

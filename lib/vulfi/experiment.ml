@@ -36,27 +36,13 @@ let fusion_enabled =
     | Some ("1" | "true" | "yes") -> false
     | _ -> true)
 
-(* The list scheduler (Analysis.Sched via Passes.Schedule): reorders
-   pure instructions between fences so single-use chains become
-   adjacent for fusion. Injection calls, loads/stores and anything
-   trappable are fences nothing crosses, so dynamic counts, trap
-   points, injected values and traces are unchanged (DESIGN.md,
-   "Scheduler legality") — on by default even inside campaigns.
-   [VULFI_NO_SCHEDULE=1] / [--no-schedule] disables it for the CI
-   cross-check, mirroring [fusion_enabled]. *)
-let schedule_enabled =
-  ref
-    (match Sys.getenv_opt "VULFI_NO_SCHEDULE" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
 (* Convergence pruning inside the converge-pruned executor: terminate a
    faulty run at the first post-injection checkpoint site whose machine
    state matches the golden run's, splicing the golden outcome. Pure
    throughput — results and traces are identical either way — so it is
    on by default; [VULFI_NO_PRUNE=1] degrades [faulty_run_pruned] to
    the plain fast-forward path for cross-checks, mirroring
-   [VULFI_NO_FUSION]/[VULFI_NO_SCHEDULE]. *)
+   [VULFI_NO_FUSION]. *)
 let prune_enabled =
   ref
     (match Sys.getenv_opt "VULFI_NO_PRUNE" with
@@ -65,13 +51,11 @@ let prune_enabled =
 
 (* Build, select fault sites for [category], instrument, verify and
    compile a workload. [transform] optionally rewrites the module
-   before instrumentation (used to insert error detectors). Scheduling
-   and fusion run after instrumentation: injected Call redirections
-   have already split every targeted def-use link, so a chain can
-   never swallow a fault site, and the injection calls are scheduling
-   fences that pin the instrumented neighbourhood in place. Site
-   enumeration ([Sites.targets_of_module]) ran on the pre-pass module,
-   so site numbering is untouched either way. *)
+   before instrumentation (used to insert error detectors). Fusion
+   runs after instrumentation: injected Call redirections have already
+   split every targeted def-use link, so a chain can never swallow a
+   fault site. Site enumeration ([Sites.targets_of_module]) ran on the
+   pre-pass module, so site numbering is untouched either way. *)
 let prepare ?(transform = fun (m : Vir.Vmodule.t) -> m)
     (w : Workload.t) (target : Vir.Target.t)
     (category : Analysis.Sites.category) : prepared =
@@ -80,8 +64,6 @@ let prepare ?(transform = fun (m : Vir.Vmodule.t) -> m)
     Analysis.Sites.select (Analysis.Sites.targets_of_module m) category
   in
   let instr = Instrument.run m targets in
-  if !schedule_enabled then
-    ignore (Passes.Schedule.run_module instr.Instrument.instrumented);
   if !fusion_enabled then
     ignore (Passes.Fuse.run_module instr.Instrument.instrumented);
   {
@@ -285,7 +267,7 @@ let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
    [experiments_per_campaign * max_campaigns] distinct sites, and the
    distinct count is far smaller on short traces). A checkpoint costs
    one memory snapshot (dirty spans of small workload heaps) plus the
-   deep-copied register frames of the stack at the probe, so even a
+   deep-copied register frames of the stack at the check, so even a
    few hundred are cheap; runs whose site falls exactly on a plan site
    resume with zero pre-injection re-execution. *)
 let default_max_checkpoints = 192
@@ -322,7 +304,25 @@ type ff_input = {
           [j] compares memory only over [ff_spans.(j)] united with its
           own live dirty spans — everything outside both is untouched
           since the shared post-setup image on both sides. *)
+  ff_inject_slots : int list;
+      (** extern slots of the fault-injection functions on [ff_pi]'s
+          machine: the only calls a check needs to look at *)
 }
+
+(* Index of the rightmost checkpoint whose site is <= [site], or -1:
+   the resume point of a faulty run injecting at [site]. *)
+let resume_point (cks : (int * Interp.Machine.checkpoint) array) site =
+  let best = ref (-1) in
+  let lo = ref 0 and hi = ref (Array.length cks - 1) in
+  while !lo <= !hi do
+    let mid = (!lo + !hi) / 2 in
+    if fst cks.(mid) <= site then begin
+      best := mid;
+      lo := mid + 1
+    end
+    else hi := mid - 1
+  done;
+  !best
 
 (* One instrumented golden replay laying the plan's checkpoints: the
    machine rolls back to the post-setup image, then a tracked profile
@@ -334,54 +334,56 @@ type ff_input = {
    the trace records) bit-identical to a fresh replay. *)
 let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
     (p : prepared) ~(pi : prepared_input) ~(plan : int array) : ff_input =
+  let st = pi.pi_machine in
+  let inject_slots =
+    List.filter_map
+      (fun (name, _) -> Interp.Machine.extern_slot st name)
+      Fault_model.all_inject_fns
+  in
   if Array.length plan = 0 then
-    { ff_pi = pi; ff_checkpoints = [||]; ff_spans = [||] }
+    {
+      ff_pi = pi;
+      ff_checkpoints = [||];
+      ff_spans = [||];
+      ff_inject_slots = inject_slots;
+    }
   else begin
     let rt = Runtime.create ~respect_masks Runtime.Profile in
-    let st = pi.pi_machine in
     Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
     Interp.Machine.reset ~budget:Interp.Machine.default_budget st;
     Runtime.attach rt st;
     hooks.h_reset ();
     hooks.h_attach st;
-    let inject_slots =
-      List.filter_map
-        (fun (name, _) -> Interp.Machine.extern_slot st name)
-        Fault_model.all_inject_fns
-    in
     let nplan = Array.length plan in
     let pidx = ref 0 in
     (* Accumulated golden dirty spans relative to the post-setup image.
-       They must be folded in the probe, before the capture's
-       [Memory.snapshot] resets the live spans; each fold therefore
-       covers exactly the writes since the previous capture (or since
-       the post-setup restore for the first one). *)
+       They must be folded before the capture's [Memory.snapshot]
+       resets the live spans; each fold therefore covers exactly the
+       writes since the previous capture (or since the post-setup
+       restore for the first one). *)
     let cum = ref Interp.Memory.no_spans in
-    (* The probe sees each extern call before it runs: the next live
-       site has index [dynamic_sites rt + 1], mirroring the counter
-       increment the handler is about to perform. *)
-    let probe _st ~slot (args : Interp.Vvalue.t list) =
-      let hit =
-        !pidx < nplan
-        && List.mem slot inject_slots
-        && (match args with
-           | [ _value; mask; _site ] ->
-             ((not respect_masks) || Interp.Vvalue.as_bool mask)
-             && Runtime.dynamic_sites rt + 1 = plan.(!pidx)
-           | _ -> false)
-      in
-      if hit then
-        cum := Interp.Memory.diff_spans (Interp.Machine.memory st) !cum;
-      hit
-    in
     let cks = ref [] in
-    let on_capture ck =
-      cks := (plan.(!pidx), ck, !cum) :: !cks;
-      incr pidx
+    (* The check sees each extern call before it runs: the next live
+       site has index [dynamic_sites rt + 1], mirroring the counter
+       increment the handler is about to perform. Once the last plan
+       site is captured it detaches the replay, which finishes at full
+       speed. *)
+    let check mst stack ~slot (args : Interp.Vvalue.t list) =
+      (if List.mem slot inject_slots then
+         match args with
+         | [ _value; mask; _site ]
+           when ((not respect_masks) || Interp.Vvalue.as_bool mask)
+                && Runtime.dynamic_sites rt + 1 = plan.(!pidx) ->
+           cum := Interp.Memory.diff_spans (Interp.Machine.memory mst) !cum;
+           cks :=
+             (plan.(!pidx), Interp.Machine.checkpoint mst stack, !cum) :: !cks;
+           incr pidx
+         | _ -> ());
+      !pidx < nplan
     in
     (match
        Interp.Machine.run_tracked st p.p_workload.Workload.w_fn pi.pi_args
-         ~probe ~on_capture
+         ~check
      with
     | _ -> ()
     | exception Interp.Trap.Trap k ->
@@ -395,6 +397,7 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
       ff_pi = pi;
       ff_checkpoints = Array.map (fun (s, ck, _) -> (s, ck)) laid;
       ff_spans = Array.map (fun (_, _, spans) -> spans) laid;
+      ff_inject_slots = inject_slots;
     }
   end
 
@@ -407,23 +410,12 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
    inside the executed suffix. *)
 let faulty_run_ff ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
     (p : prepared) ~(ff : ff_input) ~dynamic_site ~seed : run_result =
-  let cks = ff.ff_checkpoints in
-  (* rightmost checkpoint with site <= dynamic_site *)
-  let best = ref (-1) in
-  let lo = ref 0 and hi = ref (Array.length cks - 1) in
-  while !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fst cks.(mid) <= dynamic_site then begin
-      best := mid;
-      lo := mid + 1
-    end
-    else hi := mid - 1
-  done;
-  if !best < 0 then
+  let best = resume_point ff.ff_checkpoints dynamic_site in
+  if best < 0 then
     faulty_run_checkpointed ~hooks ~respect_masks ?fault_kind p
       ~pi:ff.ff_pi ~dynamic_site ~seed
   else begin
-    let site, ck = cks.(!best) in
+    let site, ck = ff.ff_checkpoints.(best) in
     let rt =
       Runtime.create ~seed ~respect_masks ?fault_kind ~counter0:(site - 1)
         (Runtime.Inject { dynamic_site })
@@ -493,45 +485,27 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
     run_result =
   let cks = ff.ff_checkpoints in
   let ncks = Array.length cks in
-  (* first checkpoint site strictly after the injection: the only sites
-     where re-convergence with the golden run can be detected *)
-  let j0 = ref 0 in
-  while !j0 < ncks && fst cks.(!j0) <= dynamic_site do
-    incr j0
-  done;
-  if (not !prune_enabled) || !j0 >= ncks then
+  (* the resume point, as in [faulty_run_ff]; every checkpoint after it
+     lies strictly after the injection — the only sites where
+     re-convergence with the golden run can be detected *)
+  let best = resume_point cks dynamic_site in
+  if (not !prune_enabled) || best + 1 >= ncks then
     faulty_run_ff ~hooks ~respect_masks ?fault_kind p ~ff ~dynamic_site
       ~seed
   else begin
     let golden = ff.ff_pi.pi_golden in
     let st = ff.ff_pi.pi_machine in
-    (* rightmost checkpoint with site <= dynamic_site, as in
-       [faulty_run_ff] *)
-    let best = ref (-1) in
-    let lo = ref 0 and hi = ref (ncks - 1) in
-    while !lo <= !hi do
-      let mid = (!lo + !hi) / 2 in
-      if fst cks.(mid) <= dynamic_site then begin
-        best := mid;
-        lo := mid + 1
-      end
-      else hi := mid - 1
-    done;
     let rt =
-      if !best >= 0 then
+      if best >= 0 then
         Runtime.create ~seed ~respect_masks ?fault_kind
-          ~counter0:(fst cks.(!best) - 1)
+          ~counter0:(fst cks.(best) - 1)
           (Runtime.Inject { dynamic_site })
       else
         Runtime.create ~seed ~respect_masks ?fault_kind
           (Runtime.Inject { dynamic_site })
     in
-    let inject_slots =
-      List.filter_map
-        (fun (name, _) -> Interp.Machine.extern_slot st name)
-        Fault_model.all_inject_fns
-    in
-    let next = ref !j0 in
+    let inject_slots = ff.ff_inject_slots in
+    let next = ref (best + 1) in
     (* A run that has failed this many consecutive comparisons has
        almost certainly diverged for good (a flipped value keeps
        propagating); give up checking and let the detach run the rest
@@ -563,14 +537,12 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
     in
     let budget = fault_budget golden in
     let completion =
-      if !best >= 0 then begin
+      if best >= 0 then begin
         (* mirror [faulty_run_ff]'s resume discipline exactly *)
         Runtime.attach rt st;
         hooks.h_reset ();
         hooks.h_attach st;
-        match
-          Interp.Machine.resume_converge ~budget st (snd cks.(!best)) ~check
-        with
+        match Interp.Machine.resume ~check ~budget st (snd cks.(best)) with
         | _ -> `Ran (Ok (ff.ff_pi.pi_read_output ()))
         | exception Interp.Trap.Trap k -> `Ran (Error k)
         | exception Converged -> `Pruned
@@ -583,7 +555,7 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
         hooks.h_reset ();
         hooks.h_attach st;
         match
-          Interp.Machine.run_converge st p.p_workload.Workload.w_fn
+          Interp.Machine.run_tracked st p.p_workload.Workload.w_fn
             ff.ff_pi.pi_args ~check
         with
         | _ -> `Ran (Ok (ff.ff_pi.pi_read_output ()))

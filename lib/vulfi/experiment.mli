@@ -30,29 +30,18 @@ type prepared = {
     fused against unfused runs. *)
 val fusion_enabled : bool ref
 
-(** Whether [prepare] runs the list scheduler ({!Passes.Schedule}) over
-    the instrumented module before fusion. The scheduler only permutes
-    pure, non-trapping instructions between fences (injection calls,
-    memory ops, every other trap point), so campaign results and traces
-    are byte-identical with it on or off; it defaults to [true] even
-    inside campaigns. Set [VULFI_NO_SCHEDULE=1] (read at startup), pass
-    [--no-schedule], or clear the ref to compare. *)
-val schedule_enabled : bool ref
-
 (** Whether {!faulty_run_pruned} actually prunes. Pruning only splices
     outcomes that are provably identical to running the suffix out, so
     results and traces are byte-identical with it on or off; it
     defaults to [true]. Set [VULFI_NO_PRUNE=1] (read at startup) or
     clear the ref to degrade the converge-pruned executor to plain
-    fast-forward for cross-checks, mirroring
-    {!fusion_enabled}/{!schedule_enabled}. *)
+    fast-forward for cross-checks, mirroring {!fusion_enabled}. *)
 val prune_enabled : bool ref
 
 (** [prepare ?transform w target category] builds the workload module,
     applies [transform] (e.g. detector insertion), selects the fault
-    sites of [category], instruments and compiles (scheduling and
-    annotating fusion chains first, per {!schedule_enabled} and
-    {!fusion_enabled}). *)
+    sites of [category], instruments and compiles (annotating fusion
+    chains first, per {!fusion_enabled}). *)
 val prepare :
   ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
   Workload.t ->
@@ -168,12 +157,16 @@ type ff_input = {
           dirty-span hulls from the post-setup image up to each
           checkpoint (convergence checks compare memory only over
           these plus the faulty run's own live spans) *)
+  ff_inject_slots : int list;
+      (** extern slots of the fault-injection functions on [ff_pi]'s
+          machine, resolved once *)
 }
 
 (** One instrumented golden replay over [pi]'s machine capturing a
     checkpoint immediately before the inject call of each planned
-    site (the call re-executes on resume). An empty [plan] skips the
-    replay entirely.
+    site (the call re-executes on resume). The replay stops tracking
+    after the last planned site and finishes at full speed. An empty
+    [plan] skips the replay entirely.
     @raise Golden_run_failed when the replay traps. *)
 val lay_checkpoints :
   ?hooks:hooks ->

@@ -408,7 +408,7 @@ let test_checkpoint_plan () =
    exactly. n = 19 leaves a masked 8-lane tail (straddle loads with OOB
    masked-off lanes), and the Address category makes epochs crash
    mid-suffix, so consecutive sites also prove resume-after-trap. A
-   dense plan (every probed site has its own checkpoint) and a sparse
+   dense plan (every checked site has its own checkpoint) and a sparse
    thinned plan (most sites resume from an earlier checkpoint, sites
    below the first fall back to a full replay) must both match. *)
 let test_ff_faulty_runs_match () =
@@ -592,109 +592,78 @@ let test_pruned_fault_kinds_match () =
       done)
     kinds
 
-(* QCheck differential: random (category, fault kind, plan density,
-   site, seed) — resume-from-checkpoint == fresh replay. Prepared
-   machines and laid checkpoints are cached per (category, density);
-   the property itself only runs the two faulty executions. *)
-let prop_ff_equals_legacy =
-  let categories = Array.of_list Analysis.Sites.all_categories in
-  let kinds =
-    [|
-      Vulfi.Runtime.Single_bit_flip;
-      Vulfi.Runtime.Multi_bit_flip 2;
-      Vulfi.Runtime.Random_value;
-      Vulfi.Runtime.Stuck_at_zero;
-    |]
-  in
-  let cache = Hashtbl.create 8 in
-  let cell_for cat_i density =
-    let key = (cat_i, density) in
-    match Hashtbl.find_opt cache key with
-    | Some c -> c
-    | None ->
-      let w = vcopy_workload [ 19 ] in
-      let p =
-        Vulfi.Experiment.prepare w Vir.Target.Avx categories.(cat_i)
-      in
-      let pi = Vulfi.Experiment.prepare_input p ~input:0 in
-      let g = pi.Vulfi.Experiment.pi_golden in
-      let hi = min 20 g.Vulfi.Experiment.g_dyn_sites in
-      let plan =
-        Vulfi.Experiment.checkpoint_plan ~max_checkpoints:density
-          (List.init hi (fun i -> i + 1))
-      in
-      let ff = Vulfi.Experiment.lay_checkpoints p ~pi ~plan in
-      let c = (p, g, ff, hi) in
-      Hashtbl.add cache key c;
-      c
-  in
-  Test.make ~name:"ff == legacy (random category/kind/plan/site/seed)"
-    ~count:120
-    (make
-       Gen.(
-         quad (int_range 0 (Array.length categories - 1))
-           (int_range 0 (Array.length kinds - 1))
-           (int_range 1 5) (pair (int_range 0 10_000) (int_range 0 10_000)))
-       ~print:(fun (c, k, d, (site, seed)) ->
-         Printf.sprintf "cat=%d kind=%d density=%d site_pick=%d seed=%d" c k
-           d site seed))
-    (fun (cat_i, kind_i, density, (site_pick, seed)) ->
-      let p, g, ff, hi = cell_for cat_i density in
-      let dynamic_site = 1 + (site_pick mod hi) in
-      let fault_kind = kinds.(kind_i) in
-      let legacy =
-        Vulfi.Experiment.faulty_run ~fault_kind p ~golden:g ~dynamic_site
-          ~seed
-      in
-      let ff_r =
-        Vulfi.Experiment.faulty_run_ff ~fault_kind p ~ff ~dynamic_site ~seed
-      in
-      Vulfi.Outcome.to_string legacy.Vulfi.Experiment.r_outcome
-      = Vulfi.Outcome.to_string ff_r.Vulfi.Experiment.r_outcome
-      && legacy.Vulfi.Experiment.r_dyn_instrs
-         = ff_r.Vulfi.Experiment.r_dyn_instrs
-      &&
-      match
-        (legacy.Vulfi.Experiment.r_injection, ff_r.Vulfi.Experiment.r_injection)
-      with
-      | Some a, Some b ->
-        a.Vulfi.Runtime.inj_static_site = b.Vulfi.Runtime.inj_static_site
-        && a.Vulfi.Runtime.inj_bit = b.Vulfi.Runtime.inj_bit
-        && Interp.Vvalue.equal a.Vulfi.Runtime.inj_after
-             b.Vulfi.Runtime.inj_after
-      | None, None -> true
-      | _ -> false)
+(* Multi-frame workload: the export calls a [foreach]-copy helper
+   twice, and each call returns a value loaded inside the callee that
+   the export combines after both calls. Checkpoints therefore sit
+   inside a callee, resumes unwind through a pending call (storing its
+   return value on the way out), and convergence checks compare an
+   outer activation's live registers across its pending call. *)
+let copy_twice_src =
+  "uniform int copy_into(uniform int src[], uniform int dst[], uniform int \
+   n) { foreach (i = 0 ... n) { dst[i] = src[i]; } return dst[n - 1] + 1; \
+   }\n\
+   export void copy_twice(uniform int a1[], uniform int a2[], uniform int \
+   a3[], uniform int n) { uniform int m = copy_into(a1, a2, n); uniform \
+   int k = copy_into(a2, a3, n); a3[0] = m - k; }"
 
-(* QCheck convergence-soundness differential: random (category, fault
-   kind, plan density, site, seed) — the pruned executor, which may
-   terminate a run early and splice the golden outcome, must be
-   indistinguishable from the full legacy protocol on outcome, dynamic
-   instruction count and injection record. This is the soundness
-   property of the pruning: a splice is only allowed when provably
-   byte-identical to running the suffix out. *)
-let prop_pruned_equals_legacy =
-  let categories = Array.of_list Analysis.Sites.all_categories in
-  let kinds =
-    [|
-      Vulfi.Runtime.Single_bit_flip;
-      Vulfi.Runtime.Multi_bit_flip 2;
-      Vulfi.Runtime.Random_value;
-      Vulfi.Runtime.Stuck_at_zero;
-    |]
-  in
-  let cache = Hashtbl.create 8 in
-  let cell_for cat_i density =
-    let key = (cat_i, density) in
+let copy_twice_workload n =
+  {
+    Vulfi.Workload.w_name = "copy_twice";
+    w_fn = "copy_twice";
+    w_out_tolerance = 0.0;
+    w_inputs = 1;
+    w_build = (fun target -> Minispc.Driver.compile target copy_twice_src);
+    w_setup =
+      (fun ~input:_ st ->
+        let mem = Interp.Machine.memory st in
+        let alloc name = Interp.Memory.alloc mem ~name ~bytes:(4 * n) in
+        let a1 = alloc "a1" in
+        let a2 = alloc "a2" in
+        let a3 = alloc "a3" in
+        Interp.Memory.write_i32_array mem a1
+          (Array.init n (fun i -> (i * 37) - 11));
+        ( [ Interp.Vvalue.of_ptr a1; Interp.Vvalue.of_ptr a2;
+            Interp.Vvalue.of_ptr a3; Interp.Vvalue.of_i32 n ],
+          fun () ->
+            {
+              Vulfi.Outcome.empty_output with
+              Vulfi.Outcome.o_i32 =
+                [ Interp.Memory.read_i32_array mem a2 n;
+                  Interp.Memory.read_i32_array mem a3 n ];
+            } ));
+  }
+
+(* Inputs of the two QCheck differentials below: random (workload,
+   category, fault kind, plan density, site, seed). Prepared machines
+   and laid checkpoints are cached per (workload, category, density);
+   each property case only runs the two faulty executions. *)
+let diff_workloads = [| (fun () -> vcopy_workload [ 19 ]);
+                        (fun () -> copy_twice_workload 19) |]
+
+let diff_categories = Array.of_list Analysis.Sites.all_categories
+
+let diff_kinds =
+  [|
+    Vulfi.Runtime.Single_bit_flip;
+    Vulfi.Runtime.Multi_bit_flip 2;
+    Vulfi.Runtime.Random_value;
+    Vulfi.Runtime.Stuck_at_zero;
+  |]
+
+let diff_cell =
+  let cache = Hashtbl.create 16 in
+  fun w_i cat_i density ->
+    let key = (w_i, cat_i, density) in
     match Hashtbl.find_opt cache key with
     | Some c -> c
     | None ->
-      let w = vcopy_workload [ 19 ] in
       let p =
-        Vulfi.Experiment.prepare w Vir.Target.Avx categories.(cat_i)
+        Vulfi.Experiment.prepare (diff_workloads.(w_i) ()) Vir.Target.Avx
+          diff_categories.(cat_i)
       in
       let pi = Vulfi.Experiment.prepare_input p ~input:0 in
       let g = pi.Vulfi.Experiment.pi_golden in
-      let hi = min 20 g.Vulfi.Experiment.g_dyn_sites in
+      let hi = g.Vulfi.Experiment.g_dyn_sites in
       let plan =
         Vulfi.Experiment.checkpoint_plan ~max_checkpoints:density
           (List.init hi (fun i -> i + 1))
@@ -703,45 +672,64 @@ let prop_pruned_equals_legacy =
       let c = (p, g, ff, hi) in
       Hashtbl.add cache key c;
       c
+
+let diff_input =
+  make
+    Gen.(
+      quad
+        (pair
+           (int_range 0 (Array.length diff_workloads - 1))
+           (int_range 0 (Array.length diff_categories - 1)))
+        (int_range 0 (Array.length diff_kinds - 1))
+        (int_range 1 5) (pair (int_range 0 10_000) (int_range 0 10_000)))
+    ~print:(fun ((w, c), k, d, (site, seed)) ->
+      Printf.sprintf "workload=%d cat=%d kind=%d density=%d site_pick=%d seed=%d"
+        w c k d site seed)
+
+(* Run the legacy protocol and [executor] on one random input and
+   compare outcome, dynamic instruction count and injection record. *)
+let agrees_with_legacy executor ((w_i, cat_i), kind_i, density, (site_pick, seed))
+    =
+  let p, g, ff, hi = diff_cell w_i cat_i density in
+  let dynamic_site = 1 + (site_pick mod hi) in
+  let fault_kind = diff_kinds.(kind_i) in
+  let legacy =
+    Vulfi.Experiment.faulty_run ~fault_kind p ~golden:g ~dynamic_site ~seed
   in
+  let r : Vulfi.Experiment.run_result =
+    executor ~fault_kind p ~ff ~dynamic_site ~seed
+  in
+  Vulfi.Outcome.to_string legacy.Vulfi.Experiment.r_outcome
+  = Vulfi.Outcome.to_string r.Vulfi.Experiment.r_outcome
+  && legacy.Vulfi.Experiment.r_dyn_instrs = r.Vulfi.Experiment.r_dyn_instrs
+  &&
+  match (legacy.Vulfi.Experiment.r_injection, r.Vulfi.Experiment.r_injection)
+  with
+  | Some a, Some b ->
+    a.Vulfi.Runtime.inj_static_site = b.Vulfi.Runtime.inj_static_site
+    && a.Vulfi.Runtime.inj_bit = b.Vulfi.Runtime.inj_bit
+    && Interp.Vvalue.equal a.Vulfi.Runtime.inj_after b.Vulfi.Runtime.inj_after
+  | None, None -> true
+  | _ -> false
+
+(* Resume-from-checkpoint == fresh replay. *)
+let prop_ff_equals_legacy =
+  Test.make ~name:"ff == legacy (random category/kind/plan/site/seed)"
+    ~count:300 diff_input
+    (agrees_with_legacy (fun ~fault_kind p ~ff ~dynamic_site ~seed ->
+         Vulfi.Experiment.faulty_run_ff ~fault_kind p ~ff ~dynamic_site ~seed))
+
+(* Convergence soundness: the pruned executor, which may terminate a
+   run early and splice the golden outcome, must be indistinguishable
+   from the full legacy protocol. A splice is only allowed when
+   provably byte-identical to running the suffix out. *)
+let prop_pruned_equals_legacy =
   Test.make
     ~name:"convergence soundness: pruned == legacy (random cell/site/seed)"
-    ~count:120
-    (make
-       Gen.(
-         quad (int_range 0 (Array.length categories - 1))
-           (int_range 0 (Array.length kinds - 1))
-           (int_range 1 5) (pair (int_range 0 10_000) (int_range 0 10_000)))
-       ~print:(fun (c, k, d, (site, seed)) ->
-         Printf.sprintf "cat=%d kind=%d density=%d site_pick=%d seed=%d" c k
-           d site seed))
-    (fun (cat_i, kind_i, density, (site_pick, seed)) ->
-      let p, g, ff, hi = cell_for cat_i density in
-      let dynamic_site = 1 + (site_pick mod hi) in
-      let fault_kind = kinds.(kind_i) in
-      let legacy =
-        Vulfi.Experiment.faulty_run ~fault_kind p ~golden:g ~dynamic_site
-          ~seed
-      in
-      let pr =
-        Vulfi.Experiment.faulty_run_pruned ~fault_kind p ~ff ~dynamic_site
-          ~seed
-      in
-      Vulfi.Outcome.to_string legacy.Vulfi.Experiment.r_outcome
-      = Vulfi.Outcome.to_string pr.Vulfi.Experiment.r_outcome
-      && legacy.Vulfi.Experiment.r_dyn_instrs
-         = pr.Vulfi.Experiment.r_dyn_instrs
-      &&
-      match
-        (legacy.Vulfi.Experiment.r_injection, pr.Vulfi.Experiment.r_injection)
-      with
-      | Some a, Some b ->
-        a.Vulfi.Runtime.inj_static_site = b.Vulfi.Runtime.inj_static_site
-        && a.Vulfi.Runtime.inj_bit = b.Vulfi.Runtime.inj_bit
-        && Interp.Vvalue.equal a.Vulfi.Runtime.inj_after
-             b.Vulfi.Runtime.inj_after
-      | None, None -> true
-      | _ -> false)
+    ~count:300 diff_input
+    (agrees_with_legacy (fun ~fault_kind p ~ff ~dynamic_site ~seed ->
+         Vulfi.Experiment.faulty_run_pruned ~fault_kind p ~ff ~dynamic_site
+           ~seed))
 
 (* ---------------- legacy == checkpointed campaigns ---------------- *)
 
