@@ -65,7 +65,7 @@ let jobs = ref 1
 (* Executor selection: --legacy-executor is the paper's literal
    two-runs-per-experiment protocol (fresh profiling run + machine
    before every faulty run); --ff-executor resumes each faulty run from
-   a full machine-state checkpoint at its injection site;
+   a machine-state checkpoint at its injection site;
    --prune-executor additionally terminates a faulty run at the first
    later checkpoint site whose machine state matches the golden run's;
    the default is the checkpointed executor. Output is bit-identical
@@ -962,8 +962,7 @@ let timing () =
     let code = Interp.Compile.compile_module m in
     fun () ->
       let st = Interp.Machine.create code in
-      let det = Detectors.Runtime.create () in
-      Detectors.Runtime.attach det st;
+      Detectors.Runtime.attach st;
       let args, _ = w.Vulfi.Workload.w_setup ~input:0 st in
       ignore (Interp.Machine.run st w.Vulfi.Workload.w_fn args)
   in

@@ -299,33 +299,18 @@ let campaign_cmd =
       }
     in
     (* The seed schedule makes -j N bit-identical to a sequential run. *)
-    let requested =
+    let executor =
       if legacy then Vulfi.Campaign.Legacy
       else if ff then Vulfi.Campaign.Fast_forward
       else if prune then Vulfi.Campaign.Converge_pruned
       else Vulfi.Campaign.Checkpointed
     in
-    let effective =
-      Vulfi.Campaign.effective_executor ~detectors:with_detectors requested
-    in
-    (* the header records the executor only when detectors degraded it,
-       so non-degraded traces stay byte-identical across executors *)
-    let header_executor =
-      if effective <> requested then
-        Some (Vulfi.Campaign.executor_name effective)
-      else None
-    in
     let sink =
-      Option.map
-        (fun f ->
-          Vulfi.Trace.to_file ~timings:trace_timings ?executor:header_executor
-            f)
-        trace
+      Option.map (fun f -> Vulfi.Trace.to_file ~timings:trace_timings f) trace
     in
     Fun.protect
       ~finally:(fun () -> Option.iter Vulfi.Trace.close sink)
       (fun () ->
-        let executor = requested in
         let campaign_run ?transform ?hooks cfg w target category =
           if jobs > 1 then
             Vulfi.Campaign.run_parallel ?transform ?hooks ~fault_kind ?sink
@@ -391,16 +376,12 @@ let campaign_cmd =
   in
   let ff_arg =
     Arg.(value & flag & info [ "ff-executor" ]
-           ~doc:"Run the fast-forward executor: full machine-state \
-                 checkpoints (memory, register frames, call stack, \
+           ~doc:"Run the fast-forward executor: machine-state \
+                 checkpoints (memory, live registers, call stack, \
                  counters) laid at the scheduled injection sites during \
                  one golden replay per input; each faulty run resumes \
                  from the nearest checkpoint at or before its site and \
-                 executes only the suffix. Bit-identical output; with \
-                 --detectors it degrades to the checkpointed executor \
-                 (detector state lives outside the machine), with a \
-                 stderr notice and the effective executor recorded in \
-                 the trace header.")
+                 executes only the suffix. Bit-identical output.")
   in
   let prune_arg =
     Arg.(value & flag & info [ "prune-executor" ]
@@ -411,8 +392,7 @@ let campaign_cmd =
                  golden run terminates immediately and splices the \
                  golden outcome. Bit-identical output \
                  (VULFI_NO_PRUNE=1 degrades it to plain fast-forward \
-                 for cross-checks); with --detectors it degrades to \
-                 the checkpointed executor like --ff-executor.")
+                 for cross-checks).")
   in
   let no_fusion_arg =
     Arg.(value & flag & info [ "no-fusion" ]
@@ -458,10 +438,6 @@ let report_cmd =
       Printf.eprintf "%s: %s\n" file msg;
       exit 1
     | Ok replays ->
-      (match Vulfi.Report.header_executor records with
-      | Some e ->
-        Printf.printf "effective executor: %s (degraded by detectors)\n" e
-      | None -> ());
       let ok = ref true in
       List.iter
         (fun (rp : Vulfi.Report.replay) ->

@@ -56,8 +56,7 @@ let transform (set : detector_set) (m : Vir.Vmodule.t) : Vir.Vmodule.t =
 
 let run_once (w : Vulfi.Workload.t) (m : Vir.Vmodule.t) ~input : int =
   let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-  let det = Runtime.create () in
-  Runtime.attach det st;
+  Runtime.attach st;
   let args, _ = w.Vulfi.Workload.w_setup ~input st in
   ignore (Interp.Machine.run st w.Vulfi.Workload.w_fn args);
   Interp.Machine.dyn_count st

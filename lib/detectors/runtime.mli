@@ -1,6 +1,9 @@
 (** Runtime side of the compiler-derived error detectors. Detection is
     recorded rather than aborting, so an experiment reports both the
-    outcome and whether a detector flagged it (as Fig 12 measures). *)
+    outcome and whether a detector flagged it (as Fig 12 measures). A
+    violated check bumps the machine's detection counter
+    ({!Interp.Machine.detections}); the handlers themselves are
+    stateless. *)
 
 (** Extern name of the Fig 8 foreach-invariant check. *)
 val check_foreach_name : string
@@ -14,43 +17,26 @@ val check_uniform_name : string
 (** Extern name of the source-level [assert] lowering. *)
 val assert_name : string
 
-type t = {
-  mutable foreach_violations : int;
-  mutable uniform_violations : int;
-  mutable assert_violations : int;
-}
-
-val create : unit -> t
-
-(** Did any detector fire since the last {!reset}? *)
-val flagged : t -> bool
-
-val reset : t -> unit
-
 (** [checkInvariantsForeachFullBody(new_counter, aligned_end, Vl)]:
     Fig 8's three loop invariants, validated on loop exit. *)
 val handle_check_foreach :
-  t -> Interp.Machine.state -> Interp.Vvalue.t list ->
-  Interp.Vvalue.t option
+  Interp.Machine.state -> Interp.Vvalue.t list -> Interp.Vvalue.t option
 
 (** Strengthened exit invariant: [new_counter == aligned_end]. *)
 val handle_check_foreach_exact :
-  t -> Interp.Machine.state -> Interp.Vvalue.t list ->
-  Interp.Vvalue.t option
+  Interp.Machine.state -> Interp.Vvalue.t list -> Interp.Vvalue.t option
 
 (** Uniform-broadcast check: a non-zero OR-reduced XOR means some lane
     differed. *)
 val handle_check_uniform :
-  t -> Interp.Machine.state -> Interp.Vvalue.t list ->
-  Interp.Vvalue.t option
+  Interp.Machine.state -> Interp.Vvalue.t list -> Interp.Vvalue.t option
 
 (** Source-level assert: the argument is an all-lanes-ok flag. *)
 val handle_assert :
-  t -> Interp.Machine.state -> Interp.Vvalue.t list ->
-  Interp.Vvalue.t option
+  Interp.Machine.state -> Interp.Vvalue.t list -> Interp.Vvalue.t option
 
 (** Register all detector externs on a machine. *)
-val attach : t -> Interp.Machine.state -> unit
+val attach : Interp.Machine.state -> unit
 
-(** Fresh detector state packaged as experiment hooks. *)
+(** The detector externs packaged as experiment hooks. *)
 val hooks : unit -> Vulfi.Experiment.hooks

@@ -126,19 +126,19 @@ and skind =
       k_chg : state -> unit;
       k_live : int array;
           (** registers live after the call minus the destination: the
-              exact frame slots a convergence check must compare when
-              this call is the pending step of an outer activation
-              (pooled frames are never cleared, so dead slots hold
-              unrelated garbage and must be skipped) *)
+              exact frame slots a checkpoint saves and a convergence
+              check compares when this call is the pending step of an
+              outer activation (pooled frames are never cleared, so
+              dead slots hold unrelated garbage and must be skipped) *)
     }
   | Kextern of {
       x_slot : int;
       x_gs : tgetter array;
       x_live : int array;
           (** registers live before the call (including its arguments):
-              the frame slots a convergence check compares when this
-              extern is the interrupted step of the innermost
-              activation *)
+              the frame slots a checkpoint saves and a convergence check
+              compares when this extern is the interrupted step of the
+              innermost activation *)
     }
 
 and texec = state -> unit
@@ -179,6 +179,10 @@ and state = {
           [Machine.reset] can re-arm a reused machine. *)
   mutable fuel : int;  (** remaining dynamic instructions; <0 = trap *)
   mutable dyn_vector : int;  (** executed vector instructions *)
+  mutable detections : int;
+      (** detector firings, bumped by the detector extern handlers. A
+          dynamic counter like the two above: checkpoints save it,
+          resumes restore it and convergence checks compare it. *)
   mutable depth : int;  (** current call depth; reset per [run] *)
   mutable regs : Vvalue.t array;
       (** register frame of the running activation. Threaded closures
@@ -379,7 +383,7 @@ let exec_cfunc (st : state) (cf : cfunc) (regs : Vvalue.t array) :
   go (-1) 0
 
 (* ------------------------------------------------------------------ *)
-(* The resumable tracked driver, full-machine checkpoints and
+(* The resumable tracked driver, machine-state checkpoints and
    convergence checks.
 
    [exec_resumable] is the one execution path besides the hot
@@ -402,7 +406,7 @@ let exec_cfunc (st : state) (cf : cfunc) (regs : Vvalue.t array) :
    without a [check] starts detached.
 
    A run starts either fresh, entering a function at block 0, or from
-   a checkpoint: memory, counters and register frames roll back, then
+   a checkpoint: memory, counters and live registers roll back, then
    the recorded call stack unwinds innermost-first. The innermost frame
    restarts at its saved step — the checked extern call, which
    therefore re-executes, so an injection planted at that site happens
@@ -423,9 +427,12 @@ type frame_ckpt = {
   fc_frame : Vvalue.t array;
       (** the live pool frame, aliased — a checkpoint is bound to the
           machine that captured it *)
+  fc_live : int array;
+      (** the registers a continuation from this position can read:
+          the pending extern's [x_live] for the innermost activation,
+          the pending call's [k_live] for every outer one *)
   fc_saved : Vvalue.t array;
-      (** deep copies of the registers; gap slots physically share
-          [default_value] and are skipped on restore *)
+      (** deep copies of the [fc_live] registers, index for index *)
 }
 
 type checkpoint = {
@@ -433,6 +440,7 @@ type checkpoint = {
   ck_stack : frame_ckpt array;  (** outermost activation first *)
   ck_spent : int;  (** [budget0 - fuel] at capture *)
   ck_vec : int;  (** [dyn_vector] at capture *)
+  ck_detections : int;  (** [detections] at capture *)
 }
 
 (* Fired before each extern call of an attached run with the shadow
@@ -440,77 +448,92 @@ type checkpoint = {
    argument values; [false] detaches the run. *)
 type check = state -> tracked_frame list -> slot:int -> Vvalue.t list -> bool
 
-(* The full machine state at the position [stack] describes: the memory
-   image (through {!Memory.snapshot}'s dirty-span machinery), a deep
-   copy of every live register frame, the call-stack positions, and the
-   dynamic counters. Taken inside a [check], it sits before the pending
-   extern call, which a resume re-executes. *)
+(* The machine state at the position [stack] describes: the memory
+   image (through {!Memory.snapshot}'s dirty-span machinery), deep
+   copies of the live registers of every activation, the call-stack
+   positions, and the dynamic counters. Taken inside a [check], it sits
+   before the pending extern call, which a resume re-executes.
+
+   Only live registers are saved, by the argument [state_equal] rests
+   on: under verified SSA a continuation reads a register slot only if
+   the slot is live at the position it resumes from, and every other
+   slot is written before it is read. The innermost activation resumes
+   at the extern call itself, so its live set is [x_live] (live before
+   the call, arguments included); an outer activation resumes past its
+   pending call, whose destination the callee's return value
+   overwrites, so its live set is [k_live]. A resume that restores
+   these registers and leaves every other slot holding whatever the
+   pool frame last held is therefore indistinguishable from one that
+   restores the whole frame. *)
 let capture (st : state) (stack : tracked_frame list) : checkpoint =
+  let save ~innermost tf =
+    let live =
+      match tf.tf_func.tblocks.(tf.tf_block).t_steps.(tf.tf_instr).s_kind with
+      | Kextern { x_live; _ } when innermost -> x_live
+      | Kcall { k_live; _ } when not innermost -> k_live
+      | _ -> invalid_arg "Compile.capture: not at a pending call"
+    in
+    {
+      fc_func = tf.tf_func;
+      fc_block = tf.tf_block;
+      fc_instr = tf.tf_instr;
+      fc_frame = tf.tf_regs;
+      fc_live = live;
+      fc_saved = Array.map (fun r -> Vvalue.copy tf.tf_regs.(r)) live;
+    }
+  in
+  let frames =
+    match stack with
+    | [] -> invalid_arg "Compile.capture: empty call stack"
+    | inner :: outer ->
+      save ~innermost:true inner :: List.map (save ~innermost:false) outer
+  in
   {
     ck_mem = Memory.snapshot st.mem;
-    ck_stack =
-      Array.of_list
-        (List.rev_map
-           (fun tf ->
-             {
-               fc_func = tf.tf_func;
-               fc_block = tf.tf_block;
-               fc_instr = tf.tf_instr;
-               fc_frame = tf.tf_regs;
-               fc_saved =
-                 Array.map
-                   (fun v -> if v == default_value then v else Vvalue.copy v)
-                   tf.tf_regs;
-             })
-           stack);
+    ck_stack = Array.of_list (List.rev frames);
     ck_spent = st.budget0 - st.fuel;
     ck_vec = st.dyn_vector;
+    ck_detections = st.detections;
   }
 
 (* Exact machine-state comparison against a checkpoint, restricted to
-   what can influence the continuation: dynamic counters, the call
-   stack's (function, block, instruction) positions, the *live*
-   registers of each interrupted position (dead slots of pooled frames
-   hold garbage from unrelated runs), and memory over the union of the
-   golden run's accumulated dirty spans [since] and the faulty run's
-   own live dirty spans (every byte outside both is untouched since the
-   shared post-setup image). Equality here implies the two executions
-   complete identically: the continuation reads only live registers,
-   compared memory, and the counters — and fault injectors past the
-   injection site never modify values or draw randomness. *)
+   what can influence the continuation: the dynamic counters (detector
+   firings included), the call stack's (function, block, instruction)
+   positions, the live registers of each interrupted position — the
+   ones [capture] saved; dead slots of pooled frames hold garbage from
+   unrelated runs — and memory over the union of the golden run's
+   accumulated dirty spans [since] and the faulty run's own live dirty
+   spans (every byte outside both is untouched since the shared
+   post-setup image). Equality here implies the two executions complete
+   identically: the continuation reads only live registers, compared
+   memory, and the counters — and fault injectors past the injection
+   site never modify values or draw randomness. *)
 let state_equal (st : state) (stack : tracked_frame list)
     (ck : checkpoint) ~(since : Memory.spans) : bool =
   st.budget0 - st.fuel = ck.ck_spent
   && st.dyn_vector = ck.ck_vec
+  && st.detections = ck.ck_detections
   &&
-  let n = Array.length ck.ck_stack in
-  let frame_eq i (tf : tracked_frame) =
-    let fc = ck.ck_stack.(i) in
+  let frame_eq (tf : tracked_frame) (fc : frame_ckpt) =
     tf.tf_func == fc.fc_func
     && tf.tf_block = fc.fc_block
     && tf.tf_instr = fc.fc_instr
     &&
-    let live =
-      match
-        fc.fc_func.tblocks.(fc.fc_block).t_steps.(fc.fc_instr).s_kind
-      with
-      | Kextern { x_live; _ } when i = n - 1 -> Some x_live
-      | Kcall { k_live; _ } when i < n - 1 -> Some k_live
-      | _ -> None
+    let live = fc.fc_live and saved = fc.fc_saved in
+    let rec regs_eq j =
+      j < 0
+      || Vvalue.equal tf.tf_regs.(live.(j)) saved.(j) && regs_eq (j - 1)
     in
-    match live with
-    | None -> false
-    | Some live ->
-      Array.for_all
-        (fun r -> Vvalue.equal tf.tf_regs.(r) fc.fc_saved.(r))
-        live
+    regs_eq (Array.length live - 1)
   in
-  (* [stack] is innermost-first; [ck_stack] outermost-first. *)
+  (* [stack] is innermost-first; [ck_stack] outermost-first. Equal
+     depths and positions imply equal live sets. *)
   let rec frames_eq i = function
     | [] -> i < 0
-    | tf :: rest -> i >= 0 && frame_eq i tf && frames_eq (i - 1) rest
+    | tf :: rest ->
+      i >= 0 && frame_eq tf ck.ck_stack.(i) && frames_eq (i - 1) rest
   in
-  frames_eq (n - 1) stack
+  frames_eq (Array.length ck.ck_stack - 1) stack
   && Memory.equal_since st.mem ck.ck_mem ~since
 
 (* Where an [exec_resumable] run starts. [Resume]'s [budget] re-arms
@@ -624,15 +647,14 @@ let exec_resumable (st : state) ?(check : check option) (entry : entry) :
     st.budget0 <- budget;
     st.fuel <- budget - ck.ck_spent;
     st.dyn_vector <- ck.ck_vec;
+    st.detections <- ck.ck_detections;
     let tfs =
       Array.map
         (fun fc ->
-          let dst = fc.fc_frame and src = fc.fc_saved in
-          for k = 0 to Array.length dst - 1 do
-            let d = Array.unsafe_get dst k in
-            if d != default_value then
-              Vvalue.copy_into ~dst:d (Array.unsafe_get src k)
-          done;
+          (* live registers only: see [capture] *)
+          Array.iteri
+            (fun j r -> Vvalue.copy_into ~dst:fc.fc_frame.(r) fc.fc_saved.(j))
+            fc.fc_live;
           { tf_func = fc.fc_func; tf_regs = fc.fc_frame;
             tf_block = fc.fc_block; tf_instr = fc.fc_instr })
         ck.ck_stack

@@ -24,6 +24,7 @@ let create ?(budget = default_budget) ?(max_depth = 512)
     budget0 = budget;
     fuel = budget;
     dyn_vector = 0;
+    detections = 0;
     depth = 0;
     regs = [||];
     frames = Array.make (max_depth + 1) [||];
@@ -47,6 +48,7 @@ let reset ?budget ?(spent = 0) (st : state) =
   st.Compile.budget0 <- b;
   st.Compile.fuel <- b - spent;
   st.Compile.dyn_vector <- 0;
+  st.Compile.detections <- 0;
   st.Compile.depth <- 0;
   st.Compile.regs <- [||]
 
@@ -66,6 +68,13 @@ let dyn_count (st : state) = st.Compile.budget0 - st.Compile.fuel
 (* Executed vector instructions (per the paper's definition: at least
    one vector operand or result); the dynamic counterpart of Fig 10. *)
 let dyn_vector_count (st : state) = st.Compile.dyn_vector
+
+(* Detector firings: a machine counter rather than host state, so a
+   checkpoint carries the prefix's firings into every resumed run. *)
+let detections (st : state) = st.Compile.detections
+
+let record_detection (st : state) =
+  st.Compile.detections <- st.Compile.detections + 1
 
 (* Lane evaluators re-exported for the constant folder and the reference
    SPMD evaluator; the semantics live in {!Eval}. *)
@@ -125,7 +134,8 @@ type stack_view = Compile.tracked_frame list
 type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
 
 (* Capture the machine at the position a [check] sees: before the
-   pending extern call, which a resume re-executes. *)
+   pending extern call, which a resume re-executes. Only live registers
+   are saved (see [Compile.capture]). *)
 let checkpoint = Compile.capture
 
 (* Exact machine-state equality against a golden checkpoint captured at
@@ -149,9 +159,9 @@ let run_tracked (st : state) name (args : Vvalue.t list) ~(check : check) :
 
 (* Resume the machine from a checkpoint it captured earlier (the
    checkpoint's register frames alias this machine's frame pool, so
-   cross-machine resume is meaningless). Memory, counters and frames
-   roll back; [budget] re-arms the epoch like [reset ~budget] would, so
-   [dyn_count] afterwards reads prefix + suffix. With a [check] the
+   cross-machine resume is meaningless). Memory, counters and live
+   registers roll back; [budget] re-arms the epoch like [reset ~budget]
+   would, so [dyn_count] afterwards reads prefix + suffix. With a [check] the
    suffix runs tracked until the check detaches it; without one it runs
    at full speed from the end of the interrupted block. The result is a
    deep copy, exactly as [run] returns one. *)

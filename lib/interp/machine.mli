@@ -16,9 +16,10 @@ val create : ?budget:int -> ?max_depth:int -> Compile.cmodule -> state
 
 (** Re-arm an existing machine for another run: resets the fuel budget
     (to [budget] when given, else to the machine's current budget) and
-    the dynamic counters, while keeping the compiled code, memory,
-    frame pool and extern registrations. Memory {e contents} are not
-    touched — pair with {!Memory.restore} to roll those back.
+    the dynamic counters (detections included), while keeping the
+    compiled code, memory, frame pool and extern registrations. Memory
+    {e contents} are not touched — pair with {!Memory.restore} to roll
+    those back.
 
     [spent] (default 0) pre-charges the new epoch: {!dyn_count}
     immediately after the reset reads [spent]. Pass the length of an
@@ -42,6 +43,15 @@ val dyn_count : state -> int
     result) — the dynamic counterpart of the paper's Fig 10 census. *)
 val dyn_vector_count : state -> int
 
+(** Detector firings recorded since the machine was created or last
+    {!reset}. A dynamic counter like {!dyn_count}: a {!checkpoint}
+    saves it, {!resume} restores it and {!state_equal} compares it. *)
+val detections : state -> int
+
+(** Record one detector firing; detector extern handlers call this on
+    the machine they are invoked with. *)
+val record_detection : state -> unit
+
 (** Lane evaluators, exposed for reuse by constant folding and the
     reference SPMD evaluator so semantics cannot drift. *)
 
@@ -63,17 +73,18 @@ val run : state -> string -> Vvalue.t list -> Vvalue.t option
     One resumable tracked driver serves the fast-forward and
     converge-pruned executors. A tracked run offers every extern call,
     before it executes, to a {!check} callback together with the shadow
-    call stack. A check can capture a full-machine {!checkpoint} there
-    (memory image, live register frames, call stack positions, dynamic
-    counters) — the checkpoint-laying golden replay — or compare the
-    machine against a golden checkpoint with {!state_equal} and raise
-    to terminate the run — convergence pruning. Faulty runs {!resume}
-    from the nearest checkpoint at or before their injection site, so
-    only the post-injection suffix executes. *)
+    call stack. A check can capture a {!checkpoint} there (memory image,
+    the live registers of each activation, call stack positions,
+    dynamic counters) — the checkpoint-laying golden replay — or
+    compare the machine against a golden checkpoint with {!state_equal}
+    and raise to terminate the run — convergence pruning. Faulty runs
+    {!resume} from the nearest checkpoint at or before their injection
+    site, so only the post-injection suffix executes. *)
 
-(** An opaque full-machine checkpoint. It aliases the frame pool of the
-    machine that captured it: resume it only on that machine. *)
-type checkpoint
+(** A machine-state checkpoint. It aliases the frame pool of the
+    machine that captured it: resume it only on that machine. Its
+    representation is exposed for white-box tests only. *)
+type checkpoint = Compile.checkpoint
 
 (** The extern slot index a callee name was compiled to, or [None] if
     no call site references it. Checks compare these dense ints
@@ -96,17 +107,20 @@ type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
 
 (** [checkpoint st stack] captures the machine inside a {!check}: the
     checkpoint sits before the pending extern call, which therefore
-    re-executes on {!resume}. *)
+    re-executes on {!resume}. Of each activation's register frame it
+    saves only the registers live at that position — the same sets
+    {!state_equal} compares. *)
 val checkpoint : state -> stack_view -> checkpoint
 
 (** [state_equal st stack ck ~since] — exact equality of the running
     machine against checkpoint [ck] (captured by the same machine at
-    the same dynamic site): dynamic counters, call-stack positions, the
-    live registers of each interrupted activation, and memory compared
-    only over the union of [since] (the golden run's accumulated dirty
-    spans up to [ck]) and this run's own live dirty spans. A [true]
-    answer implies the continuation from here is bit-identical to the
-    golden run's continuation from [ck]. *)
+    the same dynamic site): dynamic counters (detections included),
+    call-stack positions, the live registers of each interrupted
+    activation, and memory compared only over the union of [since]
+    (the golden run's accumulated dirty spans up to [ck]) and this
+    run's own live dirty spans. A [true] answer implies the
+    continuation from here is bit-identical to the golden run's
+    continuation from [ck]. *)
 val state_equal :
   state -> stack_view -> checkpoint -> since:Memory.spans -> bool
 
@@ -118,7 +132,8 @@ val run_tracked :
   state -> string -> Vvalue.t list -> check:check -> Vvalue.t option
 
 (** Resume from a checkpoint captured by this machine: memory,
-    counters and register frames roll back, the recorded call stack is
+    counters and live registers roll back (every other frame slot is
+    written before it is read), the recorded call stack is
     re-entered, and execution continues from the checkpointed extern
     call. [budget] re-arms the fuel epoch as [reset ~budget] would;
     {!dyn_count} afterwards reads prefix + suffix, exactly what a

@@ -133,9 +133,8 @@ let crash_rate r = rate r.c_totals.n_crash r.c_totals.n_experiments
    the paper's "SDC detection rate" (Fig 12). *)
 let sdc_detection_rate r = rate r.c_totals.n_detected_sdc r.c_totals.n_sdc
 
-(* Detector hooks are stateful, so the campaign machinery takes a
-   factory and builds a fresh record per run — experiments never share
-   detector state, sequentially or across domains. *)
+(* The campaign machinery builds the hooks for each machine it sets up
+   through a factory. *)
 type hooks_factory = unit -> Experiment.hooks
 
 let no_hooks_factory : hooks_factory = fun () -> Experiment.no_hooks
@@ -179,7 +178,7 @@ let schedule_sites cfg cell (w : Workload.t) ~input ~dyn_sites : int list =
 let plan_for cfg cell w ~input ~dyn_sites : int array =
   Experiment.checkpoint_plan (schedule_sites cfg cell w ~input ~dyn_sites)
 
-(* The three executors a campaign can run on. All produce bit-identical
+(* The four executors a campaign can run on. All produce bit-identical
    results, digests and traces; they differ only in how much redundant
    prefix work they re-execute per experiment.
 
@@ -191,14 +190,12 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
    replaces the rebuild with a post-setup memory-snapshot restore; the
    faulty run still replays the whole prefix up to its injection site.
 
-   [Fast_forward] additionally lays full machine-state checkpoints at
-   the cell's scheduled injection sites during one instrumented golden
+   [Fast_forward] additionally lays machine-state checkpoints at the
+   cell's scheduled injection sites during one instrumented golden
    replay, executes each campaign's experiments in injection order and
    resumes every faulty run from the nearest checkpoint at or before
-   its site — only the post-injection suffix executes. Detector hooks
-   keep their state outside the machine, so cells with detectors fall
-   back to [Checkpointed] (a resumed run would skip the prefix's
-   detector activity).
+   its site — only the post-injection suffix executes. Detector firings
+   are a machine counter, so a resumed run starts with the prefix's.
 
    [Converge_pruned] rides the fast-forward machinery (same plans,
    same resume points, same execution order) and additionally runs
@@ -208,9 +205,7 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
    stack, live registers, dirty-span-restricted memory) and, on a
    match, terminates immediately and splices the golden outcome. The
    splice is provably identical to running the suffix out (DESIGN.md,
-   convergence soundness), so results and traces stay byte-identical.
-   It degrades to [Checkpointed] under detectors exactly as
-   [Fast_forward] does. *)
+   convergence soundness), so results and traces stay byte-identical. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
 (* How an experiment executes its runs (the per-experiment view of
@@ -361,7 +356,7 @@ let finalize cfg cell (prepared : Experiment.prepared) (w : Workload.t)
   in
   let golden_runs = List.length goldens in
   (* Fast-forward accounting, recomputed from the schedule (never from
-     what any executor physically did) so all three executors report
+     what any executor physically did) so all four executors report
      identical counters: the checkpoints laid per distinct input, and
      the experiments whose site reaches the first checkpoint of its
      input's plan — exactly the runs [faulty_run_ff] resumes. *)
@@ -446,29 +441,11 @@ let executor_name = function
   | Fast_forward -> "fast-forward"
   | Converge_pruned -> "converge-pruned"
 
-(* Resolve the effective executor: detector hooks keep their state
-   outside the machine (violation counters in the host), so a resumed
-   run would miss the skipped prefix's detector activity — detector
-   cells degrade from [Fast_forward] (or [Converge_pruned], which rides
-   the same resume machinery) to [Checkpointed], with a once-per-process
-   stderr notice so the degradation is never silent. The effective
-   executor is also recorded in the trace header (see {!Trace.make})
-   and surfaced by [vulfi report]. *)
-let degradation_noticed = ref false
-
-let effective_executor ~detectors (executor : executor) : executor =
-  match executor with
-  | (Fast_forward | Converge_pruned) when detectors ->
-    if not !degradation_noticed then begin
-      degradation_noticed := true;
-      Printf.eprintf
-        "vulfi: note: %s executor degrades to checkpointed when \
-         detectors are attached (detector state lives outside the \
-         machine and cannot be resumed)\n%!"
-        (executor_name executor)
-    end;
-    Checkpointed
-  | e -> e
+(* Every executor runs every cell, detector cells included (detections
+   are a machine counter that checkpoints carry); kept as the identity
+   for front-ends that print the executor a run used. *)
+let effective_executor ~detectors:_ (executor : executor) : executor =
+  executor
 
 (* The order a campaign's experiments execute in: schedule order for
    the replaying executors; (input, injection site) order for the
@@ -511,7 +488,6 @@ let run ?transform ?hooks ?(respect_masks = true)
     (w : Workload.t) (target : Vir.Target.t)
     (category : Analysis.Sites.category) : result =
   let detectors = Option.is_some hooks in
-  let executor = effective_executor ~detectors executor in
   let hooks = Option.value hooks ~default:no_hooks_factory in
   let prepared = Experiment.prepare ?transform w target category in
   let cell = cell_of cfg w target category in
@@ -627,7 +603,6 @@ let run_parallel ?transform ?hooks
     (w : Workload.t) (target : Vir.Target.t)
     (category : Analysis.Sites.category) : result =
   let detectors = Option.is_some hooks in
-  let executor = effective_executor ~detectors executor in
   let hooks = Option.value hooks ~default:no_hooks_factory in
   let with_pool_ f =
     match pool with

@@ -83,9 +83,8 @@ val crash_rate : result -> float
     paper's "SDC detection rate" (Fig 12). *)
 val sdc_detection_rate : result -> float
 
-(** Detector hooks are stateful, so the campaign machinery takes a
-    factory and builds a fresh record for every run — experiments never
-    share detector state, sequentially or across domains. *)
+(** The campaign machinery builds the hooks for each machine it sets up
+    through a factory. *)
 type hooks_factory = unit -> Experiment.hooks
 
 (** The four executors a campaign can run on. All produce bit-identical
@@ -99,8 +98,8 @@ type hooks_factory = unit -> Experiment.hooks
       the post-setup memory image and executes the golden run once;
       every further experiment on that input restores the snapshot and
       reuses the machine.
-    - [Fast_forward] additionally lays full machine-state checkpoints
-      (memory image, register frames, call stack, dynamic counters) at
+    - [Fast_forward] additionally lays machine-state checkpoints
+      (memory image, live registers, call stack, dynamic counters) at
       the scheduled injection sites during one instrumented golden
       replay per (cell, input), and resumes every faulty run from the
       nearest checkpoint at or before its injection site, executing
@@ -116,11 +115,9 @@ type hooks_factory = unit -> Experiment.hooks
       soundness). [VULFI_NO_PRUNE=1] degrades it to plain fast-forward
       for cross-checks without changing any result or trace byte.
 
-    When detector hooks are attached, [Fast_forward] and
-    [Converge_pruned] degrade to [Checkpointed] — detector state lives
-    outside the machine and would not be restored by a checkpoint — with
-    a one-line stderr notice (once per process); the effective executor
-    is recorded in the trace header and shown by [vulfi report]. *)
+    Detector cells run on every executor: detector firings are a
+    machine counter ({!Interp.Machine.detections}) that checkpoints
+    save and convergence checks compare. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
 (** CLI/report-facing name of an executor ("legacy", "checkpointed",
@@ -128,10 +125,7 @@ type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 val executor_name : executor -> string
 
 (** [effective_executor ~detectors e] is the executor the drivers will
-    actually use: [e], except that [Fast_forward] and [Converge_pruned]
-    degrade to [Checkpointed] when [detectors] is true (with a
-    once-per-process stderr notice). Exposed so front-ends can record
-    the effective executor in trace headers. *)
+    actually use: always [e], with or without detectors. *)
 val effective_executor : detectors:bool -> executor -> executor
 
 (** [run cfg w target category] executes the campaign protocol for one
@@ -148,7 +142,7 @@ val effective_executor : detectors:bool -> executor -> executor
     [run] and [run_parallel].
 
     [executor] (default [Checkpointed]) selects the {!executor}; all
-    three are bit-identical — results, digests and traces — because
+    four are bit-identical — results, digests and traces — because
     golden runs are deterministic per (cell, input) and checkpoint
     placement is a pure function of the seed schedule. *)
 val run :

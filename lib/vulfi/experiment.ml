@@ -3,19 +3,12 @@
     that records the output and the number of dynamic fault sites, and a
     faulty run that flips one bit at a uniformly chosen dynamic site. *)
 
-(* Extra runtime surface (e.g. error detectors) to attach to machines. *)
-type hooks = {
-  h_attach : Interp.Machine.state -> unit;
-  h_flagged : unit -> bool;  (** did a detector fire during the run? *)
-  h_reset : unit -> unit;
-}
+(* Extra runtime surface (e.g. error detectors) to attach to machines.
+   Detectors record their firings in the machine's detection counter,
+   so hooks hold no state: [r_detected] reads the machine. *)
+type hooks = { h_attach : Interp.Machine.state -> unit }
 
-let no_hooks =
-  {
-    h_attach = (fun _ -> ());
-    h_flagged = (fun () -> false);
-    h_reset = (fun () -> ());
-  }
+let no_hooks = { h_attach = (fun _ -> ()) }
 
 type prepared = {
   p_workload : Workload.t;
@@ -79,6 +72,7 @@ type golden = {
   g_output : Outcome.output;
   g_dyn_sites : int;   (** dynamic fault sites N *)
   g_dyn_instrs : int;  (** dynamic instructions, for budget + Table I *)
+  g_detected : bool;   (** a detector fired during the fault-free run *)
 }
 
 exception Golden_run_failed of string
@@ -90,7 +84,6 @@ let golden_run ?(hooks = no_hooks) ?(respect_masks = true) (p : prepared)
   let rt = Runtime.create ~respect_masks Runtime.Profile in
   let st = Interp.Machine.create p.p_code in
   Runtime.attach rt st;
-  hooks.h_reset ();
   hooks.h_attach st;
   let args, read_output =
     p.p_workload.Workload.w_setup ~input st
@@ -107,6 +100,7 @@ let golden_run ?(hooks = no_hooks) ?(respect_masks = true) (p : prepared)
     g_output = read_output ();
     g_dyn_sites = Runtime.dynamic_sites rt;
     g_dyn_instrs = Interp.Machine.dyn_count st;
+    g_detected = Interp.Machine.detections st > 0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -141,7 +135,6 @@ let prepare_input ?(hooks = no_hooks) ?(respect_masks = true)
   let rt = Runtime.create ~respect_masks Runtime.Profile in
   let st = Interp.Machine.create p.p_code in
   Runtime.attach rt st;
-  hooks.h_reset ();
   hooks.h_attach st;
   let args, read_output = p.p_workload.Workload.w_setup ~input st in
   let snap = Interp.Memory.snapshot (Interp.Machine.memory st) in
@@ -159,6 +152,7 @@ let prepare_input ?(hooks = no_hooks) ?(respect_masks = true)
         g_output = read_output ();
         g_dyn_sites = Runtime.dynamic_sites rt;
         g_dyn_instrs = Interp.Machine.dyn_count st;
+        g_detected = Interp.Machine.detections st > 0;
       };
     pi_machine = st;
     pi_snapshot = snap;
@@ -176,8 +170,8 @@ type run_result = {
 (* A fault-induced loop must terminate as an observable hang: a run
    exceeding ten times the fault-free execution (plus slack for tiny
    kernels) is classified as budget-exhausted. The single definition is
-   shared by every executor (legacy, checkpointed, fast-forward) so a
-   future tweak cannot silently diverge their classifications. *)
+   shared by every executor so a future tweak cannot silently diverge
+   their classifications. *)
 let fault_budget (golden : golden) = (golden.g_dyn_instrs * 10) + 10_000
 
 (* Faulty run at 1-based [dynamic_site]; [seed] fixes the bit choice. *)
@@ -190,7 +184,6 @@ let faulty_run ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
   let budget = fault_budget golden in
   let st = Interp.Machine.create ~budget p.p_code in
   Runtime.attach rt st;
-  hooks.h_reset ();
   hooks.h_attach st;
   let args, read_output =
     p.p_workload.Workload.w_setup ~input:golden.g_input st
@@ -206,7 +199,7 @@ let faulty_run ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
         ~tol:p.p_workload.Workload.w_out_tolerance
         ~golden:golden.g_output ~faulty ();
     r_injection = Runtime.injected rt;
-    r_detected = hooks.h_flagged ();
+    r_detected = Interp.Machine.detections st > 0;
     r_dyn_instrs = Interp.Machine.dyn_count st;
   }
 
@@ -227,7 +220,6 @@ let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
   Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
   Interp.Machine.reset ~budget st;
   Runtime.attach rt st;
-  hooks.h_reset ();
   hooks.h_attach st;
   let faulty =
     match Interp.Machine.run st p.p_workload.Workload.w_fn pi.pi_args with
@@ -240,7 +232,7 @@ let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
         ~tol:p.p_workload.Workload.w_out_tolerance
         ~golden:golden.g_output ~faulty ();
     r_injection = Runtime.injected rt;
-    r_detected = hooks.h_flagged ();
+    r_detected = Interp.Machine.detections st > 0;
     r_dyn_instrs = Interp.Machine.dyn_count st;
   }
 
@@ -248,12 +240,12 @@ let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
 (* Fast-forward execution. The checkpointed path above still replays
    the whole golden prefix of every faulty run up to the injected
    site; on long workloads whose injections cluster late, that prefix
-   dominates campaign time. The fast-forward executor captures full
-   machine-state checkpoints (memory image, register frames, call
-   stack, counters) at a subset of the cell's scheduled injection
-   sites during ONE instrumented golden replay, and each faulty run
-   resumes from the nearest checkpoint at or before its site — only
-   the post-injection suffix executes.
+   dominates campaign time. The fast-forward executor captures
+   machine-state checkpoints (memory image, live registers, call
+   stack, counters — detections included) at a subset of the cell's
+   scheduled injection sites during ONE instrumented golden replay,
+   and each faulty run resumes from the nearest checkpoint at or
+   before its site — only the post-injection suffix executes.
 
    Determinism is preserved because checkpoint *placement* is a pure
    function of the seed schedule: every experiment's dynamic site is
@@ -266,8 +258,8 @@ let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
    every realistic cell (paper cells schedule at most
    [experiments_per_campaign * max_campaigns] distinct sites, and the
    distinct count is far smaller on short traces). A checkpoint costs
-   one memory snapshot (dirty spans of small workload heaps) plus the
-   deep-copied register frames of the stack at the check, so even a
+   one memory snapshot (dirty spans of small workload heaps) plus
+   copies of the registers live at the check, so even a
    few hundred are cheap; runs whose site falls exactly on a plan site
    resume with zero pre-injection re-execution. *)
 let default_max_checkpoints = 192
@@ -352,7 +344,6 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
     Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
     Interp.Machine.reset ~budget:Interp.Machine.default_budget st;
     Runtime.attach rt st;
-    hooks.h_reset ();
     hooks.h_attach st;
     let nplan = Array.length plan in
     let pidx = ref 0 in
@@ -423,7 +414,6 @@ let faulty_run_ff ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
     let golden = ff.ff_pi.pi_golden in
     let st = ff.ff_pi.pi_machine in
     Runtime.attach rt st;
-    hooks.h_reset ();
     hooks.h_attach st;
     let faulty =
       match Interp.Machine.resume ~budget:(fault_budget golden) st ck with
@@ -436,7 +426,7 @@ let faulty_run_ff ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
           ~tol:p.p_workload.Workload.w_out_tolerance
           ~golden:golden.g_output ~faulty ();
       r_injection = Runtime.injected rt;
-      r_detected = hooks.h_flagged ();
+      r_detected = Interp.Machine.detections st > 0;
       r_dyn_instrs = Interp.Machine.dyn_count st;
     }
   end
@@ -453,9 +443,10 @@ let faulty_run_ff ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
    checkpoint retained at that site ({!Interp.Machine.state_equal}:
    counters, call stack, live registers, dirty-span-restricted memory).
    On a match it terminates immediately and splices the golden
-   outcome — Benign, the golden dynamic counters, no detector flag —
-   which is byte-identical to what running the suffix out would have
-   produced (see DESIGN.md, convergence soundness). *)
+   outcome — Benign, the golden dynamic counters, the golden run's
+   final detector flag — which is byte-identical to what running the
+   suffix out would have produced (see DESIGN.md, convergence
+   soundness). *)
 
 (* Physical pruning telemetry for the bench harness: how many faulty
    runs were actually cut short, and how many state comparisons ran.
@@ -540,7 +531,6 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
       if best >= 0 then begin
         (* mirror [faulty_run_ff]'s resume discipline exactly *)
         Runtime.attach rt st;
-        hooks.h_reset ();
         hooks.h_attach st;
         match Interp.Machine.resume ~check ~budget st (snd cks.(best)) with
         | _ -> `Ran (Ok (ff.ff_pi.pi_read_output ()))
@@ -552,7 +542,6 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
         Interp.Memory.restore (Interp.Machine.memory st) ff.ff_pi.pi_snapshot;
         Interp.Machine.reset ~budget st;
         Runtime.attach rt st;
-        hooks.h_reset ();
         hooks.h_attach st;
         match
           Interp.Machine.run_tracked st p.p_workload.Workload.w_fn
@@ -571,7 +560,7 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
             ~tol:p.p_workload.Workload.w_out_tolerance
             ~golden:golden.g_output ~faulty ();
         r_injection = Runtime.injected rt;
-        r_detected = hooks.h_flagged ();
+        r_detected = Interp.Machine.detections st > 0;
         r_dyn_instrs = Interp.Machine.dyn_count st;
       }
     | `Pruned ->
@@ -579,13 +568,14 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
          means the rest of the run reads and writes exactly what the
          golden run did — outputs come back golden (Benign), the final
          dynamic count equals the golden one, the injection record is
-         already live, and detectors cannot run under this executor
-         (detector campaigns degrade to the checkpointed tier). *)
+         already live, and the detection counter (equal here) ends
+         where the golden run's ended. Its live value at the check site
+         would miss the golden suffix's firings. *)
       Atomic.incr prunes_performed;
       {
         r_outcome = Outcome.Benign;
         r_injection = Runtime.injected rt;
-        r_detected = hooks.h_flagged ();
+        r_detected = golden.g_detected;
         r_dyn_instrs = golden.g_dyn_instrs;
       }
   end

@@ -2,14 +2,12 @@
     program on the same input (paper §IV-B): a fault-free profiling run
     and a faulty run with a single corruption at a chosen dynamic site. *)
 
-(** Extra runtime surface (e.g. error detectors) attached to machines. *)
-type hooks = {
-  h_attach : Interp.Machine.state -> unit;
-  h_flagged : unit -> bool;  (** did a detector fire during the run? *)
-  h_reset : unit -> unit;
-}
+(** Extra runtime surface (e.g. error detectors) attached to machines.
+    Detectors record their firings in the machine's detection counter
+    ({!Interp.Machine.detections}), so hooks hold no state. *)
+type hooks = { h_attach : Interp.Machine.state -> unit }
 
-(** Hooks that do nothing and never flag. *)
+(** Hooks that attach nothing. *)
 val no_hooks : hooks
 
 (** A workload built, instrumented for one site category, verified and
@@ -55,6 +53,7 @@ type golden = {
   g_output : Outcome.output;
   g_dyn_sites : int;  (** dynamic fault sites N *)
   g_dyn_instrs : int;  (** dynamic instructions, for budget + Table I *)
+  g_detected : bool;  (** a detector fired during the fault-free run *)
 }
 
 (** Raised when the fault-free run itself traps (a workload bug). *)
@@ -92,15 +91,16 @@ val prepare_input :
 type run_result = {
   r_outcome : Outcome.t;
   r_injection : Runtime.injection_record option;
-  r_detected : bool;  (** a detector flagged the run *)
+  r_detected : bool;
+      (** a detector flagged the run: the machine's detection counter is
+          positive at the end of it (on every executor) *)
   r_dyn_instrs : int;  (** dynamic instructions of the faulty run *)
 }
 
 (** Dynamic-instruction budget of a faulty run: ten times the
     fault-free execution plus slack for tiny kernels, so a
     fault-induced loop terminates as an observable hang. The single
-    definition shared by all three executors (legacy, checkpointed,
-    fast-forward). *)
+    definition shared by every executor. *)
 val fault_budget : golden -> int
 
 (** Faulty run corrupting the value at 1-based [dynamic_site]; [seed]
@@ -131,7 +131,7 @@ val faulty_run_checkpointed :
 
 (** {1 Fast-forward execution}
 
-    Full machine-state checkpoints at scheduled injection sites, laid
+    Machine-state checkpoints at scheduled injection sites, laid
     during one instrumented golden replay; faulty runs resume from the
     nearest checkpoint at or before their site so only the
     post-injection suffix executes. Placement is a pure function of
@@ -199,9 +199,10 @@ val faulty_run_ff :
     each post-injection checkpoint site
     ({!Interp.Machine.state_equal}: counters, call stack, live
     registers, dirty-span-restricted memory), and on a match
-    terminates immediately, splicing the golden outcome — which is
-    byte-identical to running the suffix out (DESIGN.md, convergence
-    soundness). *)
+    terminates immediately, splicing the golden outcome — Benign, the
+    golden dynamic-instruction count and the golden run's final
+    detector flag — which is byte-identical to running the suffix out
+    (DESIGN.md, convergence soundness). *)
 
 (** Converge-pruned variant of {!faulty_run_ff}: same resume point and
     classification, with early termination at the first post-injection

@@ -126,17 +126,6 @@ let check_header = function
     in
     (rest, version)
 
-(* The header's optional [executor] field (v4) — present only when a
-   detector cell degraded the requested executor; [vulfi report] prints
-   it so the degradation stays visible after the fact. *)
-let header_executor (records : Json.t list) : string option =
-  match records with
-  | header :: _ -> (
-    match Json.member "executor" header with
-    | Some (Json.String e) -> Some e
-    | _ -> None)
-  | [] -> None
-
 let replay_cell ~version ((workload, target_s, category_s) as _key)
     (c : cell_acc) : replay =
   let cell_name = Printf.sprintf "%s/%s/%s" workload target_s category_s in

@@ -58,8 +58,3 @@ type replay = {
     exactly, so a replayed Fig 11/12 table is byte-identical to the live
     one. Returns [Error msg] on any schema violation. *)
 val replay_of_trace : Json.t list -> (replay list, string) result
-
-(** The header record's optional [executor] field (schema v4) — present
-    only when detector hooks degraded the requested executor; [None]
-    for older schemas or non-degraded traces. *)
-val header_executor : Json.t list -> string option

@@ -13,8 +13,9 @@
 (* v2 added the checkpointing counters [golden_runs]/[golden_reused] to
    the summary record; v3 added the fast-forward counters
    [checkpoints]/[ff_resumed]; v4 adds the convergence-pruning counters
-   [pruned]/[prune_checks] and an optional [executor] header field
-   (present only when a detector cell degraded the requested executor).
+   [pruned]/[prune_checks]. Older v4 writers also stamped an optional
+   [executor] header field when detectors degraded the requested
+   executor; readers ignore it.
    All six counters are derived from the seed schedule (distinct inputs
    drawn, scheduled injection sites), not from physical cache or
    executor behaviour, so all executors write identical traces.
@@ -37,41 +38,33 @@ let emit s j = s.s_emit j
 let close s = s.s_close ()
 let timings s = s.s_timings
 
-(* The [executor] field is emitted only when given — front-ends pass it
-   only when detector hooks degraded the requested executor, so traces
-   of non-degraded runs stay byte-identical across all four executors. *)
-let header_record ?executor () =
-  Json.Obj
-    ([ ("type", Json.String "header"); ("schema", Json.String schema) ]
-    @
-    match executor with
-    | None -> []
-    | Some e -> [ ("executor", Json.String e) ])
+let header_record =
+  Json.Obj [ ("type", Json.String "header"); ("schema", Json.String schema) ]
 
-let make ?(timings = false) ?executor ~emit:e ~close:c () =
+let make ?(timings = false) ~emit:e ~close:c () =
   let s = { s_emit = e; s_close = c; s_timings = timings } in
-  e (header_record ?executor ());
+  e header_record;
   s
 
-let to_channel ?timings ?executor oc =
-  make ?timings ?executor
+let to_channel ?timings oc =
+  make ?timings
     ~emit:(fun j ->
       output_string oc (Json.to_string j);
       output_char oc '\n')
     ~close:(fun () -> flush oc)
     ()
 
-let to_file ?timings ?executor path =
+let to_file ?timings path =
   let oc = open_out path in
-  make ?timings ?executor
+  make ?timings
     ~emit:(fun j ->
       output_string oc (Json.to_string j);
       output_char oc '\n')
     ~close:(fun () -> close_out oc)
     ()
 
-let to_buffer ?timings ?executor buf =
-  make ?timings ?executor
+let to_buffer ?timings buf =
+  make ?timings
     ~emit:(fun j ->
       Buffer.add_string buf (Json.to_string j);
       Buffer.add_char buf '\n')

@@ -12,9 +12,9 @@
     (["vulfi-trace-v4"]; v2 added schedule-derived [golden_runs] /
     [golden_reused] counters to the summary record, v3 added the
     fast-forward [checkpoints] / [ff_resumed] counters, v4 adds the
-    convergence-pruning [pruned] / [prune_checks] counters and an
-    optional [executor] header field recording a detector-degraded
-    effective executor). *)
+    convergence-pruning [pruned] / [prune_checks] counters; older v4
+    writers also stamped an optional [executor] header field, which
+    readers ignore). *)
 val schema : string
 
 (** Previous schema identifiers, still accepted by [vulfi report]. *)
@@ -27,24 +27,20 @@ val schema_v3 : string
 type sink
 
 (** [make ~emit ~close ()] builds a sink over arbitrary output and
-    immediately emits the header record. [executor] — the effective
-    executor's name — is stamped into the header only when given;
-    front-ends pass it only when detector hooks degraded the requested
-    executor, so non-degraded traces stay byte-identical across all
-    four executors. *)
+    immediately emits the header record. *)
 val make :
-  ?timings:bool -> ?executor:string -> emit:(Json.t -> unit) ->
-  close:(unit -> unit) -> unit -> sink
+  ?timings:bool -> emit:(Json.t -> unit) -> close:(unit -> unit) -> unit ->
+  sink
 
 (** Sink appending one line per record to a channel; [close] flushes
     but does not close the channel. *)
-val to_channel : ?timings:bool -> ?executor:string -> out_channel -> sink
+val to_channel : ?timings:bool -> out_channel -> sink
 
 (** Sink writing to a fresh file; [close] closes it. *)
-val to_file : ?timings:bool -> ?executor:string -> string -> sink
+val to_file : ?timings:bool -> string -> sink
 
 (** Sink accumulating lines in a buffer (used by tests). *)
-val to_buffer : ?timings:bool -> ?executor:string -> Buffer.t -> sink
+val to_buffer : ?timings:bool -> Buffer.t -> sink
 
 val emit : sink -> Json.t -> unit
 val close : sink -> unit

@@ -374,6 +374,8 @@ let check_runs_equal label (legacy : Vulfi.Experiment.run_result)
   check Alcotest.string (label ^ ": outcome")
     (Vulfi.Outcome.to_string legacy.Vulfi.Experiment.r_outcome)
     (Vulfi.Outcome.to_string ff.Vulfi.Experiment.r_outcome);
+  check Alcotest.bool (label ^ ": detected") legacy.Vulfi.Experiment.r_detected
+    ff.Vulfi.Experiment.r_detected;
   check Alcotest.int (label ^ ": dyn instrs")
     legacy.Vulfi.Experiment.r_dyn_instrs ff.Vulfi.Experiment.r_dyn_instrs;
   match (legacy.Vulfi.Experiment.r_injection, ff.Vulfi.Experiment.r_injection)
@@ -633,12 +635,80 @@ let copy_twice_workload n =
             } ));
   }
 
+(* Single-function workloads over two [n]-element arrays, [a1] holding
+   multiples of 16; the output is [a2]. Their loops store
+   [(x >> 4) << 4], so a flip in the low four bits of a loaded value is
+   masked and the faulty state re-converges with the golden one. *)
+let shift_workload ~fn src n =
+  {
+    Vulfi.Workload.w_name = fn;
+    w_fn = fn;
+    w_out_tolerance = 0.0;
+    w_inputs = 1;
+    w_build = (fun target -> Minispc.Driver.compile target src);
+    w_setup =
+      (fun ~input:_ st ->
+        let mem = Interp.Machine.memory st in
+        let a1 = Interp.Memory.alloc mem ~name:"a1" ~bytes:(4 * n) in
+        let a2 = Interp.Memory.alloc mem ~name:"a2" ~bytes:(4 * n) in
+        Interp.Memory.write_i32_array mem a1 (Array.init n (fun i -> i * 16));
+        ( [ Interp.Vvalue.of_ptr a1; Interp.Vvalue.of_ptr a2;
+            Interp.Vvalue.of_i32 n ],
+          fun () ->
+            {
+              Vulfi.Outcome.empty_output with
+              Vulfi.Outcome.o_i32 = [ Interp.Memory.read_i32_array mem a2 n ];
+            } ));
+  }
+
+(* A source assert on each loaded value, which is dead right after the
+   assert: a fault that raises the value fires the detector, and the
+   state then converges with the golden run's everywhere except in the
+   detection counter. *)
+let checked_shift_workload =
+  shift_workload ~fn:"checked_shift"
+    "export void checked_shift(uniform int a1[], uniform int a2[], uniform \
+     int n) { foreach (i = 0 ... n) { int v = a1[i]; assert(v < 4096); \
+     a2[i] = (a1[i] >> 4) << 4; } }"
+
+(* Source asserts that fail in the golden run: [flag_early]'s before the
+   loop, [flag_late]'s after it. *)
+let flag_early_workload =
+  shift_workload ~fn:"flag_early"
+    "export void flag_early(uniform int a1[], uniform int a2[], uniform int \
+     n) { assert(n < 0); foreach (i = 0 ... n) { int v = a1[i]; a2[i] = (v \
+     >> 4) << 4; } }"
+
+let flag_late_workload =
+  shift_workload ~fn:"flag_late"
+    "export void flag_late(uniform int a1[], uniform int a2[], uniform int \
+     n) { foreach (i = 0 ... n) { int v = a1[i]; a2[i] = (v >> 4) << 4; } \
+     assert(n < 0); }"
+
+let detector_transform =
+  Detectors.Overhead.transform Detectors.Overhead.paper_detectors
+
+(* Prepare [w] for [category], with the paper's detectors inserted and
+   the detector externs attached when [detectors] is set. *)
+let prepare_cell ~detectors w category =
+  let hooks = if detectors then Some (Detectors.Runtime.hooks ()) else None in
+  let transform = if detectors then Some detector_transform else None in
+  (Vulfi.Experiment.prepare ?transform w Vir.Target.Avx category, hooks)
+
 (* Inputs of the two QCheck differentials below: random (workload,
-   category, fault kind, plan density, site, seed). Prepared machines
-   and laid checkpoints are cached per (workload, category, density);
-   each property case only runs the two faulty executions. *)
-let diff_workloads = [| (fun () -> vcopy_workload [ 19 ]);
-                        (fun () -> copy_twice_workload 19) |]
+   category, fault kind, plan density, site, seed). The workloads
+   marked [true] run with the paper's detectors and detector hooks, so
+   [r_detected] is compared too. Prepared machines and laid checkpoints
+   are cached per (workload, category, density); each property case
+   only runs the two faulty executions. *)
+let diff_workloads =
+  [|
+    (false, fun () -> vcopy_workload [ 19 ]);
+    (false, fun () -> copy_twice_workload 19);
+    (true, fun () -> vcopy_workload [ 19 ]);
+    (true, fun () -> copy_twice_workload 19);
+    (true, fun () -> checked_shift_workload 19);
+  |]
 
 let diff_categories = Array.of_list Analysis.Sites.all_categories
 
@@ -657,19 +727,17 @@ let diff_cell =
     match Hashtbl.find_opt cache key with
     | Some c -> c
     | None ->
-      let p =
-        Vulfi.Experiment.prepare (diff_workloads.(w_i) ()) Vir.Target.Avx
-          diff_categories.(cat_i)
-      in
-      let pi = Vulfi.Experiment.prepare_input p ~input:0 in
+      let detectors, w = diff_workloads.(w_i) in
+      let p, hooks = prepare_cell ~detectors (w ()) diff_categories.(cat_i) in
+      let pi = Vulfi.Experiment.prepare_input ?hooks p ~input:0 in
       let g = pi.Vulfi.Experiment.pi_golden in
       let hi = g.Vulfi.Experiment.g_dyn_sites in
       let plan =
         Vulfi.Experiment.checkpoint_plan ~max_checkpoints:density
           (List.init hi (fun i -> i + 1))
       in
-      let ff = Vulfi.Experiment.lay_checkpoints p ~pi ~plan in
-      let c = (p, g, ff, hi) in
+      let ff = Vulfi.Experiment.lay_checkpoints ?hooks p ~pi ~plan in
+      let c = (p, hooks, g, ff, hi) in
       Hashtbl.add cache key c;
       c
 
@@ -687,20 +755,23 @@ let diff_input =
         w c k d site seed)
 
 (* Run the legacy protocol and [executor] on one random input and
-   compare outcome, dynamic instruction count and injection record. *)
+   compare outcome, detector flag, dynamic instruction count and
+   injection record. *)
 let agrees_with_legacy executor ((w_i, cat_i), kind_i, density, (site_pick, seed))
     =
-  let p, g, ff, hi = diff_cell w_i cat_i density in
+  let p, hooks, g, ff, hi = diff_cell w_i cat_i density in
   let dynamic_site = 1 + (site_pick mod hi) in
   let fault_kind = diff_kinds.(kind_i) in
   let legacy =
-    Vulfi.Experiment.faulty_run ~fault_kind p ~golden:g ~dynamic_site ~seed
+    Vulfi.Experiment.faulty_run ?hooks ~fault_kind p ~golden:g ~dynamic_site
+      ~seed
   in
   let r : Vulfi.Experiment.run_result =
-    executor ~fault_kind p ~ff ~dynamic_site ~seed
+    executor ?hooks ~fault_kind p ~ff ~dynamic_site ~seed
   in
   Vulfi.Outcome.to_string legacy.Vulfi.Experiment.r_outcome
   = Vulfi.Outcome.to_string r.Vulfi.Experiment.r_outcome
+  && legacy.Vulfi.Experiment.r_detected = r.Vulfi.Experiment.r_detected
   && legacy.Vulfi.Experiment.r_dyn_instrs = r.Vulfi.Experiment.r_dyn_instrs
   &&
   match (legacy.Vulfi.Experiment.r_injection, r.Vulfi.Experiment.r_injection)
@@ -716,8 +787,9 @@ let agrees_with_legacy executor ((w_i, cat_i), kind_i, density, (site_pick, seed
 let prop_ff_equals_legacy =
   Test.make ~name:"ff == legacy (random category/kind/plan/site/seed)"
     ~count:300 diff_input
-    (agrees_with_legacy (fun ~fault_kind p ~ff ~dynamic_site ~seed ->
-         Vulfi.Experiment.faulty_run_ff ~fault_kind p ~ff ~dynamic_site ~seed))
+    (agrees_with_legacy (fun ?hooks ~fault_kind p ~ff ~dynamic_site ~seed ->
+         Vulfi.Experiment.faulty_run_ff ?hooks ~fault_kind p ~ff ~dynamic_site
+           ~seed))
 
 (* Convergence soundness: the pruned executor, which may terminate a
    run early and splice the golden outcome, must be indistinguishable
@@ -727,9 +799,150 @@ let prop_pruned_equals_legacy =
   Test.make
     ~name:"convergence soundness: pruned == legacy (random cell/site/seed)"
     ~count:300 diff_input
-    (agrees_with_legacy (fun ~fault_kind p ~ff ~dynamic_site ~seed ->
-         Vulfi.Experiment.faulty_run_pruned ~fault_kind p ~ff ~dynamic_site
-           ~seed))
+    (agrees_with_legacy (fun ?hooks ~fault_kind p ~ff ~dynamic_site ~seed ->
+         Vulfi.Experiment.faulty_run_pruned ?hooks ~fault_kind p ~ff
+           ~dynamic_site ~seed))
+
+(* The checkpoint [faulty_run_ff] and [faulty_run_pruned] resume from
+   for a run injecting at [site]: the rightmost one at or before it. *)
+let resume_checkpoint (ff : Vulfi.Experiment.ff_input) site =
+  Array.fold_left
+    (fun acc (s, ck) -> if s <= site then Some ck else acc)
+    None ff.Vulfi.Experiment.ff_checkpoints
+
+(* Write garbage into every lane of every slot of [ck]'s pooled frames
+   that [ck] does not save: a resume restores only the live registers,
+   so whatever those slots hold must not matter. Gap slots share one
+   immutable template value and are skipped. *)
+let scramble_dead_registers (ck : Interp.Machine.checkpoint) =
+  Array.iter
+    (fun (fc : Interp.Compile.frame_ckpt) ->
+      Array.iteri
+        (fun r v ->
+          if v != Interp.Compile.default_value
+             && not (Array.mem r fc.Interp.Compile.fc_live)
+          then
+            for lane = 0 to Interp.Vvalue.lanes v - 1 do
+              Interp.Vvalue.set_lane_bits_inplace v ~lane
+                ~bits:(Int64.of_int (0x5bd1e995 + (977 * r) + lane))
+            done)
+        fc.Interp.Compile.fc_frame)
+    ck.Interp.Compile.ck_stack
+
+(* Live-register checkpoints: with garbage in every dead slot before
+   each resume, fast-forward and converge-pruned runs still equal the
+   legacy protocol, across every category and fault kind, on a
+   single-frame and a two-frame workload (whose checkpoints inside the
+   callee also save the caller's registers live across its pending
+   call). *)
+let test_resume_ignores_dead_registers () =
+  let kinds =
+    [
+      Vulfi.Runtime.Single_bit_flip;
+      Vulfi.Runtime.Multi_bit_flip 2;
+      Vulfi.Runtime.Random_value;
+      Vulfi.Runtime.Stuck_at_zero;
+    ]
+  in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun category ->
+          let p = Vulfi.Experiment.prepare w Vir.Target.Avx category in
+          let pi = Vulfi.Experiment.prepare_input p ~input:0 in
+          let g = pi.Vulfi.Experiment.pi_golden in
+          let hi = min 30 g.Vulfi.Experiment.g_dyn_sites in
+          let plan =
+            Vulfi.Experiment.checkpoint_plan ~max_checkpoints:6
+              (List.init hi (fun i -> i + 1))
+          in
+          let ff = Vulfi.Experiment.lay_checkpoints p ~pi ~plan in
+          List.iter
+            (fun fault_kind ->
+              for k = 1 to hi do
+                let seed = 13000 + k in
+                let scramble () =
+                  Option.iter scramble_dead_registers (resume_checkpoint ff k)
+                in
+                let legacy =
+                  Vulfi.Experiment.faulty_run ~fault_kind p ~golden:g
+                    ~dynamic_site:k ~seed
+                in
+                let label executor =
+                  Printf.sprintf "%s %s %s %s site %d" executor
+                    w.Vulfi.Workload.w_name
+                    (Analysis.Sites.category_name category)
+                    (Vulfi.Runtime.fault_kind_name fault_kind)
+                    k
+                in
+                scramble ();
+                check_runs_equal (label "ff") legacy
+                  (Vulfi.Experiment.faulty_run_ff ~fault_kind p ~ff
+                     ~dynamic_site:k ~seed);
+                scramble ();
+                check_runs_equal (label "pruned") legacy
+                  (Vulfi.Experiment.faulty_run_pruned ~fault_kind p ~ff
+                     ~dynamic_site:k ~seed)
+              done)
+            kinds)
+        Analysis.Sites.all_categories)
+    [ vcopy_workload [ 19 ]; copy_twice_workload 19 ]
+
+(* The detector flag across resume and splice. [flag_early]'s assert
+   fails before the first plan site, so every resumed run's flag comes
+   from the restored counter; [flag_late]'s fails after the last plan
+   site, so a pruned run must splice the golden run's final flag — the
+   live counter at convergence still reads zero. Both must equal the
+   legacy protocol run by run. *)
+let test_detector_flag_across_resume_and_splice () =
+  Vulfi.Experiment.reset_prune_stats ();
+  let spliced_flags = ref 0 in
+  List.iter
+    (fun (w, late) ->
+      List.iter
+        (fun category ->
+          let p, hooks = prepare_cell ~detectors:true w category in
+          let pi = Vulfi.Experiment.prepare_input ?hooks p ~input:0 in
+          let g = pi.Vulfi.Experiment.pi_golden in
+          check Alcotest.bool "golden run flagged" true
+            g.Vulfi.Experiment.g_detected;
+          let hi = g.Vulfi.Experiment.g_dyn_sites in
+          let half = hi / 2 in
+          let plan =
+            Vulfi.Experiment.checkpoint_plan
+              (if late then List.init half (fun i -> i + 1)
+               else List.init (hi - half) (fun i -> half + i + 1))
+          in
+          let ff = Vulfi.Experiment.lay_checkpoints ?hooks p ~pi ~plan in
+          for k = 1 to hi do
+            let seed = 17000 + k in
+            let legacy =
+              Vulfi.Experiment.faulty_run ?hooks p ~golden:g ~dynamic_site:k
+                ~seed
+            in
+            let label executor =
+              Printf.sprintf "%s %s %s site %d" executor
+                w.Vulfi.Workload.w_name
+                (Analysis.Sites.category_name category)
+                k
+            in
+            check_runs_equal (label "ff") legacy
+              (Vulfi.Experiment.faulty_run_ff ?hooks p ~ff ~dynamic_site:k
+                 ~seed);
+            let prunes, _ = Vulfi.Experiment.prune_stats () in
+            let pr =
+              Vulfi.Experiment.faulty_run_pruned ?hooks p ~ff ~dynamic_site:k
+                ~seed
+            in
+            check_runs_equal (label "pruned") legacy pr;
+            if late && fst (Vulfi.Experiment.prune_stats ()) > prunes
+               && pr.Vulfi.Experiment.r_detected
+            then incr spliced_flags
+          done)
+        Analysis.Sites.all_categories)
+    [ (flag_early_workload 19, false); (flag_late_workload 19, true) ];
+  check Alcotest.bool "some pruned runs spliced the golden flag" true
+    (!spliced_flags > 0)
 
 (* ---------------- legacy == checkpointed campaigns ---------------- *)
 
@@ -870,56 +1083,79 @@ let test_campaign_executors_parallel_match () =
   check Alcotest.string "converge-pruned -j4 trace byte-identical" tr_legacy
     tr_pr_par
 
-(* Stateful detector hooks ride the cached machines: h_reset/h_attach
-   run per experiment on every executor, so Fig 12 numbers agree too.
-   Fast_forward and Converge_pruned must degrade to Checkpointed here —
-   detector state lives outside the machine, so a resume would skip the
-   prefix's detector activity (and a pruned splice its suffix's). The
-   degradation is announced on stderr and recorded by
-   [effective_executor]. *)
+(* Detector campaigns run on every executor: detections are a machine
+   counter that checkpoints carry and convergence checks compare, so
+   results and traces are byte-identical to the legacy protocol,
+   sequentially and at -j4. The cells must actually detect, lay
+   checkpoints and prune. *)
 let test_campaign_executors_match_with_detectors () =
-  let w = vcopy_workload [ 8; 16; 19 ] in
-  let transform =
-    Detectors.Overhead.transform Detectors.Overhead.paper_detectors
-  in
-  let run_with executor =
-    Vulfi.Campaign.run ~transform ~hooks:Detectors.Runtime.hooks ~executor
-      tiny_config w Vir.Target.Avx Analysis.Sites.Control
-  in
-  let legacy = run_with Vulfi.Campaign.Legacy in
-  let ckpt = run_with Vulfi.Campaign.Checkpointed in
-  let ff = run_with Vulfi.Campaign.Fast_forward in
-  let pr = run_with Vulfi.Campaign.Converge_pruned in
-  check result_t "detector campaign: checkpointed == legacy" legacy ckpt;
-  check result_t "detector campaign: fast-forward (fallback) == legacy"
-    legacy ff;
-  check result_t "detector campaign: converge-pruned (fallback) == legacy"
-    legacy pr
-
-(* The degradation is visible, not silent: [effective_executor] maps the
-   resume-based executors to Checkpointed exactly when detectors are
-   attached, and leaves everything else alone. *)
-let test_effective_executor () =
-  let eff = Vulfi.Campaign.effective_executor in
+  Vulfi.Experiment.reset_prune_stats ();
+  let detected = ref 0 and checkpoints = ref 0 in
   List.iter
-    (fun e ->
-      Alcotest.(check string)
-        "no detectors: identity"
-        (Vulfi.Campaign.executor_name e)
-        (Vulfi.Campaign.executor_name (eff ~detectors:false e)))
-    Vulfi.Campaign.
-      [ Legacy; Checkpointed; Fast_forward; Converge_pruned ];
-  Alcotest.(check string)
-    "detectors degrade fast-forward" "checkpointed"
-    (Vulfi.Campaign.executor_name
-       (eff ~detectors:true Vulfi.Campaign.Fast_forward));
-  Alcotest.(check string)
-    "detectors degrade converge-pruned" "checkpointed"
-    (Vulfi.Campaign.executor_name
-       (eff ~detectors:true Vulfi.Campaign.Converge_pruned));
-  Alcotest.(check string)
-    "detectors leave legacy alone" "legacy"
-    (Vulfi.Campaign.executor_name (eff ~detectors:true Vulfi.Campaign.Legacy))
+    (fun (w, category) ->
+      let run_with ?jobs executor =
+        let buf = Buffer.create 4096 in
+        let sink = Vulfi.Trace.to_buffer buf in
+        let r =
+          match jobs with
+          | None ->
+            Vulfi.Campaign.run ~transform:detector_transform
+              ~hooks:Detectors.Runtime.hooks ~sink ~executor tiny_config w
+              Vir.Target.Avx category
+          | Some jobs ->
+            Vulfi.Campaign.run_parallel ~transform:detector_transform
+              ~hooks:Detectors.Runtime.hooks ~sink ~executor ~jobs tiny_config
+              w Vir.Target.Avx category
+        in
+        Vulfi.Trace.close sink;
+        (r, Buffer.contents buf)
+      in
+      let r_legacy, tr_legacy = run_with Vulfi.Campaign.Legacy in
+      List.iter
+        (fun (name, jobs, executor) ->
+          let r, tr = run_with ?jobs executor in
+          let label =
+            Printf.sprintf "%s %s: %s" w.Vulfi.Workload.w_name
+              (Analysis.Sites.category_name category)
+              name
+          in
+          check result_t (label ^ " results == legacy") r_legacy r;
+          check Alcotest.string (label ^ " trace byte-identical") tr_legacy tr)
+        Vulfi.Campaign.
+          [
+            ("checkpointed", None, Checkpointed);
+            ("fast-forward", None, Fast_forward);
+            ("converge-pruned", None, Converge_pruned);
+            ("checkpointed -j4", Some 4, Checkpointed);
+            ("fast-forward -j4", Some 4, Fast_forward);
+            ("converge-pruned -j4", Some 4, Converge_pruned);
+          ];
+      detected :=
+        !detected + r_legacy.Vulfi.Campaign.c_totals.Vulfi.Campaign.n_detected;
+      checkpoints := !checkpoints + r_legacy.Vulfi.Campaign.c_checkpoints)
+    [
+      (vcopy_workload [ 8; 16; 19 ], Analysis.Sites.Control);
+      (checked_shift_workload 19, Analysis.Sites.Pure_data);
+    ];
+  let prunes, _ = Vulfi.Experiment.prune_stats () in
+  check Alcotest.bool "some runs detected" true (!detected > 0);
+  check Alcotest.bool "checkpoints laid" true (!checkpoints > 0);
+  check Alcotest.bool "some runs pruned" true (prunes > 0)
+
+(* Detector cells run on the executor asked for: [effective_executor]
+   is the identity, with and without detectors. *)
+let test_effective_executor () =
+  List.iter
+    (fun detectors ->
+      List.iter
+        (fun e ->
+          Alcotest.(check string)
+            (Printf.sprintf "identity (detectors %b)" detectors)
+            (Vulfi.Campaign.executor_name e)
+            (Vulfi.Campaign.executor_name
+               (Vulfi.Campaign.effective_executor ~detectors e)))
+        Vulfi.Campaign.[ Legacy; Checkpointed; Fast_forward; Converge_pruned ])
+    [ false; true ]
 
 (* ---------------- stats + progress-line edges ---------------- *)
 
@@ -999,6 +1235,10 @@ let () =
             `Quick test_pruned_fault_kinds_match;
           QCheck_alcotest.to_alcotest prop_ff_equals_legacy;
           QCheck_alcotest.to_alcotest prop_pruned_equals_legacy;
+          Alcotest.test_case "resume ignores dead registers" `Quick
+            test_resume_ignores_dead_registers;
+          Alcotest.test_case "detector flag across resume and splice" `Quick
+            test_detector_flag_across_resume_and_splice;
         ] );
       ( "campaign",
         [

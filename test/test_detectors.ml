@@ -106,8 +106,7 @@ let test_pass_preserves_semantics () =
           let m = Minispc.Driver.compile target vcopy_src in
           ignore (Foreach_invariants.run m);
           let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-          let det = Runtime.create () in
-          Runtime.attach det st;
+          Runtime.attach st;
           let mem = Interp.Machine.memory st in
           let a1 = Interp.Memory.alloc mem ~name:"a1" ~bytes:(4 * max n 1) in
           let a2 = Interp.Memory.alloc mem ~name:"a2" ~bytes:(4 * max n 1) in
@@ -125,22 +124,28 @@ let test_pass_preserves_semantics () =
             (Interp.Memory.read_i32_array mem a2 n);
           Alcotest.(check bool)
             (Printf.sprintf "no false positive (n=%d)" n)
-            false (Runtime.flagged det))
+            false (Interp.Machine.detections st > 0))
         [ 0; 1; 5; 8; 16; 23 ])
     Vir.Target.all
 
 (* ---------------- runtime invariant checks ---------------- *)
 
+(* A machine to call the detector handlers on directly: they record
+   firings in its detection counter, which [Machine.reset] zeroes. *)
+let handler_machine () =
+  Interp.Machine.create
+    (Interp.Compile.compile_module
+       (Minispc.Driver.compile Vir.Target.Avx vcopy_src))
+
 let test_runtime_invariants () =
-  let det = Runtime.create () in
+  let st = handler_machine () in
   let call nc ae vl =
-    Runtime.reset det;
+    Interp.Machine.reset st;
     ignore
-      (Runtime.handle_check_foreach det
-         (Obj.magic ())  (* state unused by the handler *)
+      (Runtime.handle_check_foreach st
          [ Interp.Vvalue.of_i32 nc; Interp.Vvalue.of_i32 ae;
            Interp.Vvalue.of_i32 vl ]);
-    Runtime.flagged det
+    Interp.Machine.detections st > 0
   in
   Alcotest.(check bool) "clean exit ok" false (call 16 16 8);
   Alcotest.(check bool) "mid-loop value ok" false (call 8 16 8);
@@ -221,8 +226,7 @@ let test_strengthened_no_false_positives () =
           let m = Minispc.Driver.compile target vcopy_src in
           ignore (Foreach_invariants.run ~strengthen:true m);
           let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-          let det = Runtime.create () in
-          Runtime.attach det st;
+          Runtime.attach st;
           let mem = Interp.Machine.memory st in
           let a1 = Interp.Memory.alloc mem ~name:"a1" ~bytes:(4 * max n 1) in
           let a2 = Interp.Memory.alloc mem ~name:"a2" ~bytes:(4 * max n 1) in
@@ -233,18 +237,18 @@ let test_strengthened_no_false_positives () =
                  Interp.Vvalue.of_i32 n ]);
           Alcotest.(check bool)
             (Printf.sprintf "%s n=%d clean" (Vir.Target.name target) n)
-            false (Runtime.flagged det))
+            false (Interp.Machine.detections st > 0))
         [ 0; 1; 7; 8; 16; 23 ])
     Vir.Target.all
 
 let test_runtime_exact_invariant () =
-  let det = Runtime.create () in
+  let st = handler_machine () in
   let call nc ae =
-    Runtime.reset det;
+    Interp.Machine.reset st;
     ignore
-      (Runtime.handle_check_foreach_exact det (Obj.magic ())
+      (Runtime.handle_check_foreach_exact st
          [ Interp.Vvalue.of_i32 nc; Interp.Vvalue.of_i32 ae ]);
-    Runtime.flagged det
+    Interp.Machine.detections st > 0
   in
   Alcotest.(check bool) "equality holds" false (call 16 16);
   Alcotest.(check bool) "early exit flagged" true (call 8 16);
@@ -272,8 +276,7 @@ let test_uniform_xor_no_false_positives () =
       let m = Minispc.Driver.compile target broadcast_src in
       ignore (Uniform_xor.run m);
       let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-      let det = Runtime.create () in
-      Runtime.attach det st;
+      Runtime.attach st;
       let mem = Interp.Machine.memory st in
       let n = 13 in
       let a = Interp.Memory.alloc mem ~name:"a" ~bytes:(4 * n) in
@@ -284,7 +287,7 @@ let test_uniform_xor_no_false_positives () =
             Interp.Vvalue.of_i32 n ]
       in
       Alcotest.(check bool) "clean run not flagged" false
-        (Runtime.flagged det))
+        (Interp.Machine.detections st > 0))
     Vir.Target.all
 
 let test_uniform_xor_detects_broadcast_corruption () =
@@ -375,9 +378,8 @@ let test_assert_clean_run_silent () =
   List.iter
     (fun target ->
       let m = Minispc.Driver.compile target assert_src in
-      let det = Runtime.create () in
       let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-      Runtime.attach det st;
+      Runtime.attach st;
       let mem = Interp.Machine.memory st in
       let n = 19 in
       let a1 = Interp.Memory.alloc mem ~name:"a1" ~bytes:(4 * n) in
@@ -389,7 +391,7 @@ let test_assert_clean_run_silent () =
              Interp.Vvalue.of_i32 n ]);
       Alcotest.(check bool)
         (Vir.Target.name target ^ " clean run silent")
-        false (Runtime.flagged det))
+        false (Interp.Machine.detections st > 0))
     Vir.Target.all
 
 let test_assert_catches_injected_faults () =
@@ -416,12 +418,14 @@ let test_assert_catches_injected_faults () =
     true (!detected > 0)
 
 let test_assert_runtime_handler () =
-  let det = Runtime.create () in
-  ignore (Runtime.handle_assert det (Obj.magic ()) [ Interp.Vvalue.of_bool true ]);
-  Alcotest.(check bool) "ok not flagged" false (Runtime.flagged det);
-  ignore (Runtime.handle_assert det (Obj.magic ()) [ Interp.Vvalue.of_bool false ]);
-  Alcotest.(check bool) "violated flags" true (Runtime.flagged det);
-  Alcotest.(check int) "count" 1 det.Runtime.assert_violations
+  let st = handler_machine () in
+  ignore (Runtime.handle_assert st [ Interp.Vvalue.of_bool true ]);
+  Alcotest.(check bool) "ok not flagged" false
+    (Interp.Machine.detections st > 0);
+  ignore (Runtime.handle_assert st [ Interp.Vvalue.of_bool false ]);
+  Alcotest.(check bool) "violated flags" true
+    (Interp.Machine.detections st > 0);
+  Alcotest.(check int) "count" 1 (Interp.Machine.detections st)
 
 (* ---------------- overhead ---------------- *)
 
@@ -484,8 +488,7 @@ let prop_no_false_positives =
       ignore (Foreach_invariants.run m);
       ignore (Uniform_xor.run m);
       let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-      let det = Runtime.create () in
-      Runtime.attach det st;
+      Runtime.attach st;
       let mem = Interp.Machine.memory st in
       let a1 = Interp.Memory.alloc mem ~name:"a1" ~bytes:(4 * max n 1) in
       let a2 = Interp.Memory.alloc mem ~name:"a2" ~bytes:(4 * max n 1) in
@@ -495,7 +498,7 @@ let prop_no_false_positives =
           [ Interp.Vvalue.of_ptr a1; Interp.Vvalue.of_ptr a2;
             Interp.Vvalue.of_i32 n ]
       in
-      not (Runtime.flagged det))
+      not (Interp.Machine.detections st > 0))
 
 let () =
   Alcotest.run "detectors"

@@ -290,11 +290,12 @@ let test_replay_rejects_bad_traces () =
   Alcotest.(check bool) "unknown outcome rejected" true
     (is_err (Report.replay_of_trace corrupted))
 
-(* Older traces must keep replaying: a v3 trace (no pruning counters in
-   the summary), a v2 trace (no fast-forward counters either) and a v1
-   trace (no golden counters either) are all accepted, with the missing
-   counters defaulting to zero and everything the version does carry
-   still adopted. *)
+(* Older traces must keep replaying: a v4 trace whose header carries
+   the [executor] field earlier writers stamped, a v3 trace (no pruning
+   counters in the summary), a v2 trace (no fast-forward counters
+   either) and a v1 trace (no golden counters either) are all accepted,
+   with the missing counters defaulting to zero and everything the
+   version does carry still adopted. *)
 let test_replay_accepts_older_schemas () =
   let w = vcopy_workload [ 8 ] in
   let live, text =
@@ -336,6 +337,25 @@ let test_replay_accepts_older_schemas () =
       Alcotest.fail
         (Printf.sprintf "%s: expected 1 cell, got %d" name (List.length l))
   in
+  (* v4 traces from writers that stamped the executor a detector cell
+     degraded to into the header still replay *)
+  (match
+     Report.replay_of_trace
+       (Json.Obj
+          [
+            ("type", Json.String "header");
+            ("schema", Json.String Trace.schema);
+            ("executor", Json.String "checkpointed");
+          ]
+       :: List.tl records)
+   with
+  | Ok [ rp ] ->
+    Alcotest.(check bool) "v4 + executor header: result equal" true
+      (rp.Report.rp_result = live);
+    Alcotest.(check bool) "v4 + executor header: summary cross-check" true
+      (rp.Report.rp_summary = `Match)
+  | Ok _ -> Alcotest.fail "v4 + executor header: expected 1 cell"
+  | Error msg -> Alcotest.fail ("v4 + executor header: " ^ msg));
   check_downgraded ~keeps_ff:true "v3"
     (downgrade "vulfi-trace-v3" [ "pruned"; "prune_checks" ]);
   check_downgraded "v2"
