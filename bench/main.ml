@@ -78,12 +78,8 @@ let executor = ref Vulfi.Campaign.Checkpointed
 let the_sink : Vulfi.Trace.sink option ref = ref None
 
 let campaign_run ?transform ?hooks cfg w target category =
-  if !jobs > 1 then
-    Vulfi.Campaign.run_parallel ?transform ?hooks ?sink:!the_sink
-      ~executor:!executor ~jobs:!jobs cfg w target category
-  else
-    Vulfi.Campaign.run ?transform ?hooks ?sink:!the_sink
-      ~executor:!executor cfg w target category
+  Vulfi.Campaign.run ?transform ?hooks ?sink:!the_sink ~executor:!executor
+    ~jobs:!jobs cfg w target category
 
 (* Machine-readable export of a figure's campaign cells. *)
 let write_results_json path ~figure (cfg : Vulfi.Campaign.config)
@@ -274,23 +270,16 @@ let fig11 () =
   in
   let run_cell pool (w, t, c) =
     let r =
-      match pool with
-      | Some pool ->
-        (* cell-level parallel driver: one shared domain pool *)
-        Vulfi.Campaign.run_parallel ?sink:!the_sink ~executor:!executor
-          ~pool ~jobs:!jobs cfg w t c
-      | None ->
-        Vulfi.Campaign.run ?sink:!the_sink ~executor:!executor cfg w t c
+      Vulfi.Campaign.run ?sink:!the_sink ~executor:!executor ~pool cfg w t c
     in
     print_endline (Vulfi.Report.fig11_row r);
     progress r;
     r
   in
+  (* one domain pool shared by every cell *)
   let results =
-    if !jobs > 1 then
-      Vulfi.Pool.with_pool ~jobs:!jobs (fun pool ->
-          List.map (run_cell (Some pool)) cells)
-    else List.map (run_cell None) cells
+    Vulfi.Pool.with_pool ~jobs:!jobs (fun pool ->
+        List.map (run_cell pool) cells)
   in
   write_results_json "RESULTS_fig11.json" ~figure:"fig11" cfg
     (List.map (fun r -> (false, r)) results)
@@ -580,15 +569,12 @@ let speedup () =
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let r_seq, t_seq =
+  let run_with jobs =
     time (fun () ->
-        Vulfi.Campaign.run cfg w Vir.Target.Avx Analysis.Sites.Pure_data)
+        Vulfi.Campaign.run ~jobs cfg w Vir.Target.Avx Analysis.Sites.Pure_data)
   in
-  let r_par, t_par =
-    time (fun () ->
-        Vulfi.Campaign.run_parallel ~jobs:par_jobs cfg w Vir.Target.Avx
-          Analysis.Sites.Pure_data)
-  in
+  let r_seq, t_seq = run_with 1 in
+  let r_par, t_par = run_with par_jobs in
   Printf.printf "sequential: %7.2f s   (%d campaigns, SDC %5.1f%%)\n" t_seq
     r_seq.Vulfi.Campaign.c_campaigns
     (100.0 *. Vulfi.Campaign.sdc_rate r_seq);
@@ -596,7 +582,11 @@ let speedup () =
     par_jobs t_par r_par.Vulfi.Campaign.c_campaigns
     (100.0 *. Vulfi.Campaign.sdc_rate r_par);
   Printf.printf "speedup   : %6.2fx   results bit-identical: %b\n"
-    (t_seq /. t_par) (r_seq = r_par)
+    (t_seq /. t_par) (r_seq = r_par);
+  if r_seq <> r_par then begin
+    prerr_endline "speedup: -j 1 and -j N results diverge";
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* VM throughput: dynamic instructions per second                      *)

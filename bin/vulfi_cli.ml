@@ -311,23 +311,17 @@ let campaign_cmd =
     Fun.protect
       ~finally:(fun () -> Option.iter Vulfi.Trace.close sink)
       (fun () ->
-        let campaign_run ?transform ?hooks cfg w target category =
-          if jobs > 1 then
-            Vulfi.Campaign.run_parallel ?transform ?hooks ~fault_kind ?sink
-              ~executor ~jobs cfg w target category
-          else
-            Vulfi.Campaign.run ?transform ?hooks ~fault_kind ?sink
-              ~executor cfg w target category
+        let transform, hooks =
+          if with_detectors then
+            ( Some
+                (Detectors.Overhead.transform
+                   Detectors.Overhead.paper_detectors),
+              Some Detectors.Runtime.hooks )
+          else (None, None)
         in
         let r =
-          if with_detectors then
-            campaign_run
-              ~transform:
-                (Detectors.Overhead.transform
-                   Detectors.Overhead.paper_detectors)
-              ~hooks:Detectors.Runtime.hooks cfg
-              b.Benchmarks.Harness.bench target category
-          else campaign_run cfg b.Benchmarks.Harness.bench target category
+          Vulfi.Campaign.run ?transform ?hooks ~fault_kind ?sink ~executor
+            ~jobs cfg b.Benchmarks.Harness.bench target category
         in
         print_cell ~detectors:with_detectors r)
   in
@@ -390,9 +384,7 @@ let campaign_cmd =
                  (counters, call stack, live registers, dirty-span \
                  memory); a faulty run that re-converges with the \
                  golden run terminates immediately and splices the \
-                 golden outcome. Bit-identical output \
-                 (VULFI_NO_PRUNE=1 degrades it to plain fast-forward \
-                 for cross-checks).")
+                 golden outcome. Bit-identical output.")
   in
   let no_fusion_arg =
     Arg.(value & flag & info [ "no-fusion" ]
@@ -442,14 +434,22 @@ let report_cmd =
       List.iter
         (fun (rp : Vulfi.Report.replay) ->
           let r = rp.Vulfi.Report.rp_result in
-          print_cell ~detectors:rp.Vulfi.Report.rp_detectors r;
           match rp.Vulfi.Report.rp_summary with
-          | `Match -> ()
+          | `Match -> print_cell ~detectors:rp.Vulfi.Report.rp_detectors r
           | `Missing ->
-            Printf.eprintf "%s: cell %s has no summary record\n" file
-              r.Vulfi.Campaign.c_workload;
+            (* A cut trace, as a killed campaign leaves it. Only the
+               summary record carries the static-site count and the
+               golden averages, so there is no row to print. *)
+            Printf.eprintf
+              "%s: cell %s %s %s is incomplete: %d experiment records and \
+               no summary record\n"
+              file r.Vulfi.Campaign.c_workload
+              (Vir.Target.name r.Vulfi.Campaign.c_target)
+              (Analysis.Sites.category_name r.Vulfi.Campaign.c_category)
+              r.Vulfi.Campaign.c_totals.Vulfi.Campaign.n_experiments;
             ok := false
           | `Mismatch fields ->
+            print_cell ~detectors:rp.Vulfi.Report.rp_detectors r;
             Printf.eprintf
               "%s: cell %s summary disagrees with the replay on: %s\n" file
               r.Vulfi.Campaign.c_workload fields;

@@ -12,7 +12,7 @@
 
     - distinct cells of the same workload draw independent streams
       (the paper's per-cell samples are statistically independent), and
-    - [run_parallel] produces results bit-identical to [run]. *)
+    - [run] produces bit-identical results at any [jobs]. *)
 
 type config = {
   experiments_per_campaign : int;
@@ -155,10 +155,9 @@ let vacuous_benign =
 
 (* Every injection site the full schedule (all [max_campaigns]) draws
    for [input], in schedule order. A pure function of the seed
-   schedule and the input's (deterministic) dynamic-site count: the
-   sequential and parallel drivers — and the trace replayer — derive
-   the identical list, which is what makes checkpoint placement
-   deterministic. *)
+   schedule and the input's (deterministic) dynamic-site count: every
+   pool worker — and the trace replayer — derives the identical list,
+   which is what makes checkpoint placement deterministic. *)
 let schedule_sites cfg cell (w : Workload.t) ~input ~dyn_sites : int list =
   if dyn_sites <= 0 then []
   else begin
@@ -208,94 +207,79 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
    convergence soundness), so results and traces stay byte-identical. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
-(* How an experiment executes its runs (the per-experiment view of
-   [executor]; the [option] carries the vacuous case — a cell with no
-   live fault site never runs a faulty half). *)
-type exec =
-  | Paper_protocol
-  | Checkpointed_exec of Experiment.prepared_input option
-  | Fast_forward_exec of Experiment.ff_input option
-  | Converge_pruned_exec of Experiment.ff_input option
-
-(* One experiment, given its schedule entry and the accounting golden
-   (the cached one; on the paper path the profiling run re-derives the
-   same values — that recomputation is exactly what it measures). *)
-let run_experiment ~(hooks : hooks_factory) ~respect_masks ?fault_kind
-    ~(exec : exec) (prepared : Experiment.prepared)
-    ~(golden : Experiment.golden) (ex : Seed.exp) : Experiment.run_result =
-  match exec with
-  | Checkpointed_exec pi ->
-    if golden.Experiment.g_dyn_sites = 0 then
-      (* no live fault site: vacuously benign *)
-      vacuous_benign
-    else
-      let pi =
-        match pi with Some pi -> pi | None -> assert false
-        (* drivers always prepare an input that has live sites *)
-      in
-      let dynamic_site =
-        1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-      in
-      Experiment.faulty_run_checkpointed ~hooks:(hooks ()) ~respect_masks
-        ?fault_kind prepared ~pi ~dynamic_site ~seed:ex.Seed.bit_seed
-  | Fast_forward_exec ff ->
+(* Bind [executor] to one input on the calling worker, preparing what
+   every faulty run on that input shares: nothing for [Legacy]; the
+   prepared input (machine, post-setup snapshot, golden run) for
+   [Checkpointed]; plus the checkpoints laid along the input's plan for
+   the fast-forward executors. Returns the input's golden run — a thunk,
+   since [Legacy] profiles only when asked — and the faulty half of
+   every experiment on that input. *)
+let bind_input executor ~(hooks : hooks_factory) ~respect_masks ?fault_kind
+    cfg cell w (prepared : Experiment.prepared) ~input :
+    (unit -> Experiment.golden) * (Seed.exp -> Experiment.run_result) =
+  let profile () =
+    Experiment.golden_run ~hooks:(hooks ()) ~respect_masks prepared ~input
+  in
+  (* Experiment [ex]'s faulty run on fresh hooks; vacuously benign when
+     the input has no live fault site. *)
+  let inject (golden : Experiment.golden) (ex : Seed.exp) run =
     if golden.Experiment.g_dyn_sites = 0 then vacuous_benign
     else
-      let ff =
-        match ff with Some ff -> ff | None -> assert false
-      in
-      let dynamic_site =
-        1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-      in
-      Experiment.faulty_run_ff ~hooks:(hooks ()) ~respect_masks
-        ?fault_kind prepared ~ff ~dynamic_site ~seed:ex.Seed.bit_seed
-  | Converge_pruned_exec ff ->
-    if golden.Experiment.g_dyn_sites = 0 then vacuous_benign
-    else
-      let ff =
-        match ff with Some ff -> ff | None -> assert false
-      in
-      let dynamic_site =
-        1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-      in
-      Experiment.faulty_run_pruned ~hooks:(hooks ()) ~respect_masks
-        ?fault_kind prepared ~ff ~dynamic_site ~seed:ex.Seed.bit_seed
-  | Paper_protocol ->
-    let golden =
-      Experiment.golden_run ~hooks:(hooks ()) ~respect_masks prepared
-        ~input:golden.Experiment.g_input
+      run ~hooks:(hooks ())
+        ~dynamic_site:
+          (1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites)
+        ~seed:ex.Seed.bit_seed
+  in
+  match executor with
+  | Legacy ->
+    (* §IV-B literally: nothing outlives an experiment, which profiles
+       on a fresh machine and then injects on another *)
+    ( profile,
+      fun ex ->
+        let golden = profile () in
+        inject golden ex (fun ~hooks ->
+            Experiment.faulty_run ~hooks ~respect_masks ?fault_kind prepared
+              ~golden) )
+  | Checkpointed | Fast_forward | Converge_pruned ->
+    let pi =
+      Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks prepared
+        ~input
     in
-    if golden.Experiment.g_dyn_sites = 0 then vacuous_benign
-    else
-      let dynamic_site =
-        1 + Seed.uniform ex.Seed.site_key golden.Experiment.g_dyn_sites
-      in
-      Experiment.faulty_run ~hooks:(hooks ()) ~respect_masks ?fault_kind
-        prepared ~golden ~dynamic_site ~seed:ex.Seed.bit_seed
+    let golden = pi.Experiment.pi_golden in
+    let faulty_run =
+      match executor with
+      | Checkpointed -> Experiment.faulty_run_checkpointed ~pi
+      | _ ->
+        let ff =
+          Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks
+            prepared ~pi
+            ~plan:
+              (plan_for cfg cell w ~input
+                 ~dyn_sites:golden.Experiment.g_dyn_sites)
+        in
+        if executor = Fast_forward then Experiment.faulty_run_ff ~ff
+        else Experiment.faulty_run_pruned ~ff
+    in
+    ( (fun () -> golden),
+      fun ex ->
+        inject golden ex (fun ~hooks ->
+            faulty_run ~hooks ~respect_masks ?fault_kind prepared) )
 
-(* Run one experiment, timing it only when the sink asked for wall
-   times; the clock syscall is skipped entirely on the deterministic
-   (default) path. *)
-let timed_experiment ~hooks ~respect_masks ?fault_kind ~exec ~timings
-    prepared ~golden ex : Experiment.run_result * float =
+(* Run [f x], timing it only when the sink asked for wall times; the
+   clock syscall is skipped entirely on the deterministic (default)
+   path. *)
+let timed ~timings f x =
   if timings then begin
     let t0 = Unix.gettimeofday () in
-    let r =
-      run_experiment ~hooks ~respect_masks ?fault_kind ~exec prepared
-        ~golden ex
-    in
+    let r = f x in
     (r, Unix.gettimeofday () -. t0)
   end
-  else
-    ( run_experiment ~hooks ~respect_masks ?fault_kind ~exec prepared
-        ~golden ex,
-      0.0 )
+  else (f x, 0.0)
 
 (* Emit campaign [campaign]'s experiment records in experiment order.
-   Both drivers call this from the (sequential) protocol loop after the
-   whole batch is resolved — in the parallel driver the workers only
-   buffer results — so the trace is ordered, and byte-identical between
-   [run] and [run_parallel], at any -j. *)
+   The driver calls this from the (sequential) protocol loop after the
+   whole batch is resolved — pool workers only buffer results — so the
+   trace is ordered, and byte-identical at any [jobs]. *)
 let emit_experiments sink (w : Workload.t) target category ~campaign ~inputs
     ~site_counts ~(results : (Experiment.run_result * float) array) =
   match sink with
@@ -311,10 +295,9 @@ let emit_experiments sink (w : Workload.t) target category ~campaign ~inputs
              ?wall_s:(if timings then Some wall else None) ()))
       results
 
-(* The stopping protocol, shared by the sequential and parallel
-   drivers. [run_campaign c] returns campaign [c]'s run results in
-   experiment order; both drivers honour that order, so every decision
-   below — and hence the whole schedule — is identical between them. *)
+(* The stopping protocol. [run_campaign c] returns campaign [c]'s run
+   results in experiment order at any [jobs], so every decision below —
+   and hence the whole schedule — is independent of the job count. *)
 let protocol cfg ~run_campaign =
   let totals = ref empty_totals in
   let sdc_rates = ref [] in
@@ -473,204 +456,54 @@ let execution_order (executor : executor) (exps : Seed.exp array)
   | Legacy | Checkpointed -> ());
   order
 
-(* Does [executor] run faulty halves off the fast-forward input (laid
-   checkpoints + golden dirty spans)? *)
-let uses_ff = function
-  | Fast_forward | Converge_pruned -> true
-  | Legacy | Checkpointed -> false
-
-(* Run the full campaign protocol for one
-   (workload, target, site-category) cell, sequentially.
-   [transform] pre-processes the module (e.g. detector insertion);
-   [hooks] builds per-run extra runtime (e.g. the detector API). *)
-let run ?transform ?hooks ?(respect_masks = true)
-    ?fault_kind ?sink ?(executor = Checkpointed) (cfg : config)
-    (w : Workload.t) (target : Vir.Target.t)
-    (category : Analysis.Sites.category) : result =
+(* Run the full campaign protocol for one (workload, target,
+   site-category) cell. [transform] pre-processes the module (e.g.
+   detector insertion); [hooks] builds per-run extra runtime (e.g. the
+   detector API). Each campaign's experiments fan out across a domain
+   pool — [pool] when given, else a fresh one of [jobs] workers (a
+   one-job pool spawns no domain and runs on the calling one). Because
+   the seed schedule fixes every random choice up front, the only
+   coordination needed is resolving each campaign's golden runs before
+   its fan-out; results are gathered in experiment order, so the
+   outcome is bit-identical at any [jobs]. *)
+let run ?transform ?hooks ?(respect_masks = true) ?fault_kind ?pool ?sink
+    ?(executor = Checkpointed) ?(jobs = 1) (cfg : config) (w : Workload.t)
+    (target : Vir.Target.t) (category : Analysis.Sites.category) : result =
   let detectors = Option.is_some hooks in
   let hooks = Option.value hooks ~default:no_hooks_factory in
-  let prepared = Experiment.prepare ?transform w target category in
-  let cell = cell_of cfg w target category in
-  (* Golden runs are deterministic per input: resolve each distinct
-     input once for scheduling and accounting (site counts, averages).
-     On the checkpointed path the entry also carries the whole prepared
-     input (machine + post-setup snapshot), so faulty runs skip machine
-     construction, [w_setup] and the golden run; the fast-forward path
-     additionally lays the input's checkpoint plan with one tracked
-     replay; on the paper-protocol path every experiment still performs
-     its own profiling run. *)
-  let golden_cache = Hashtbl.create 8 in
-  let pi_cache : (int, Experiment.prepared_input) Hashtbl.t =
-    Hashtbl.create 8
+  let with_pool f =
+    match pool with Some p -> f p | None -> Pool.with_pool ~jobs f
   in
-  let ff_cache : (int, Experiment.ff_input) Hashtbl.t = Hashtbl.create 8 in
-  let golden input =
-    match Hashtbl.find_opt golden_cache input with
-    | Some g -> g
-    | None ->
-      let g =
-        match executor with
-        | Checkpointed ->
-          let pi =
-            Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks
-              prepared ~input
-          in
-          Hashtbl.add pi_cache input pi;
-          pi.Experiment.pi_golden
-        | Fast_forward | Converge_pruned ->
-          let pi =
-            Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks
-              prepared ~input
-          in
-          let g = pi.Experiment.pi_golden in
-          let plan =
-            plan_for cfg cell w ~input
-              ~dyn_sites:g.Experiment.g_dyn_sites
-          in
-          Hashtbl.add ff_cache input
-            (Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks
-               prepared ~pi ~plan);
-          g
-        | Legacy ->
-          Experiment.golden_run ~hooks:(hooks ()) ~respect_masks prepared
-            ~input
-      in
-      Hashtbl.add golden_cache input g;
-      g
-  in
-  let timings =
-    match sink with Some s -> Trace.timings s | None -> false
-  in
-  let run_campaign c =
-    let exps =
-      Array.init cfg.experiments_per_campaign (fun e ->
-          Seed.experiment cell ~campaign:c ~experiment:e)
-    in
-    let inputs = Array.map (input_of w) exps in
-    (* Resolve this round's goldens in schedule order (cache insertion
-       order stays executor-independent), then execute. *)
-    Array.iter (fun i -> ignore (golden i)) inputs;
-    let dyn_sites_of i =
-      (Hashtbl.find golden_cache i).Experiment.g_dyn_sites
-    in
-    let order = execution_order executor exps inputs ~dyn_sites_of in
-    let results =
-      Array.make cfg.experiments_per_campaign (vacuous_benign, 0.0)
-    in
-    Array.iter
-      (fun e ->
-        let golden = Hashtbl.find golden_cache inputs.(e) in
-        let exec =
-          match executor with
-          | Checkpointed ->
-            Checkpointed_exec (Hashtbl.find_opt pi_cache inputs.(e))
-          | Fast_forward ->
-            Fast_forward_exec (Hashtbl.find_opt ff_cache inputs.(e))
-          | Converge_pruned ->
-            Converge_pruned_exec (Hashtbl.find_opt ff_cache inputs.(e))
-          | Legacy -> Paper_protocol
-        in
-        results.(e) <-
-          timed_experiment ~hooks ~respect_masks ?fault_kind ~exec
-            ~timings prepared ~golden exps.(e))
-      order;
-    let site_counts =
-      Array.map
-        (fun i -> (Hashtbl.find golden_cache i).Experiment.g_dyn_sites)
-        inputs
-    in
-    emit_experiments sink w target category ~campaign:c ~inputs
-      ~site_counts ~results;
-    Array.map fst results
-  in
-  let r =
-    finalize cfg cell prepared w target category
-      (protocol cfg ~run_campaign) golden_cache
-  in
-  (match sink with
-  | None -> ()
-  | Some s -> Trace.emit s (result_json ~detectors r));
-  r
-
-(* Parallel driver: fans each campaign's experiments out across a
-   domain pool. Because the seed schedule fixes every random choice up
-   front, the only coordination needed is resolving each campaign's
-   golden runs before the fan-out; results are gathered in experiment
-   order, making the outcome bit-identical to [run]. *)
-let run_parallel ?transform ?hooks
-    ?(respect_masks = true) ?fault_kind ?pool ?sink
-    ?(executor = Checkpointed) ~jobs (cfg : config)
-    (w : Workload.t) (target : Vir.Target.t)
-    (category : Analysis.Sites.category) : result =
-  let detectors = Option.is_some hooks in
-  let hooks = Option.value hooks ~default:no_hooks_factory in
-  let with_pool_ f =
-    match pool with
-    | Some p -> f p
-    | None -> Pool.with_pool ~jobs f
-  in
-  with_pool_ (fun pool ->
+  with_pool (fun pool ->
       let prepared = Experiment.prepare ?transform w target category in
       let cell = cell_of cfg w target category in
+      (* Golden runs are deterministic per input: each distinct input
+         is resolved once, for scheduling and accounting (site counts,
+         averages). *)
       let golden_cache = Hashtbl.create 8 in
-      (* Machines cannot be shared across domains, so the checkpointed
-         and fast-forward paths keep one prepared-input (resp.
-         ff-input) cache per pool worker (worker ids are stable and
-         never run two items at once — no locking). A worker that
-         first meets an input re-runs setup + golden — and on the
-         fast-forward path the checkpoint-laying replay, whose plan is
-         a pure function of the schedule, so every worker lays the
-         same checkpoints — for its own cache; the numbers are
-         deterministic, so this only costs time, never changes
-         results. Per-cell lifetime: the caches (and their machines)
-         die with this call. *)
-      let uses_pi = match executor with Legacy -> false | _ -> true in
-      let pi_caches : (int, Experiment.prepared_input) Hashtbl.t array =
-        Array.init
-          (if uses_pi then Pool.size pool else 0)
-          (fun _ -> Hashtbl.create 8)
-      in
-      let ff_caches : (int, Experiment.ff_input) Hashtbl.t array =
-        Array.init
-          (if uses_ff executor then Pool.size pool else 0)
-          (fun _ -> Hashtbl.create 8)
-      in
-      (* Build (and cache) worker [wid]'s prepared input, plus its laid
-         checkpoints on the fast-forward path. *)
-      let prepare_for wid input =
-        let pi =
-          Experiment.prepare_input ~hooks:(hooks ()) ~respect_masks
+      (* Machines cannot cross domains, so each worker keeps the faulty
+         halves of the inputs it has bound (worker ids are stable and
+         never run two items at once: no locking). A worker that first
+         meets an input binds it for itself — re-running setup, the
+         golden run and, on the fast-forward executors, the
+         checkpoint-laying replay, whose plan is a pure function of the
+         schedule, so every worker lays the same checkpoints. The
+         numbers are deterministic, so this only costs time, never
+         changes results. Per-cell lifetime: the halves (and their
+         machines) die with this call. *)
+      let halves = Array.init (Pool.size pool) (fun _ -> Hashtbl.create 8) in
+      let bind wid input =
+        let golden, half =
+          bind_input executor ~hooks ~respect_masks ?fault_kind cfg cell w
             prepared ~input
         in
-        Hashtbl.replace pi_caches.(wid) input pi;
-        if uses_ff executor then begin
-          let plan =
-            plan_for cfg cell w ~input
-              ~dyn_sites:pi.Experiment.pi_golden.Experiment.g_dyn_sites
-          in
-          Hashtbl.replace ff_caches.(wid) input
-            (Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks
-               prepared ~pi ~plan)
-        end;
-        pi
+        Hashtbl.replace halves.(wid) input half;
+        (golden, half)
       in
-      let pi_for wid input (golden : Experiment.golden) =
-        if golden.Experiment.g_dyn_sites = 0 then
-          (* vacuously benign: no faulty run will happen *)
-          None
-        else
-          match Hashtbl.find_opt pi_caches.(wid) input with
-          | Some pi -> Some pi
-          | None -> Some (prepare_for wid input)
-      in
-      let ff_for wid input (golden : Experiment.golden) =
-        if golden.Experiment.g_dyn_sites = 0 then None
-        else begin
-          (match Hashtbl.find_opt ff_caches.(wid) input with
-          | Some _ -> ()
-          | None -> ignore (prepare_for wid input));
-          Hashtbl.find_opt ff_caches.(wid) input
-        end
+      let half_for wid input =
+        match Hashtbl.find_opt halves.(wid) input with
+        | Some half -> half
+        | None -> snd (bind wid input)
       in
       let timings =
         match sink with Some s -> Trace.timings s | None -> false
@@ -698,54 +531,31 @@ let run_parallel ?transform ?hooks
         let fresh = Array.of_list (List.rev !fresh) in
         let goldens =
           Pool.map_with_worker pool
-            (fun wid input ->
-              if uses_pi then
-                (prepare_for wid input).Experiment.pi_golden
-              else
-                Experiment.golden_run ~hooks:(hooks ()) ~respect_masks
-                  prepared ~input)
+            (fun wid input -> fst (bind wid input) ())
             fresh
         in
         Array.iteri (fun k g -> Hashtbl.add golden_cache fresh.(k) g) goldens;
         (* The cache is read-only during the fan-out below. Workers
            only buffer (result, wall) pairs; the fan-out runs in
-           injection-sorted order on the fast-forward path and results
-           are un-permuted right after, so the buffered array — and
-           hence the sink, written from this (sequential) protocol
-           loop — is in experiment order at any -j. *)
+           injection-sorted order on the fast-forward executors and
+           results are un-permuted right after, so the buffered array —
+           and hence the sink, written from this protocol loop — is in
+           experiment order at any [jobs]. *)
         let dyn_sites_of i =
           (Hashtbl.find golden_cache i).Experiment.g_dyn_sites
         in
         let order = execution_order executor exps inputs ~dyn_sites_of in
         let fanned =
           Pool.map_with_worker pool
-            (fun wid e ->
-              let input = inputs.(e) in
-              let golden = Hashtbl.find golden_cache input in
-              let exec =
-                match executor with
-                | Checkpointed ->
-                  Checkpointed_exec (pi_for wid input golden)
-                | Fast_forward -> Fast_forward_exec (ff_for wid input golden)
-                | Converge_pruned ->
-                  Converge_pruned_exec (ff_for wid input golden)
-                | Legacy -> Paper_protocol
-              in
-              timed_experiment ~hooks ~respect_masks ?fault_kind ~exec
-                ~timings prepared ~golden exps.(e))
+            (fun wid e -> timed ~timings (half_for wid inputs.(e)) exps.(e))
             order
         in
         let results =
           Array.make cfg.experiments_per_campaign (vacuous_benign, 0.0)
         in
         Array.iteri (fun k e -> results.(e) <- fanned.(k)) order;
-        let site_counts =
-          Array.map
-            (fun i -> (Hashtbl.find golden_cache i).Experiment.g_dyn_sites)
-            inputs
-        in
         emit_experiments sink w target category ~campaign:c ~inputs
-          ~site_counts ~results;
+          ~site_counts:(Array.map dyn_sites_of inputs) ~results;
         Array.map fst results
       in
       let r =
@@ -766,6 +576,6 @@ let run_cells ?transform ?hooks ?respect_masks ?fault_kind ?sink
   Pool.with_pool ~jobs (fun pool ->
       List.map
         (fun (w, target, category) ->
-          run_parallel ?transform ?hooks ?respect_masks ?fault_kind ~pool
-            ?sink ?executor ~jobs cfg w target category)
+          run ?transform ?hooks ?respect_masks ?fault_kind ~pool ?sink
+            ?executor cfg w target category)
         cells)

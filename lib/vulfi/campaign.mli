@@ -112,8 +112,7 @@ type hooks_factory = unit -> Experiment.hooks
       ({!Interp.Machine.state_equal}); on a match it terminates
       immediately and splices the golden outcome, which is provably
       identical to running the suffix out (DESIGN.md, convergence
-      soundness). [VULFI_NO_PRUNE=1] degrades it to plain fast-forward
-      for cross-checks without changing any result or trace byte.
+      soundness).
 
     Detector cells run on every executor: detector firings are a
     machine counter ({!Interp.Machine.detections}) that checkpoints
@@ -129,17 +128,28 @@ val executor_name : executor -> string
 val effective_executor : detectors:bool -> executor -> executor
 
 (** [run cfg w target category] executes the campaign protocol for one
-    (workload, ISA, site-category) cell, sequentially. [transform]
-    pre-processes the module (e.g. detector insertion); [hooks] builds
-    per-run extra runtime; [respect_masks]/[fault_kind] select ablation
-    variants. All randomness follows the pure {!Seed} schedule: each
-    experiment's input, fault site and flipped bit are functions of
+    (workload, ISA, site-category) cell. [transform] pre-processes the
+    module (e.g. detector insertion); [hooks] builds per-run extra
+    runtime; [respect_masks]/[fault_kind] select ablation variants. All
+    randomness follows the pure {!Seed} schedule: each experiment's
+    input, fault site and flipped bit are functions of
     (cfg.seed, workload, target, category, campaign, experiment).
 
+    Each campaign's experiments fan out across a domain pool: [pool]
+    when given (amortising domain spawning across cells), else a fresh
+    pool of [jobs] workers (default 1, which spawns no domain and runs
+    on the calling one). The seed schedule makes the result
+    bit-identical at any [jobs]. Every worker binds the executor once
+    per input it meets and keeps that input's machines to itself —
+    machines cannot cross domains — while the shared golden table stays
+    schedule-deterministic; checkpoint plans are pure functions of the
+    schedule, so every worker lays identical checkpoints.
+
     [sink] receives one telemetry record per experiment — in
-    (campaign, experiment) order — plus the cell's summary record; with
-    a default (no-timings) sink the trace is byte-identical between
-    [run] and [run_parallel].
+    (campaign, experiment) order, emitted from the protocol loop while
+    workers only buffer — plus the cell's summary record; with a
+    default (no-timings) sink the trace is byte-identical at any
+    [jobs].
 
     [executor] (default [Checkpointed]) selects the {!executor}; all
     four are bit-identical — results, digests and traces — because
@@ -150,36 +160,10 @@ val run :
   ?hooks:hooks_factory ->
   ?respect_masks:bool ->
   ?fault_kind:Runtime.fault_kind ->
-  ?sink:Trace.sink ->
-  ?executor:executor ->
-  config ->
-  Workload.t ->
-  Vir.Target.t ->
-  Analysis.Sites.category ->
-  result
-
-(** [run_parallel ~jobs cfg w target category] is [run] with each
-    campaign's experiments fanned out across a domain pool; the seed
-    schedule makes the result bit-identical to [run]'s. An existing
-    [pool] can be supplied to amortise domain spawning across cells
-    (in which case [jobs] is only used if [pool] is absent). [sink]
-    records are emitted in experiment order from the protocol loop
-    (workers only buffer), so the trace too is bit-identical to a
-    sequential run's unless the sink asked for wall times. With the
-    [Checkpointed] and [Fast_forward] executors each worker keeps its
-    own prepared-input (and checkpoint) cache — machines cannot cross
-    domains — while the shared golden table stays
-    schedule-deterministic; checkpoint plans are pure functions of the
-    schedule, so every worker lays identical checkpoints. *)
-val run_parallel :
-  ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
-  ?hooks:hooks_factory ->
-  ?respect_masks:bool ->
-  ?fault_kind:Runtime.fault_kind ->
   ?pool:Pool.t ->
   ?sink:Trace.sink ->
   ?executor:executor ->
-  jobs:int ->
+  ?jobs:int ->
   config ->
   Workload.t ->
   Vir.Target.t ->
@@ -189,7 +173,7 @@ val run_parallel :
 (** [run_cells ~jobs cfg cells] runs a list of
     (workload, target, category) cells over one shared domain pool —
     the shape of a Fig 11 / Table II sweep — returning results in cell
-    order, each bit-identical to a sequential [run] of that cell. *)
+    order, each bit-identical to a one-job [run] of that cell. *)
 val run_cells :
   ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
   ?hooks:hooks_factory ->

@@ -29,19 +29,6 @@ let fusion_enabled =
     | Some ("1" | "true" | "yes") -> false
     | _ -> true)
 
-(* Convergence pruning inside the converge-pruned executor: terminate a
-   faulty run at the first post-injection checkpoint site whose machine
-   state matches the golden run's, splicing the golden outcome. Pure
-   throughput — results and traces are identical either way — so it is
-   on by default; [VULFI_NO_PRUNE=1] degrades [faulty_run_pruned] to
-   the plain fast-forward path for cross-checks, mirroring
-   [VULFI_NO_FUSION]. *)
-let prune_enabled =
-  ref
-    (match Sys.getenv_opt "VULFI_NO_PRUNE" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
 (* Build, select fault sites for [category], instrument, verify and
    compile a workload. [transform] optionally rewrites the module
    before instrumentation (used to insert error detectors). Fusion
@@ -250,8 +237,8 @@ let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
    Determinism is preserved because checkpoint *placement* is a pure
    function of the seed schedule: every experiment's dynamic site is
    computable upfront from (seed, workload, target, category,
-   campaign, experiment) before anything runs, so sequential and
-   parallel drivers derive the identical plan. *)
+   campaign, experiment) before anything runs, so every pool worker,
+   at any job count, derives the identical plan. *)
 
 (* Cap on checkpoints per (cell, input): bounds the retained memory
    images while keeping one checkpoint per distinct scheduled site for
@@ -467,10 +454,9 @@ exception Converged
 
 (* Converge-pruned variant of [faulty_run_ff]: identical resume /
    fresh-start selection, but the executed portion runs under
-   convergence checks. Delegates to the plain fast-forward path when
-   pruning is disabled or no checkpoint site lies after the injection
-   (nothing could ever match, so tracked stepping would be pure
-   overhead). *)
+   convergence checks. Delegates to the plain fast-forward path when no
+   checkpoint site lies after the injection (nothing could ever match,
+   so tracked stepping would be pure overhead). *)
 let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
     ?fault_kind (p : prepared) ~(ff : ff_input) ~dynamic_site ~seed :
     run_result =
@@ -480,7 +466,7 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
      lies strictly after the injection — the only sites where
      re-convergence with the golden run can be detected *)
   let best = resume_point cks dynamic_site in
-  if (not !prune_enabled) || best + 1 >= ncks then
+  if best + 1 >= ncks then
     faulty_run_ff ~hooks ~respect_masks ?fault_kind p ~ff ~dynamic_site
       ~seed
   else begin

@@ -28,14 +28,6 @@ type prepared = {
     fused against unfused runs. *)
 val fusion_enabled : bool ref
 
-(** Whether {!faulty_run_pruned} actually prunes. Pruning only splices
-    outcomes that are provably identical to running the suffix out, so
-    results and traces are byte-identical with it on or off; it
-    defaults to [true]. Set [VULFI_NO_PRUNE=1] (read at startup) or
-    clear the ref to degrade the converge-pruned executor to plain
-    fast-forward for cross-checks, mirroring {!fusion_enabled}. *)
-val prune_enabled : bool ref
-
 (** [prepare ?transform w target category] builds the workload module,
     applies [transform] (e.g. detector insertion), selects the fault
     sites of [category], instruments and compiles (annotating fusion
@@ -208,8 +200,8 @@ val faulty_run_ff :
     classification, with early termination at the first post-injection
     checkpoint site whose state matches the golden run's. Bit-identical
     to {!faulty_run} on the same (input, dynamic_site, seed). Delegates
-    to {!faulty_run_ff} when {!prune_enabled} is false or no checkpoint
-    site lies after [dynamic_site]. *)
+    to {!faulty_run_ff} when no checkpoint site lies after
+    [dynamic_site]. *)
 val faulty_run_pruned :
   ?hooks:hooks ->
   ?respect_masks:bool ->

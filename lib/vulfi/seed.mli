@@ -8,8 +8,8 @@
       independent streams (previously every cell of a workload shared
       one RNG stream, correlating the paper's per-cell samples), and
     - an experiment's randomness is independent of execution order,
-      which is what lets {!Campaign.run_parallel} produce bit-identical
-      results to the sequential driver. *)
+      which is what lets {!Campaign.run} produce bit-identical results
+      at any [jobs]. *)
 
 (** The derived key of one (seed, workload, target, category) cell. *)
 type cell

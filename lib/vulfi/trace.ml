@@ -3,12 +3,12 @@
 
     Determinism contract: with [timings] off (the default) every record
     is a pure function of the campaign configuration and the seed
-    schedule, so the trace produced by [Campaign.run] is byte-identical
-    to the one produced by [Campaign.run_parallel] at any [-j N]. The
-    drivers guarantee ordering — workers buffer their results and the
-    (sequential) protocol loop emits them in experiment order. Per-
-    experiment wall time is inherently nondeterministic, so it is an
-    opt-in sink feature ([timings:true]) rather than a default field. *)
+    schedule, so the trace [Campaign.run] produces is byte-identical at
+    any [jobs]. The driver guarantees ordering — workers buffer their
+    results and the (sequential) protocol loop emits them in experiment
+    order. Per-experiment wall time is inherently nondeterministic, so
+    it is an opt-in sink feature ([timings:true]) rather than a default
+    field. *)
 
 (* v2 added the checkpointing counters [golden_runs]/[golden_reused] to
    the summary record; v3 added the fast-forward counters

@@ -1041,7 +1041,7 @@ let test_campaign_executors_parallel_match () =
   in
   let r_ckpt, tr_ckpt =
     trace_of (fun sink ->
-        Vulfi.Campaign.run_parallel ~sink
+        Vulfi.Campaign.run ~sink
           ~executor:Vulfi.Campaign.Checkpointed ~jobs:4 tiny_config w
           Vir.Target.Sse Analysis.Sites.Address)
   in
@@ -1052,7 +1052,7 @@ let test_campaign_executors_parallel_match () =
   in
   let r_ff_par, tr_ff_par =
     trace_of (fun sink ->
-        Vulfi.Campaign.run_parallel ~sink
+        Vulfi.Campaign.run ~sink
           ~executor:Vulfi.Campaign.Fast_forward ~jobs:4 tiny_config w
           Vir.Target.Sse Analysis.Sites.Address)
   in
@@ -1063,7 +1063,7 @@ let test_campaign_executors_parallel_match () =
   in
   let r_pr_par, tr_pr_par =
     trace_of (fun sink ->
-        Vulfi.Campaign.run_parallel ~sink
+        Vulfi.Campaign.run ~sink
           ~executor:Vulfi.Campaign.Converge_pruned ~jobs:4 tiny_config w
           Vir.Target.Sse Analysis.Sites.Address)
   in
@@ -1097,15 +1097,9 @@ let test_campaign_executors_match_with_detectors () =
         let buf = Buffer.create 4096 in
         let sink = Vulfi.Trace.to_buffer buf in
         let r =
-          match jobs with
-          | None ->
-            Vulfi.Campaign.run ~transform:detector_transform
-              ~hooks:Detectors.Runtime.hooks ~sink ~executor tiny_config w
-              Vir.Target.Avx category
-          | Some jobs ->
-            Vulfi.Campaign.run_parallel ~transform:detector_transform
-              ~hooks:Detectors.Runtime.hooks ~sink ~executor ~jobs tiny_config
-              w Vir.Target.Avx category
+          Vulfi.Campaign.run ~transform:detector_transform
+            ~hooks:Detectors.Runtime.hooks ~sink ~executor ?jobs tiny_config w
+            Vir.Target.Avx category
         in
         Vulfi.Trace.close sink;
         (r, Buffer.contents buf)
@@ -1156,6 +1150,51 @@ let test_effective_executor () =
                (Vulfi.Campaign.effective_executor ~detectors e)))
         Vulfi.Campaign.[ Legacy; Checkpointed; Fast_forward; Converge_pruned ])
     [ false; true ]
+
+(* [Legacy] stays the literal §IV-B protocol under the one driver: at
+   one job it builds a fresh profiling machine and a fresh faulty
+   machine per experiment, on top of the one golden run per input,
+   while the other executors bind each input once and then build only
+   the faulty run's machine state. Results are identical by design, so
+   only a counting hooks factory can tell the protocols apart. *)
+let test_hooks_per_executor () =
+  let w = vcopy_workload [ 8; 16; 19 ] in
+  let category = Analysis.Sites.Pure_data in
+  let prepared = Vulfi.Experiment.prepare w Vir.Target.Avx category in
+  for input = 0 to w.Vulfi.Workload.w_inputs - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "input %d has live sites" input)
+      true
+      ((Vulfi.Experiment.golden_run prepared ~input).Vulfi.Experiment
+         .g_dyn_sites > 0)
+  done;
+  List.iter
+    (fun (executor, per_input, per_experiment) ->
+      let calls = Atomic.make 0 in
+      let hooks () =
+        Atomic.incr calls;
+        Vulfi.Experiment.no_hooks
+      in
+      let r =
+        Vulfi.Campaign.run ~hooks ~executor ~jobs:1 tiny_config w
+          Vir.Target.Avx category
+      in
+      let inputs = r.Vulfi.Campaign.c_golden_runs in
+      let exps = r.Vulfi.Campaign.c_totals.Vulfi.Campaign.n_experiments in
+      Alcotest.(check bool) "several inputs drawn" true (inputs > 1);
+      check Alcotest.int
+        (Printf.sprintf "%s: hooks built (%d inputs, %d experiments)"
+           (Vulfi.Campaign.executor_name executor)
+           inputs exps)
+        ((per_input * inputs) + (per_experiment * exps))
+        (Atomic.get calls))
+    Vulfi.Campaign.
+      [
+        (Legacy, 1, 2);
+        (Checkpointed, 1, 1);
+        (Fast_forward, 2, 1);
+        (Converge_pruned, 2, 1);
+      ]
 
 (* ---------------- stats + progress-line edges ---------------- *)
 
@@ -1250,6 +1289,8 @@ let () =
             test_campaign_executors_match_with_detectors;
           Alcotest.test_case "effective executor under detectors" `Quick
             test_effective_executor;
+          Alcotest.test_case "legacy stays literal (hooks per executor)"
+            `Quick test_hooks_per_executor;
         ] );
       ( "stats",
         [

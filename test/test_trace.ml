@@ -214,7 +214,7 @@ let test_trace_parallel_byte_identical () =
   let buf = Buffer.create 4096 in
   let sink = Trace.to_buffer buf in
   let _ =
-    Campaign.run_parallel ~sink ~jobs:4 tiny_config w Vir.Target.Avx
+    Campaign.run ~sink ~jobs:4 tiny_config w Vir.Target.Avx
       Analysis.Sites.Control
   in
   Trace.close sink;

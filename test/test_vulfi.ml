@@ -617,7 +617,7 @@ let test_parallel_matches_sequential () =
           Analysis.Sites.Pure_data
       in
       let par =
-        Campaign.run_parallel ~jobs:4 Campaign.quick_config w Vir.Target.Avx
+        Campaign.run ~jobs:4 Campaign.quick_config w Vir.Target.Avx
           Analysis.Sites.Pure_data
       in
       check result_t (name ^ ": parallel == sequential") seq par)
@@ -635,7 +635,7 @@ let test_parallel_matches_sequential_with_detectors () =
       Vir.Target.Avx Analysis.Sites.Control
   in
   let par =
-    Campaign.run_parallel ~transform ~hooks:Detectors.Runtime.hooks ~jobs:4
+    Campaign.run ~transform ~hooks:Detectors.Runtime.hooks ~jobs:4
       tiny_config w Vir.Target.Avx Analysis.Sites.Control
   in
   check result_t "detector campaign parallel == sequential" seq par
