@@ -9,7 +9,8 @@
      speedup           — sequential vs parallel campaign wall-clock
      timing            — Bechamel wall-clock benches
 
-     campaign          legacy vs checkpointed vs fast-forward throughput
+     campaign          throughput of the four executors (legacy,
+                       checkpointed, fast-forward, converge-pruned)
 
    Default (no argument): everything at "quick" scale. Flags:
      -j N                     run campaigns on N domains (default 1)
@@ -17,8 +18,9 @@
      --legacy-executor        paper-literal two-runs-per-experiment protocol
      --ff-executor            fast-forward executor (checkpoint + resume)
      --prune-executor         converge-pruned executor (fast-forward + early
-                              termination at golden-state re-convergence);
-                              conflicts with --legacy-executor
+                              termination at golden-state re-convergence)
+   The three executor flags conflict pairwise (exit 2); without one,
+   campaigns run on the checkpointed executor.
    Environment:
      VULFI_SCALE=paper        paper-scale campaigns (hours)
      VULFI_EXPERIMENTS=N      experiments per campaign override
@@ -77,9 +79,10 @@ let executor = ref Vulfi.Campaign.Checkpointed
    campaign the harness runs. *)
 let the_sink : Vulfi.Trace.sink option ref = ref None
 
-let campaign_run ?transform ?hooks cfg w target category =
-  Vulfi.Campaign.run ?transform ?hooks ?sink:!the_sink ~executor:!executor
-    ~jobs:!jobs cfg w target category
+let campaign_run ?transform ?hooks ?respect_masks ?fault_kind cfg w target
+    category =
+  Vulfi.Campaign.run ?transform ?hooks ?respect_masks ?fault_kind
+    ?sink:!the_sink ~executor:!executor ~jobs:!jobs cfg w target category
 
 (* Machine-readable export of a figure's campaign cells. *)
 let write_results_json path ~figure (cfg : Vulfi.Campaign.config)
@@ -392,8 +395,8 @@ let ablation () =
   List.iter
     (fun (label, respect) ->
       let r =
-        Vulfi.Campaign.run ~respect_masks:respect cfg tiny_vcopy
-          Vir.Target.Avx Analysis.Sites.Pure_data
+        campaign_run ~respect_masks:respect cfg tiny_vcopy Vir.Target.Avx
+          Analysis.Sites.Pure_data
       in
       Printf.printf "%-24s SDC %5.1f%%  benign %5.1f%%  crash %5.1f%%\n"
         label
@@ -460,7 +463,7 @@ let ablation () =
   List.iter
     (fun kind ->
       let r =
-        Vulfi.Campaign.run ~fault_kind:kind cfg wbs Vir.Target.Avx
+        campaign_run ~fault_kind:kind cfg wbs Vir.Target.Avx
           Analysis.Sites.Pure_data
       in
       Printf.printf "%-16s SDC %5.1f%%  benign %5.1f%%  crash %5.1f%%\n"
@@ -1032,6 +1035,8 @@ let () =
   (* peel "-j N" / "--trace FILE" off the argument list; the rest are
      experiment names *)
   let trace_path = ref None in
+  (* the executor flag seen so far: a second, different one is refused *)
+  let executor_flag = ref None in
   let rec parse_args acc = function
     | [] -> List.rev acc
     | "-j" :: n :: rest -> (
@@ -1051,24 +1056,19 @@ let () =
     | "--trace" :: [] ->
       Printf.eprintf "--trace expects a file name\n";
       exit 2
-    | "--legacy-executor" :: rest ->
-      if !executor = Vulfi.Campaign.Converge_pruned then begin
-        Printf.eprintf
-          "--legacy-executor and --prune-executor are mutually exclusive\n";
+    | ("--legacy-executor" | "--ff-executor" | "--prune-executor") as flag
+      :: rest ->
+      (match !executor_flag with
+      | Some other when other <> flag ->
+        Printf.eprintf "%s and %s are mutually exclusive\n" other flag;
         exit 2
-      end;
-      executor := Vulfi.Campaign.Legacy;
-      parse_args acc rest
-    | "--ff-executor" :: rest ->
-      executor := Vulfi.Campaign.Fast_forward;
-      parse_args acc rest
-    | "--prune-executor" :: rest ->
-      if !executor = Vulfi.Campaign.Legacy then begin
-        Printf.eprintf
-          "--legacy-executor and --prune-executor are mutually exclusive\n";
-        exit 2
-      end;
-      executor := Vulfi.Campaign.Converge_pruned;
+      | _ -> ());
+      executor_flag := Some flag;
+      executor :=
+        (match flag with
+        | "--legacy-executor" -> Vulfi.Campaign.Legacy
+        | "--ff-executor" -> Vulfi.Campaign.Fast_forward
+        | _ -> Vulfi.Campaign.Converge_pruned);
       parse_args acc rest
     | "--no-fusion" :: rest ->
       Vulfi.Experiment.fusion_enabled := false;

@@ -132,8 +132,6 @@ and skind =
               dead slots hold unrelated garbage and must be skipped) *)
     }
   | Kextern of {
-      x_slot : int;
-      x_gs : tgetter array;
       x_live : int array;
           (** registers live before the call (including its arguments):
               the frame slots a checkpoint saves and a convergence check
@@ -183,6 +181,9 @@ and state = {
       (** detector firings, bumped by the detector extern handlers. A
           dynamic counter like the two above: checkpoints save it,
           resumes restore it and convergence checks compare it. *)
+  mutable sites : int;
+      (** live dynamic fault sites, bumped by the fault-injection
+          extern handler; a dynamic counter like [detections] *)
   mutable depth : int;  (** current call depth; reset per [run] *)
   mutable regs : Vvalue.t array;
       (** register frame of the running activation. Threaded closures
@@ -441,12 +442,12 @@ type checkpoint = {
   ck_spent : int;  (** [budget0 - fuel] at capture *)
   ck_vec : int;  (** [dyn_vector] at capture *)
   ck_detections : int;  (** [detections] at capture *)
+  ck_sites : int;  (** [sites] at capture *)
 }
 
 (* Fired before each extern call of an attached run with the shadow
-   stack (innermost activation first), the callee's extern slot and the
-   argument values; [false] detaches the run. *)
-type check = state -> tracked_frame list -> slot:int -> Vvalue.t list -> bool
+   stack (innermost activation first); [false] detaches the run. *)
+type check = state -> tracked_frame list -> bool
 
 (* The machine state at the position [stack] describes: the memory
    image (through {!Memory.snapshot}'s dirty-span machinery), deep
@@ -494,25 +495,28 @@ let capture (st : state) (stack : tracked_frame list) : checkpoint =
     ck_spent = st.budget0 - st.fuel;
     ck_vec = st.dyn_vector;
     ck_detections = st.detections;
+    ck_sites = st.sites;
   }
 
 (* Exact machine-state comparison against a checkpoint, restricted to
    what can influence the continuation: the dynamic counters (detector
-   firings included), the call stack's (function, block, instruction)
-   positions, the live registers of each interrupted position — the
-   ones [capture] saved; dead slots of pooled frames hold garbage from
-   unrelated runs — and memory over the union of the golden run's
-   accumulated dirty spans [since] and the faulty run's own live dirty
-   spans (every byte outside both is untouched since the shared
-   post-setup image). Equality here implies the two executions complete
-   identically: the continuation reads only live registers, compared
-   memory, and the counters — and fault injectors past the injection
-   site never modify values or draw randomness. *)
+   firings and fault sites included), the call stack's (function,
+   block, instruction) positions, the live registers of each
+   interrupted position — the ones [capture] saved; dead slots of
+   pooled frames hold garbage from unrelated runs — and memory over
+   the union of the golden run's accumulated dirty spans [since] and
+   the faulty run's own live dirty spans (every byte outside both is
+   untouched since the shared post-setup image). Equality here implies
+   the two executions complete identically: the continuation reads
+   only live registers, compared memory, and the counters — and fault
+   injectors past the injection site never modify values or draw
+   randomness. *)
 let state_equal (st : state) (stack : tracked_frame list)
     (ck : checkpoint) ~(since : Memory.spans) : bool =
   st.budget0 - st.fuel = ck.ck_spent
   && st.dyn_vector = ck.ck_vec
   && st.detections = ck.ck_detections
+  && st.sites = ck.ck_sites
   &&
   let frame_eq (tf : tracked_frame) (fc : frame_ckpt) =
     tf.tf_func == fc.fc_func
@@ -556,7 +560,7 @@ let exec_resumable (st : state) ?(check : check option) (entry : entry) :
     Vvalue.t option =
   (* the detach latch, shared by every activation of the run *)
   let live = ref (Option.is_some check) in
-  let check = Option.value check ~default:(fun _ _ ~slot:_ _ -> false) in
+  let check = Option.value check ~default:(fun _ _ -> false) in
   let stack = ref [] in
   (* Run activation [tf] to its return: from block 0 when [at < 0],
      else from step [at] of its current block (no phi moves). *)
@@ -576,9 +580,8 @@ let exec_resumable (st : state) ?(check : check option) (entry : entry) :
         let s = Array.unsafe_get steps !k in
         (match s.s_kind with
         | Kplain -> s.s_exec st
-        | Kextern { x_slot; x_gs; _ } ->
-          let args = Array.to_list (Array.map (fun g -> g regs) x_gs) in
-          if not (check st !stack ~slot:x_slot args) then live := false;
+        | Kextern _ ->
+          if not (check st !stack) then live := false;
           s.s_exec st
         | Kcall { k_target; k_gs; k_dst; k_chg; _ } ->
           (* Mirrors the direct-call closure built by [thread_call]
@@ -648,6 +651,7 @@ let exec_resumable (st : state) ?(check : check option) (entry : entry) :
     st.fuel <- budget - ck.ck_spent;
     st.dyn_vector <- ck.ck_vec;
     st.detections <- ck.ck_detections;
+    st.sites <- ck.ck_sites;
     let tfs =
       Array.map
         (fun fc ->
@@ -1478,13 +1482,7 @@ let step_kind (cm : cmodule) (ci : cinstr) ~(live_before : int array)
     | None -> (
       match Vir.Intrinsics.lookup callee with
       | Some _ -> Kplain
-      | None ->
-        Kextern
-          {
-            x_slot = Hashtbl.find cm.extern_index callee;
-            x_gs = Array.map getter ci.ops;
-            x_live = live_before;
-          }))
+      | None -> Kextern { x_live = live_before }))
   | _ -> Kplain
 
 (* Per-predecessor parallel phi move: each phi charges one dynamic

@@ -25,6 +25,7 @@ let create ?(budget = default_budget) ?(max_depth = 512)
     fuel = budget;
     dyn_vector = 0;
     detections = 0;
+    sites = 0;
     depth = 0;
     regs = [||];
     frames = Array.make (max_depth + 1) [||];
@@ -35,20 +36,14 @@ let create ?(budget = default_budget) ?(max_depth = 512)
 (* Re-arm an existing machine for another run: counters and budget come
    back to their just-created values while the expensive structures
    (memory image, frame pool, extern slots) are kept. Memory contents
-   are NOT touched — pair with [Memory.restore] to roll those back.
-
-   [spent] pre-charges the epoch: [dyn_count] right after the reset
-   reads [spent] instead of 0. The executed count is derived
-   ([budget0 - fuel]), so a mid-epoch [reset ~budget] used to silently
-   rebase it to 0 — callers that re-arm the budget while crediting an
-   already-executed prefix (the fast-forward resume path) pass the
-   prefix length here and [dyn_count] stays an honest total. *)
-let reset ?budget ?(spent = 0) (st : state) =
+   are NOT touched — pair with [Memory.restore] to roll those back. *)
+let reset ?budget (st : state) =
   let b = match budget with Some b -> b | None -> st.Compile.budget0 in
   st.Compile.budget0 <- b;
-  st.Compile.fuel <- b - spent;
+  st.Compile.fuel <- b;
   st.Compile.dyn_vector <- 0;
   st.Compile.detections <- 0;
+  st.Compile.sites <- 0;
   st.Compile.depth <- 0;
   st.Compile.regs <- [||]
 
@@ -75,6 +70,12 @@ let detections (st : state) = st.Compile.detections
 
 let record_detection (st : state) =
   st.Compile.detections <- st.Compile.detections + 1
+
+(* Live fault sites: a machine counter for the same reason, so a resumed
+   run counts on from its prefix's sites. *)
+let sites (st : state) = st.Compile.sites
+
+let record_site (st : state) = st.Compile.sites <- st.Compile.sites + 1
 
 (* Lane evaluators re-exported for the constant folder and the reference
    SPMD evaluator; the semantics live in {!Eval}. *)
@@ -123,15 +124,9 @@ let run (st : state) name (args : Vvalue.t list) : Vvalue.t option =
 
 type checkpoint = Compile.checkpoint
 
-(* The extern slot a callee name was compiled to, if any call site
-   references it. Lets checks compare slots (ints) instead of names on
-   the tracked path. *)
-let extern_slot (st : state) name =
-  Hashtbl.find_opt st.Compile.code.Compile.extern_index name
-
 type stack_view = Compile.tracked_frame list
 
-type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
+type check = state -> stack_view -> bool
 
 (* Capture the machine at the position a [check] sees: before the
    pending extern call, which a resume re-executes. Only live registers
@@ -139,7 +134,7 @@ type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
 let checkpoint = Compile.capture
 
 (* Exact machine-state equality against a golden checkpoint captured at
-   the same dynamic site: counters, call-stack positions, live
+   the same position: counters, call-stack positions, live
    registers, and memory restricted to the union of [since] (the golden
    run's accumulated dirty spans up to the checkpoint) and this
    machine's own live dirty spans. [true] implies the continuation of

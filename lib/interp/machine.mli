@@ -16,17 +16,11 @@ val create : ?budget:int -> ?max_depth:int -> Compile.cmodule -> state
 
 (** Re-arm an existing machine for another run: resets the fuel budget
     (to [budget] when given, else to the machine's current budget) and
-    the dynamic counters (detections included), while keeping the
-    compiled code, memory, frame pool and extern registrations. Memory
-    {e contents} are not touched — pair with {!Memory.restore} to roll
-    those back.
-
-    [spent] (default 0) pre-charges the new epoch: {!dyn_count}
-    immediately after the reset reads [spent]. Pass the length of an
-    already-executed prefix when re-arming the budget mid-run, so a
-    mid-epoch [reset ~budget] cannot silently rebase the executed
-    count to zero. *)
-val reset : ?budget:int -> ?spent:int -> state -> unit
+    the dynamic counters (detections and fault sites included), while
+    keeping the compiled code, memory, frame pool and extern
+    registrations. Memory {e contents} are not touched — pair with
+    {!Memory.restore} to roll those back. *)
+val reset : ?budget:int -> state -> unit
 
 (** Register (or replace) a handler for calls to an undefined function.
     The handler returns [None] for void functions. *)
@@ -52,6 +46,17 @@ val detections : state -> int
     the machine they are invoked with. *)
 val record_detection : state -> unit
 
+(** Live dynamic fault sites counted since the machine was created or
+    last {!reset}: the fault-injection extern handler bumps it once per
+    live lane it sees. A dynamic counter like {!detections}: a
+    {!checkpoint} saves it, {!resume} restores it and {!state_equal}
+    compares it, so a resumed run counts on from its prefix's sites. *)
+val sites : state -> int
+
+(** Record one live fault site; the fault-injection extern handler
+    calls this on the machine it is invoked with. *)
+val record_site : state -> unit
+
 (** Lane evaluators, exposed for reuse by constant folding and the
     reference SPMD evaluator so semantics cannot drift. *)
 
@@ -73,37 +78,33 @@ val run : state -> string -> Vvalue.t list -> Vvalue.t option
     One resumable tracked driver serves the fast-forward and
     converge-pruned executors. A tracked run offers every extern call,
     before it executes, to a {!check} callback together with the shadow
-    call stack. A check can capture a {!checkpoint} there (memory image,
-    the live registers of each activation, call stack positions,
-    dynamic counters) — the checkpoint-laying golden replay — or
-    compare the machine against a golden checkpoint with {!state_equal}
-    and raise to terminate the run — convergence pruning. Faulty runs
-    {!resume} from the nearest checkpoint at or before their injection
-    site, so only the post-injection suffix executes. *)
+    call stack. A check reads whatever it needs off the machine (its
+    {!sites} counter above all) and can capture a {!checkpoint} there
+    (memory image, the live registers of each activation, call stack
+    positions, dynamic counters) — the checkpoint-laying golden replay
+    — or compare the machine against a golden checkpoint with
+    {!state_equal} and raise to terminate the run — convergence
+    pruning. Faulty runs {!resume} from the nearest checkpoint at or
+    before their injection site, so only the post-injection suffix
+    executes. *)
 
 (** A machine-state checkpoint. It aliases the frame pool of the
     machine that captured it: resume it only on that machine. Its
     representation is exposed for white-box tests only. *)
 type checkpoint = Compile.checkpoint
 
-(** The extern slot index a callee name was compiled to, or [None] if
-    no call site references it. Checks compare these dense ints
-    instead of names. *)
-val extern_slot : state -> string -> int option
-
 (** The shadow call stack at a check point (innermost activation
     first); opaque outside {!checkpoint} and {!state_equal}. *)
 type stack_view
 
 (** Callback fired before each extern call of a tracked run, with the
-    machine, the current shadow stack, the callee's extern slot and the
-    argument values (register-buffer aliases — copy to retain). It may
-    terminate the run by raising. The return value says whether a
-    future call could still matter: the first [false] detaches the run
-    — tracking stops and the remaining suffix executes at full speed
-    through the fused kernels, with no further checks. Detaching is
-    purely physical; the run's results are unchanged. *)
-type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
+    machine and the current shadow stack. It may terminate the run by
+    raising. The return value says whether a future call could still
+    matter: the first [false] detaches the run — tracking stops and the
+    remaining suffix executes at full speed through the fused kernels,
+    with no further checks. Detaching is purely physical; the run's
+    results are unchanged. *)
+type check = state -> stack_view -> bool
 
 (** [checkpoint st stack] captures the machine inside a {!check}: the
     checkpoint sits before the pending extern call, which therefore
@@ -113,8 +114,8 @@ type check = state -> stack_view -> slot:int -> Vvalue.t list -> bool
 val checkpoint : state -> stack_view -> checkpoint
 
 (** [state_equal st stack ck ~since] — exact equality of the running
-    machine against checkpoint [ck] (captured by the same machine at
-    the same dynamic site): dynamic counters (detections included),
+    machine against checkpoint [ck] (captured by the same machine):
+    dynamic counters (detections and fault sites included),
     call-stack positions, the live registers of each interrupted
     activation, and memory compared only over the union of [since]
     (the golden run's accumulated dirty spans up to [ck]) and this
@@ -135,9 +136,10 @@ val run_tracked :
     counters and live registers roll back (every other frame slot is
     written before it is read), the recorded call stack is
     re-entered, and execution continues from the checkpointed extern
-    call. [budget] re-arms the fuel epoch as [reset ~budget] would;
-    {!dyn_count} afterwards reads prefix + suffix, exactly what a
-    fresh run to the same point would report. Without [check] the
+    call. [budget] re-arms the fuel epoch with the checkpoint's prefix
+    already charged against it: {!dyn_count} afterwards reads prefix +
+    suffix, exactly what a fresh run under [budget] would report, and
+    traps exactly where that run would. Without [check] the
     suffix runs at full speed; with one, tracked as in {!run_tracked}.
     Returns a deep copy of the function result, like {!run}.
     @raise Trap.Trap on a crash in the resumed suffix. *)

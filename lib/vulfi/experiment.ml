@@ -64,17 +64,21 @@ type golden = {
 
 exception Golden_run_failed of string
 
-(* Fault-free profiling run. [respect_masks:false] reproduces a
-   mask-oblivious injector for the ablation study. *)
-let golden_run ?(hooks = no_hooks) ?(respect_masks = true) (p : prepared)
-    ~input : golden =
-  let rt = Runtime.create ~respect_masks Runtime.Profile in
+(* A fresh machine for the fault-free profiling run on [input]: a
+   profiling runtime and the hooks attached, then [w_setup] applied.
+   [respect_masks:false] reproduces a mask-oblivious injector for the
+   ablation study. *)
+let profiling_machine ~hooks ~respect_masks (p : prepared) ~input =
   let st = Interp.Machine.create p.p_code in
-  Runtime.attach rt st;
+  Runtime.attach (Runtime.create ~respect_masks Runtime.Profile) st;
   hooks.h_attach st;
-  let args, read_output =
-    p.p_workload.Workload.w_setup ~input st
-  in
+  let args, read_output = p.p_workload.Workload.w_setup ~input st in
+  (st, args, read_output)
+
+(* Run the profiling machine to completion and read the golden record
+   off it: sites, instructions and detections are all machine
+   counters. *)
+let profile (p : prepared) ~input st args read_output : golden =
   (match Interp.Machine.run st p.p_workload.Workload.w_fn args with
   | _ -> ()
   | exception Interp.Trap.Trap k ->
@@ -85,10 +89,18 @@ let golden_run ?(hooks = no_hooks) ?(respect_masks = true) (p : prepared)
   {
     g_input = input;
     g_output = read_output ();
-    g_dyn_sites = Runtime.dynamic_sites rt;
+    g_dyn_sites = Interp.Machine.sites st;
     g_dyn_instrs = Interp.Machine.dyn_count st;
     g_detected = Interp.Machine.detections st > 0;
   }
+
+(* Fault-free profiling run. *)
+let golden_run ?(hooks = no_hooks) ?(respect_masks = true) (p : prepared)
+    ~input : golden =
+  let st, args, read_output =
+    profiling_machine ~hooks ~respect_masks p ~input
+  in
+  profile p ~input st args read_output
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointed execution. Per (cell, input) the legacy path repeats
@@ -113,34 +125,18 @@ type prepared_input = {
   pi_read_output : unit -> Outcome.output;
 }
 
-(* One-time stage: setup, snapshot, golden run. Mirrors [golden_run]
-   exactly (same machine construction and attach order) so the golden
-   numbers are identical; the snapshot is taken between setup and the
-   profiling run so every later restore lands on the post-setup image. *)
+(* One-time stage: setup, snapshot, golden run — [golden_run] on the
+   same machine and reader, with the snapshot taken between setup and
+   the profiling run so every later restore lands on the post-setup
+   image. *)
 let prepare_input ?(hooks = no_hooks) ?(respect_masks = true)
     (p : prepared) ~input : prepared_input =
-  let rt = Runtime.create ~respect_masks Runtime.Profile in
-  let st = Interp.Machine.create p.p_code in
-  Runtime.attach rt st;
-  hooks.h_attach st;
-  let args, read_output = p.p_workload.Workload.w_setup ~input st in
+  let st, args, read_output =
+    profiling_machine ~hooks ~respect_masks p ~input
+  in
   let snap = Interp.Memory.snapshot (Interp.Machine.memory st) in
-  (match Interp.Machine.run st p.p_workload.Workload.w_fn args with
-  | _ -> ()
-  | exception Interp.Trap.Trap k ->
-    raise
-      (Golden_run_failed
-         (Printf.sprintf "%s input %d: %s" p.p_workload.Workload.w_name
-            input (Interp.Trap.to_string k))));
   {
-    pi_golden =
-      {
-        g_input = input;
-        g_output = read_output ();
-        g_dyn_sites = Runtime.dynamic_sites rt;
-        g_dyn_instrs = Interp.Machine.dyn_count st;
-        g_detected = Interp.Machine.detections st > 0;
-      };
+    pi_golden = profile p ~input st args read_output;
     pi_machine = st;
     pi_snapshot = snap;
     pi_args = args;
@@ -161,6 +157,20 @@ type run_result = {
    their classifications. *)
 let fault_budget (golden : golden) = (golden.g_dyn_instrs * 10) + 10_000
 
+(* The record of a faulty run that ran out on [st]: its outputs (or
+   trap) classified against the golden run's, the counters read off
+   the machine. Shared by every executor. *)
+let finished (p : prepared) (golden : golden) rt st faulty : run_result =
+  {
+    r_outcome =
+      Outcome.classify
+        ~tol:p.p_workload.Workload.w_out_tolerance
+        ~golden:golden.g_output ~faulty ();
+    r_injection = Runtime.injected rt;
+    r_detected = Interp.Machine.detections st > 0;
+    r_dyn_instrs = Interp.Machine.dyn_count st;
+  }
+
 (* Faulty run at 1-based [dynamic_site]; [seed] fixes the bit choice. *)
 let faulty_run ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
     (p : prepared) ~(golden : golden) ~dynamic_site ~seed : run_result =
@@ -175,53 +185,10 @@ let faulty_run ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
   let args, read_output =
     p.p_workload.Workload.w_setup ~input:golden.g_input st
   in
-  let faulty =
-    match Interp.Machine.run st p.p_workload.Workload.w_fn args with
+  finished p golden rt st
+    (match Interp.Machine.run st p.p_workload.Workload.w_fn args with
     | _ -> Ok (read_output ())
-    | exception Interp.Trap.Trap k -> Error k
-  in
-  {
-    r_outcome =
-      Outcome.classify
-        ~tol:p.p_workload.Workload.w_out_tolerance
-        ~golden:golden.g_output ~faulty ();
-    r_injection = Runtime.injected rt;
-    r_detected = Interp.Machine.detections st > 0;
-    r_dyn_instrs = Interp.Machine.dyn_count st;
-  }
-
-(* Faulty run against a prepared input: restore the post-setup memory
-   image and re-arm the cached machine instead of rebuilding both.
-   Semantically identical to [faulty_run] — same budget rule, same
-   attach order, same classification. *)
-let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
-    ?fault_kind (p : prepared) ~(pi : prepared_input) ~dynamic_site
-    ~seed : run_result =
-  let rt =
-    Runtime.create ~seed ~respect_masks ?fault_kind
-      (Runtime.Inject { dynamic_site })
-  in
-  let golden = pi.pi_golden in
-  let budget = fault_budget golden in
-  let st = pi.pi_machine in
-  Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
-  Interp.Machine.reset ~budget st;
-  Runtime.attach rt st;
-  hooks.h_attach st;
-  let faulty =
-    match Interp.Machine.run st p.p_workload.Workload.w_fn pi.pi_args with
-    | _ -> Ok (pi.pi_read_output ())
-    | exception Interp.Trap.Trap k -> Error k
-  in
-  {
-    r_outcome =
-      Outcome.classify
-        ~tol:p.p_workload.Workload.w_out_tolerance
-        ~golden:golden.g_output ~faulty ();
-    r_injection = Runtime.injected rt;
-    r_detected = Interp.Machine.detections st > 0;
-    r_dyn_instrs = Interp.Machine.dyn_count st;
-  }
+    | exception Interp.Trap.Trap k -> Error k)
 
 (* ------------------------------------------------------------------ *)
 (* Fast-forward execution. The checkpointed path above still replays
@@ -229,10 +196,11 @@ let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
    site; on long workloads whose injections cluster late, that prefix
    dominates campaign time. The fast-forward executor captures
    machine-state checkpoints (memory image, live registers, call
-   stack, counters — detections included) at a subset of the cell's
-   scheduled injection sites during ONE instrumented golden replay,
-   and each faulty run resumes from the nearest checkpoint at or
-   before its site — only the post-injection suffix executes.
+   stack, counters — detections and fault sites included) at a subset
+   of the cell's scheduled injection sites during ONE instrumented
+   golden replay, and each faulty run resumes from the nearest
+   checkpoint at or before its site — only the post-injection suffix
+   executes.
 
    Determinism is preserved because checkpoint *placement* is a pure
    function of the seed schedule: every experiment's dynamic site is
@@ -283,9 +251,6 @@ type ff_input = {
           [j] compares memory only over [ff_spans.(j)] united with its
           own live dirty spans — everything outside both is untouched
           since the shared post-setup image on both sides. *)
-  ff_inject_slots : int list;
-      (** extern slots of the fault-injection functions on [ff_pi]'s
-          machine: the only calls a check needs to look at *)
 }
 
 (* Index of the rightmost checkpoint whose site is <= [site], or -1:
@@ -305,32 +270,24 @@ let resume_point (cks : (int * Interp.Machine.checkpoint) array) site =
 
 (* One instrumented golden replay laying the plan's checkpoints: the
    machine rolls back to the post-setup image, then a tracked profile
-   run captures the full machine state immediately before the inject
-   call of each planned dynamic site (so the injection re-executes
-   naturally on resume). [dyn_count] at a capture equals the legacy
-   prefix length from run start — [w_setup] executes no machine
-   instructions — which is what makes the resumed counters (and hence
-   the trace records) bit-identical to a fresh replay. *)
+   run captures the full machine state at each planned dynamic site.
+   Plan site [s] is captured at the first extern call where the machine
+   has counted [s - 1] live sites: at the latest the inject call of
+   site [s] itself, at the earliest a few masked-off inject calls or
+   one detector call before it. A resume re-executes those calls, so
+   the injection at [s] happens naturally. [dyn_count] at a capture
+   equals the legacy prefix length from run start — [w_setup] executes
+   no machine instructions — which is what makes the resumed counters
+   (and hence the trace records) bit-identical to a fresh replay. *)
 let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
     (p : prepared) ~(pi : prepared_input) ~(plan : int array) : ff_input =
-  let st = pi.pi_machine in
-  let inject_slots =
-    List.filter_map
-      (fun (name, _) -> Interp.Machine.extern_slot st name)
-      Fault_model.all_inject_fns
-  in
   if Array.length plan = 0 then
-    {
-      ff_pi = pi;
-      ff_checkpoints = [||];
-      ff_spans = [||];
-      ff_inject_slots = inject_slots;
-    }
+    { ff_pi = pi; ff_checkpoints = [||]; ff_spans = [||] }
   else begin
-    let rt = Runtime.create ~respect_masks Runtime.Profile in
+    let st = pi.pi_machine in
     Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
     Interp.Machine.reset ~budget:Interp.Machine.default_budget st;
-    Runtime.attach rt st;
+    Runtime.attach (Runtime.create ~respect_masks Runtime.Profile) st;
     hooks.h_attach st;
     let nplan = Array.length plan in
     let pidx = ref 0 in
@@ -341,22 +298,15 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
        restore for the first one). *)
     let cum = ref Interp.Memory.no_spans in
     let cks = ref [] in
-    (* The check sees each extern call before it runs: the next live
-       site has index [dynamic_sites rt + 1], mirroring the counter
-       increment the handler is about to perform. Once the last plan
-       site is captured it detaches the replay, which finishes at full
-       speed. *)
-    let check mst stack ~slot (args : Interp.Vvalue.t list) =
-      (if List.mem slot inject_slots then
-         match args with
-         | [ _value; mask; _site ]
-           when ((not respect_masks) || Interp.Vvalue.as_bool mask)
-                && Runtime.dynamic_sites rt + 1 = plan.(!pidx) ->
-           cum := Interp.Memory.diff_spans (Interp.Machine.memory mst) !cum;
-           cks :=
-             (plan.(!pidx), Interp.Machine.checkpoint mst stack, !cum) :: !cks;
-           incr pidx
-         | _ -> ());
+    (* Once the last plan site is captured the check detaches the
+       replay, which finishes at full speed. *)
+    let check mst stack =
+      if Interp.Machine.sites mst + 1 = plan.(!pidx) then begin
+        cum := Interp.Memory.diff_spans (Interp.Machine.memory mst) !cum;
+        cks :=
+          (plan.(!pidx), Interp.Machine.checkpoint mst stack, !cum) :: !cks;
+        incr pidx
+      end;
       !pidx < nplan
     in
     (match
@@ -375,46 +325,6 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
       ff_pi = pi;
       ff_checkpoints = Array.map (fun (s, ck, _) -> (s, ck)) laid;
       ff_spans = Array.map (fun (_, _, spans) -> spans) laid;
-      ff_inject_slots = inject_slots;
-    }
-  end
-
-(* Fast-forward variant of [faulty_run_checkpointed]: resume from the
-   nearest checkpoint at or before [dynamic_site] (falling back to a
-   full checkpointed replay when none exists). The runtime's site
-   counter starts at [site - 1]: the skipped prefix observed exactly
-   the sites before the checkpointed call, which re-executes first.
-   The RNG needs no replay — it is drawn only at the injection, always
-   inside the executed suffix. *)
-let faulty_run_ff ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
-    (p : prepared) ~(ff : ff_input) ~dynamic_site ~seed : run_result =
-  let best = resume_point ff.ff_checkpoints dynamic_site in
-  if best < 0 then
-    faulty_run_checkpointed ~hooks ~respect_masks ?fault_kind p
-      ~pi:ff.ff_pi ~dynamic_site ~seed
-  else begin
-    let site, ck = ff.ff_checkpoints.(best) in
-    let rt =
-      Runtime.create ~seed ~respect_masks ?fault_kind ~counter0:(site - 1)
-        (Runtime.Inject { dynamic_site })
-    in
-    let golden = ff.ff_pi.pi_golden in
-    let st = ff.ff_pi.pi_machine in
-    Runtime.attach rt st;
-    hooks.h_attach st;
-    let faulty =
-      match Interp.Machine.resume ~budget:(fault_budget golden) st ck with
-      | _ -> Ok (ff.ff_pi.pi_read_output ())
-      | exception Interp.Trap.Trap k -> Error k
-    in
-    {
-      r_outcome =
-        Outcome.classify
-          ~tol:p.p_workload.Workload.w_out_tolerance
-          ~golden:golden.g_output ~faulty ();
-      r_injection = Runtime.injected rt;
-      r_detected = Interp.Machine.detections st > 0;
-      r_dyn_instrs = Interp.Machine.dyn_count st;
     }
   end
 
@@ -452,116 +362,123 @@ let prune_stats () =
 
 exception Converged
 
-(* Converge-pruned variant of [faulty_run_ff]: identical resume /
-   fresh-start selection, but the executed portion runs under
-   convergence checks. Delegates to the plain fast-forward path when no
-   checkpoint site lies after the injection (nothing could ever match,
-   so tracked stepping would be pure overhead). *)
+(* ------------------------------------------------------------------ *)
+(* The resuming executors share one faulty-run body. It attaches a
+   fresh injecting runtime and the hooks to [pi]'s machine, lets [go]
+   bring the machine through the run under the fault budget —
+   restore-and-rerun, resume, or tracked resume — and classifies the
+   outcome. When a convergence check raises [Converged] it splices the
+   golden completion instead: equal state at the check site means the
+   rest of the run reads and writes exactly what the golden run did —
+   outputs come back golden (Benign), the final dynamic count equals
+   the golden one, the injection record is already live, and the
+   detection counter (equal here) ends where the golden run's ended.
+   Its live value at the check site would miss the golden suffix's
+   firings. *)
+let resuming_run ~hooks ~respect_masks ?fault_kind (p : prepared)
+    (pi : prepared_input) ~dynamic_site ~seed go : run_result =
+  let rt =
+    Runtime.create ~seed ~respect_masks ?fault_kind
+      (Runtime.Inject { dynamic_site })
+  in
+  let golden = pi.pi_golden and st = pi.pi_machine in
+  Runtime.attach rt st;
+  hooks.h_attach st;
+  match go st ~budget:(fault_budget golden) with
+  | _ -> finished p golden rt st (Ok (pi.pi_read_output ()))
+  | exception Interp.Trap.Trap k -> finished p golden rt st (Error k)
+  | exception Converged ->
+    Atomic.incr prunes_performed;
+    {
+      r_outcome = Outcome.Benign;
+      r_injection = Runtime.injected rt;
+      r_detected = golden.g_detected;
+      r_dyn_instrs = golden.g_dyn_instrs;
+    }
+
+(* Restore [pi]'s post-setup image, re-arm the machine under [budget]
+   and run the workload from the start — tracked under [check] when
+   given. *)
+let replay ?check (p : prepared) (pi : prepared_input) st ~budget =
+  Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
+  Interp.Machine.reset ~budget st;
+  let fn = p.p_workload.Workload.w_fn in
+  match check with
+  | None -> Interp.Machine.run st fn pi.pi_args
+  | Some check -> Interp.Machine.run_tracked st fn pi.pi_args ~check
+
+(* The part of a run injecting at [dynamic_site] that must execute:
+   from the nearest checkpoint at or before the site, or the whole run
+   when no checkpoint lies that early. *)
+let resume_suffix ?check (p : prepared) (ff : ff_input) ~dynamic_site st
+    ~budget =
+  match resume_point ff.ff_checkpoints dynamic_site with
+  | -1 -> replay ?check p ff.ff_pi st ~budget
+  | best ->
+    Interp.Machine.resume ?check ~budget st (snd ff.ff_checkpoints.(best))
+
+(* Faulty run against a prepared input: restore the post-setup memory
+   image and re-arm the cached machine instead of rebuilding both.
+   Semantically identical to [faulty_run] — same budget rule, same
+   attach order, same classification. *)
+let faulty_run_checkpointed ?(hooks = no_hooks) ?(respect_masks = true)
+    ?fault_kind (p : prepared) ~(pi : prepared_input) ~dynamic_site
+    ~seed : run_result =
+  resuming_run ~hooks ~respect_masks ?fault_kind p pi ~dynamic_site ~seed
+    (replay p pi)
+
+(* Fast-forward variant of [faulty_run_checkpointed]: resume from the
+   nearest checkpoint at or before [dynamic_site] (falling back to a
+   full replay when none exists). The machine's site counter resumes
+   at the checkpoint's count and the RNG needs no replay — it is drawn
+   only at the injection, always inside the executed suffix. *)
+let faulty_run_ff ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
+    (p : prepared) ~(ff : ff_input) ~dynamic_site ~seed : run_result =
+  resuming_run ~hooks ~respect_masks ?fault_kind p ff.ff_pi ~dynamic_site
+    ~seed
+    (resume_suffix p ff ~dynamic_site)
+
+(* A run that has failed this many consecutive comparisons has almost
+   certainly diverged for good (a flipped value keeps propagating); the
+   pruned executor then gives up checking and lets the detach run the
+   rest of the suffix at full speed. Purely physical — the run still
+   completes and classifies exactly as the other executors say. *)
+let max_failed_checks = 2
+
+(* Converge-pruned variant of [faulty_run_ff]: identical resume point,
+   but the executed portion runs under convergence checks. Plan site
+   [s] is compared where [lay_checkpoints] captured it: at the first
+   extern call where the machine has counted [s - 1] live sites. Runs
+   as plain fast-forward when no checkpoint site lies after the
+   injection (nothing could ever match, so tracked stepping would be
+   pure overhead). *)
 let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
     ?fault_kind (p : prepared) ~(ff : ff_input) ~dynamic_site ~seed :
     run_result =
   let cks = ff.ff_checkpoints in
   let ncks = Array.length cks in
-  (* the resume point, as in [faulty_run_ff]; every checkpoint after it
-     lies strictly after the injection — the only sites where
-     re-convergence with the golden run can be detected *)
-  let best = resume_point cks dynamic_site in
-  if best + 1 >= ncks then
-    faulty_run_ff ~hooks ~respect_masks ?fault_kind p ~ff ~dynamic_site
-      ~seed
-  else begin
-    let golden = ff.ff_pi.pi_golden in
-    let st = ff.ff_pi.pi_machine in
-    let rt =
-      if best >= 0 then
-        Runtime.create ~seed ~respect_masks ?fault_kind
-          ~counter0:(fst cks.(best) - 1)
-          (Runtime.Inject { dynamic_site })
-      else
-        Runtime.create ~seed ~respect_masks ?fault_kind
-          (Runtime.Inject { dynamic_site })
-    in
-    let inject_slots = ff.ff_inject_slots in
-    let next = ref (best + 1) in
-    (* A run that has failed this many consecutive comparisons has
-       almost certainly diverged for good (a flipped value keeps
-       propagating); give up checking and let the detach run the rest
-       of the suffix at full speed. Purely physical — the run still
-       completes and classifies exactly as the other executors say. *)
-    let max_failed_checks = 2 in
-    let failed = ref 0 in
-    let check mst stack ~slot (args : Interp.Vvalue.t list) =
-      (if !next < ncks && List.mem slot inject_slots then
-         match args with
-         | [ _value; mask; _site ]
-           when (not respect_masks) || Interp.Vvalue.as_bool mask ->
-           let site = Runtime.dynamic_sites rt + 1 in
-           while !next < ncks && fst cks.(!next) < site do
-             incr next
-           done;
-           if !next < ncks && fst cks.(!next) = site then begin
-             Atomic.incr prune_checks_performed;
-             if
-               Interp.Machine.state_equal mst stack
-                 (snd cks.(!next))
-                 ~since:ff.ff_spans.(!next)
-             then raise Converged;
-             incr failed;
-             incr next
-           end
-         | _ -> ());
-      !next < ncks && !failed < max_failed_checks
-    in
-    let budget = fault_budget golden in
-    let completion =
-      if best >= 0 then begin
-        (* mirror [faulty_run_ff]'s resume discipline exactly *)
-        Runtime.attach rt st;
-        hooks.h_attach st;
-        match Interp.Machine.resume ~check ~budget st (snd cks.(best)) with
-        | _ -> `Ran (Ok (ff.ff_pi.pi_read_output ()))
-        | exception Interp.Trap.Trap k -> `Ran (Error k)
-        | exception Converged -> `Pruned
-      end
-      else begin
-        (* mirror [faulty_run_checkpointed]'s fresh-start discipline *)
-        Interp.Memory.restore (Interp.Machine.memory st) ff.ff_pi.pi_snapshot;
-        Interp.Machine.reset ~budget st;
-        Runtime.attach rt st;
-        hooks.h_attach st;
-        match
-          Interp.Machine.run_tracked st p.p_workload.Workload.w_fn
-            ff.ff_pi.pi_args ~check
-        with
-        | _ -> `Ran (Ok (ff.ff_pi.pi_read_output ()))
-        | exception Interp.Trap.Trap k -> `Ran (Error k)
-        | exception Converged -> `Pruned
-      end
-    in
-    match completion with
-    | `Ran faulty ->
-      {
-        r_outcome =
-          Outcome.classify
-            ~tol:p.p_workload.Workload.w_out_tolerance
-            ~golden:golden.g_output ~faulty ();
-        r_injection = Runtime.injected rt;
-        r_detected = Interp.Machine.detections st > 0;
-        r_dyn_instrs = Interp.Machine.dyn_count st;
-      }
-    | `Pruned ->
-      (* Splice the golden completion: equal state at the check site
-         means the rest of the run reads and writes exactly what the
-         golden run did — outputs come back golden (Benign), the final
-         dynamic count equals the golden one, the injection record is
-         already live, and the detection counter (equal here) ends
-         where the golden run's ended. Its live value at the check site
-         would miss the golden suffix's firings. *)
-      Atomic.incr prunes_performed;
-      {
-        r_outcome = Outcome.Benign;
-        r_injection = Runtime.injected rt;
-        r_detected = golden.g_detected;
-        r_dyn_instrs = golden.g_dyn_instrs;
-      }
-  end
+  (* every checkpoint after the resume point lies strictly after the
+     injection — the only sites where re-convergence with the golden
+     run can be detected *)
+  let next = ref (resume_point cks dynamic_site + 1) in
+  let failed = ref 0 in
+  let check st stack =
+    let site = Interp.Machine.sites st + 1 in
+    while !next < ncks && fst cks.(!next) < site do
+      incr next
+    done;
+    if !next < ncks && fst cks.(!next) = site then begin
+      Atomic.incr prune_checks_performed;
+      if
+        Interp.Machine.state_equal st stack (snd cks.(!next))
+          ~since:ff.ff_spans.(!next)
+      then raise Converged;
+      incr failed;
+      incr next
+    end;
+    !next < ncks && !failed < max_failed_checks
+  in
+  let check = if !next < ncks then Some check else None in
+  resuming_run ~hooks ~respect_masks ?fault_kind p ff.ff_pi ~dynamic_site
+    ~seed
+    (resume_suffix ?check p ff ~dynamic_site)

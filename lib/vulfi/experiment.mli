@@ -52,7 +52,9 @@ type golden = {
 exception Golden_run_failed of string
 
 (** Fault-free profiling run on input [input]. [respect_masks:false]
-    reproduces a mask-oblivious injector for the ablation study. *)
+    reproduces a mask-oblivious injector for the ablation study. The
+    record's counters — sites, instructions, detections — are read off
+    the machine at the end of the run. *)
 val golden_run :
   ?hooks:hooks -> ?respect_masks:bool -> prepared -> input:int -> golden
 
@@ -70,8 +72,8 @@ type prepared_input = {
 }
 
 (** One-time per (cell, input) stage: build a machine, run [w_setup],
-    snapshot, execute the golden run. The golden numbers are computed
-    exactly as {!golden_run} computes them.
+    snapshot, execute the golden run. The golden record is read by the
+    same code as {!golden_run}'s.
     @raise Golden_run_failed when the fault-free run traps. *)
 val prepare_input :
   ?hooks:hooks ->
@@ -110,7 +112,10 @@ val faulty_run :
 (** Checkpointed variant of {!faulty_run}: restores [pi]'s post-setup
     snapshot and re-arms its machine instead of rebuilding them. The
     result is bit-identical to {!faulty_run} on the same (input,
-    dynamic_site, seed). *)
+    dynamic_site, seed). This and the two resuming variants below run
+    through one faulty-run body; they differ only in how the machine
+    reaches the injection: replay from the post-setup image, resume,
+    or tracked resume. *)
 val faulty_run_checkpointed :
   ?hooks:hooks ->
   ?respect_masks:bool ->
@@ -149,16 +154,15 @@ type ff_input = {
           dirty-span hulls from the post-setup image up to each
           checkpoint (convergence checks compare memory only over
           these plus the faulty run's own live spans) *)
-  ff_inject_slots : int list;
-      (** extern slots of the fault-injection functions on [ff_pi]'s
-          machine, resolved once *)
 }
 
 (** One instrumented golden replay over [pi]'s machine capturing a
-    checkpoint immediately before the inject call of each planned
-    site (the call re-executes on resume). The replay stops tracking
-    after the last planned site and finishes at full speed. An empty
-    [plan] skips the replay entirely.
+    checkpoint for each planned site [s] at the first extern call where
+    {!Interp.Machine.sites} reads [s - 1]: at or a few extern calls
+    before the inject call of site [s], all of which re-execute on
+    resume. The replay stops tracking after the last planned site and
+    finishes at full speed. An empty [plan] skips the replay
+    entirely.
     @raise Golden_run_failed when the replay traps. *)
 val lay_checkpoints :
   ?hooks:hooks ->
@@ -198,9 +202,11 @@ val faulty_run_ff :
 
 (** Converge-pruned variant of {!faulty_run_ff}: same resume point and
     classification, with early termination at the first post-injection
-    checkpoint site whose state matches the golden run's. Bit-identical
-    to {!faulty_run} on the same (input, dynamic_site, seed). Delegates
-    to {!faulty_run_ff} when no checkpoint site lies after
+    checkpoint site whose state matches the golden run's. A site is
+    compared at the position {!lay_checkpoints} captured it, found from
+    the machine's site counter alone. Bit-identical to {!faulty_run} on
+    the same (input, dynamic_site, seed). Runs exactly as
+    {!faulty_run_ff} when no checkpoint site lies after
     [dynamic_site]. *)
 val faulty_run_pruned :
   ?hooks:hooks ->

@@ -1,11 +1,12 @@
 (** The VULFI runtime injection API.
 
     Instrumented programs call [__vulfi_inject_T(value, mask, site_id)]
-    once per scalar fault site per dynamic execution. The runtime:
+    once per scalar fault site per dynamic execution. The runtime counts
+    dynamic fault sites on the machine ({!Interp.Machine.sites}; a site
+    is live only when its execution-mask lane is on — the paper's
+    central point about masked vector instructions) and:
 
-    - in [Profile] mode counts dynamic fault sites (a site is live only
-      when its execution-mask lane is on — the paper's central point
-      about masked vector instructions) and passes values through;
+    - in [Profile] mode passes values through;
     - in [Inject] mode flips one uniformly chosen bit of the value at
       the configured dynamic site index. *)
 
@@ -37,8 +38,7 @@ type injection_record = {
 }
 
 type t = {
-  mutable mode : mode;
-  mutable counter : int;         (** dynamic sites seen so far *)
+  mode : mode;
   mutable injection : injection_record option;
   rng : Random.State.t;
   (* VULFI's defining behaviour is to skip masked-off lanes; setting
@@ -49,16 +49,14 @@ type t = {
   fault_kind : fault_kind;
 }
 
-(* [counter0] seeds the dynamic-site counter: a run resumed from a
-   checkpoint has already observed the first [counter0] live sites in
-   its skipped prefix, so the runtime picks up counting where the
-   prefix left off. The RNG needs no equivalent — it is only drawn at
-   the injection itself, which always happens in the executed suffix. *)
+(* The site counter lives on the machine, so a run resumed from a
+   checkpoint counts on from its prefix's sites. The RNG needs no
+   equivalent — it is only drawn at the injection itself, which always
+   happens in the executed suffix. *)
 let create ?(seed = 0) ?(respect_masks = true)
-    ?(fault_kind = Single_bit_flip) ?(counter0 = 0) mode =
+    ?(fault_kind = Single_bit_flip) mode =
   {
     mode;
-    counter = counter0;
     injection = None;
     rng = Random.State.make [| seed |];
     respect_masks;
@@ -118,12 +116,10 @@ let corrupt t (value : Interp.Vvalue.t) : Interp.Vvalue.t * int =
     Interp.Vvalue.set_lane_bits_inplace v ~lane:0 ~bits:0L;
     (v, -1)
 
-let dynamic_sites t = t.counter
-
 let injected t = t.injection
 
 (* The handler shared by all __vulfi_inject_* externs. *)
-let handle t (_st : Interp.Machine.state) (args : Interp.Vvalue.t list) :
+let handle t (st : Interp.Machine.state) (args : Interp.Vvalue.t list) :
     Interp.Vvalue.t option =
   match args with
   | [ value; mask; site ] ->
@@ -131,11 +127,11 @@ let handle t (_st : Interp.Machine.state) (args : Interp.Vvalue.t list) :
       (* Masked-off lane: not a live fault site. *)
       Some value
     else begin
-      t.counter <- t.counter + 1;
+      Interp.Machine.record_site st;
       match t.mode with
       | Profile -> Some value
       | Inject { dynamic_site } ->
-        if t.counter = dynamic_site then begin
+        if Interp.Machine.sites st = dynamic_site then begin
           let corrupted, bit = corrupt t value in
           (* [value] aliases a register buffer the interpreter will keep
              rewriting; the record must capture a snapshot, not the

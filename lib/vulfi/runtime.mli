@@ -2,7 +2,8 @@
 
     Instrumented programs call [__vulfi_inject_T(value, mask, site_id)]
     once per scalar fault site per dynamic execution; this module
-    provides the handlers behind those externs. *)
+    provides the handlers behind those externs. The dynamic-site count
+    is a machine counter ({!Interp.Machine.sites}), not runtime state. *)
 
 (** How the chosen register is corrupted. The paper's study uses
     {!Single_bit_flip}; the other kinds reproduce the wider fault-model
@@ -16,7 +17,7 @@ type fault_kind =
 val fault_kind_name : fault_kind -> string
 
 type mode =
-  | Profile  (** count dynamic fault sites, pass values through *)
+  | Profile  (** pass values through *)
   | Inject of { dynamic_site : int }
       (** corrupt the value at the 1-based dynamic site index *)
 
@@ -32,17 +33,12 @@ type injection_record = {
 
 type t
 
-(** [create ?seed ?respect_masks ?fault_kind ?counter0 mode] builds a
-    runtime. [respect_masks] (default [true]) is VULFI's defining
-    behaviour of skipping masked-off vector lanes; [false] reproduces a
-    mask-oblivious injector for ablation. [counter0] (default 0) seeds
-    the dynamic-site counter with the number of live sites already
-    observed — a run resumed from a checkpoint passes the skipped
-    prefix's site count so injection indices keep their whole-run
-    meaning. *)
+(** [create ?seed ?respect_masks ?fault_kind mode] builds a runtime.
+    [respect_masks] (default [true]) is VULFI's defining behaviour of
+    skipping masked-off vector lanes; [false] reproduces a
+    mask-oblivious injector for ablation. *)
 val create :
-  ?seed:int -> ?respect_masks:bool -> ?fault_kind:fault_kind ->
-  ?counter0:int -> mode -> t
+  ?seed:int -> ?respect_masks:bool -> ?fault_kind:fault_kind -> mode -> t
 
 (** [corrupt t v] corrupts a scalar runtime value per the configured
     fault kind; returns the corrupted value and the representative bit
@@ -50,14 +46,14 @@ val create :
     whole-register kinds. *)
 val corrupt : t -> Interp.Vvalue.t -> Interp.Vvalue.t * int
 
-(** Dynamic fault sites observed so far (live lanes only, unless
-    mask-oblivious). *)
-val dynamic_sites : t -> int
-
 (** The injection performed during the run, if any. *)
 val injected : t -> injection_record option
 
-(** The extern handler shared by all [__vulfi_inject_*] functions. *)
+(** The extern handler shared by all [__vulfi_inject_*] functions. A
+    call on a live lane (any lane, when mask-oblivious) records one
+    site on the machine ({!Interp.Machine.record_site}); in [Inject]
+    mode the call that brings {!Interp.Machine.sites} to
+    [dynamic_site] is corrupted. *)
 val handle :
   t -> Interp.Machine.state -> Interp.Vvalue.t list ->
   Interp.Vvalue.t option

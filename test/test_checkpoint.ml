@@ -256,36 +256,6 @@ let test_reset_rearms_budget () =
   ignore (Interp.Machine.run st2 "scale" args2);
   check Alcotest.int "rerun cost" cost (Interp.Machine.dyn_count st2)
 
-(* reset ~budget ~spent pre-charges a skipped prefix: dyn_count keeps
-   its whole-run meaning (prefix + executed suffix) and the prefix
-   counts against the budget — a mid-epoch re-arm can't mint fuel. *)
-let test_reset_spent_accounting () =
-  let n = 16 in
-  let m = Minispc.Driver.compile Vir.Target.Avx reset_src in
-  let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-  let mem = Interp.Machine.memory st in
-  let a = Interp.Memory.alloc mem ~name:"a" ~bytes:(4 * n) in
-  Interp.Memory.write_f32_array mem a (Array.make n 1.0);
-  let args = [ Interp.Vvalue.of_ptr a; Interp.Vvalue.of_i32 n ] in
-  ignore (Interp.Machine.run st "scale" args);
-  let cost = Interp.Machine.dyn_count st in
-  Interp.Machine.reset ~budget:(cost + 100) ~spent:100 st;
-  check Alcotest.int "spent prefix visible before running" 100
-    (Interp.Machine.dyn_count st);
-  ignore (Interp.Machine.run st "scale" args);
-  check Alcotest.int "dyn_count = prefix + suffix" (cost + 100)
-    (Interp.Machine.dyn_count st);
-  (* the prefix consumes budget: remaining fuel below cost must trap *)
-  Interp.Machine.reset ~budget:(cost + 100) ~spent:102 st;
-  (match Interp.Machine.run st "scale" args with
-  | _ -> Alcotest.fail "expected budget trap"
-  | exception Interp.Trap.Trap Interp.Trap.Budget_exhausted -> ());
-  (* and a plain reset afterwards clears the prefix entirely *)
-  Interp.Machine.reset st;
-  ignore (Interp.Machine.run st "scale" args);
-  check Alcotest.int "plain reset clears prefix" cost
-    (Interp.Machine.dyn_count st)
-
 (* ---------------- faulty_run == faulty_run_checkpointed -------------- *)
 
 let vcopy_src =
@@ -315,6 +285,94 @@ let vcopy_workload lengths =
               Vulfi.Outcome.o_i32 = [ Interp.Memory.read_i32_array mem a2 n ];
             } ));
   }
+
+(* A resume re-arms the budget with the checkpoint's prefix already
+   charged: dyn_count keeps its whole-run meaning (prefix + executed
+   suffix) and the prefix counts against the budget — a resume cannot
+   mint fuel. *)
+let test_resume_budget_accounting () =
+  let p =
+    Vulfi.Experiment.prepare (vcopy_workload [ 19 ]) Vir.Target.Avx
+      Analysis.Sites.Pure_data
+  in
+  let pi = Vulfi.Experiment.prepare_input p ~input:0 in
+  let g = pi.Vulfi.Experiment.pi_golden in
+  let cost = g.Vulfi.Experiment.g_dyn_instrs in
+  let ff =
+    Vulfi.Experiment.lay_checkpoints p ~pi
+      ~plan:[| g.Vulfi.Experiment.g_dyn_sites / 2 |]
+  in
+  let _, ck = ff.Vulfi.Experiment.ff_checkpoints.(0) in
+  let st = pi.Vulfi.Experiment.pi_machine in
+  let prefix = ref (-1) in
+  let probe mst _ =
+    if !prefix < 0 then prefix := Interp.Machine.dyn_count mst;
+    false
+  in
+  ignore (Interp.Machine.resume ~check:probe ~budget:cost st ck);
+  check Alcotest.bool "prefix visible before the suffix runs" true
+    (!prefix > 0);
+  check Alcotest.int "dyn_count = prefix + suffix" cost
+    (Interp.Machine.dyn_count st);
+  (* the prefix consumes budget: one instruction short of the whole
+     run traps, though the suffix alone would fit *)
+  (match Interp.Machine.resume ~budget:(cost - 1) st ck with
+  | _ -> Alcotest.fail "expected budget trap"
+  | exception Interp.Trap.Trap Interp.Trap.Budget_exhausted -> ());
+  (* and a plain replay afterwards starts from an empty prefix *)
+  Interp.Memory.restore (Interp.Machine.memory st)
+    pi.Vulfi.Experiment.pi_snapshot;
+  Interp.Machine.reset ~budget:cost st;
+  ignore
+    (Interp.Machine.run st p.Vulfi.Experiment.p_workload.Vulfi.Workload.w_fn
+       pi.Vulfi.Experiment.pi_args);
+  check Alcotest.int "replay after reset" cost (Interp.Machine.dyn_count st)
+
+(* The live-site counter is a machine counter: [reset] zeroes it, a
+   resume restores the checkpoint's count and counts on from it, and
+   [state_equal] rejects a machine whose site counter alone differs
+   from the checkpoint's. *)
+let test_site_counter () =
+  let p =
+    Vulfi.Experiment.prepare (vcopy_workload [ 19 ]) Vir.Target.Avx
+      Analysis.Sites.Pure_data
+  in
+  let pi = Vulfi.Experiment.prepare_input p ~input:0 in
+  let g = pi.Vulfi.Experiment.pi_golden in
+  let n = g.Vulfi.Experiment.g_dyn_sites in
+  let st = pi.Vulfi.Experiment.pi_machine in
+  check Alcotest.int "the golden run counts its sites on the machine" n
+    (Interp.Machine.sites st);
+  Interp.Machine.reset st;
+  check Alcotest.int "reset zeroes the site counter" 0
+    (Interp.Machine.sites st);
+  let site = n / 2 in
+  let ff = Vulfi.Experiment.lay_checkpoints p ~pi ~plan:[| site |] in
+  let _, ck = ff.Vulfi.Experiment.ff_checkpoints.(0) in
+  check Alcotest.int "the laying replay counts every site" n
+    (Interp.Machine.sites st);
+  let seen = ref (-1) in
+  let probe mst stack =
+    if !seen < 0 then begin
+      seen := Interp.Machine.sites mst;
+      check Alcotest.bool "equal to the checkpoint after the restore" true
+        (Interp.Machine.state_equal mst stack ck
+           ~since:Interp.Memory.no_spans);
+      Interp.Machine.record_site mst;
+      check Alcotest.bool "site counter alone differs" false
+        (Interp.Machine.state_equal mst stack ck
+           ~since:Interp.Memory.no_spans)
+    end;
+    false
+  in
+  ignore
+    (Interp.Machine.resume ~check:probe
+       ~budget:(Vulfi.Experiment.fault_budget g)
+       st ck);
+  check Alcotest.int "resume restores the checkpoint's count" (site - 1)
+    !seen;
+  check Alcotest.int "and counts on from it (plus the extra record)"
+    (n + 1) (Interp.Machine.sites st)
 
 (* Site-by-site: a prepared input, its machine reused across every
    (site, seed) pair, must reproduce the two-runs-per-experiment
@@ -420,7 +478,7 @@ let test_ff_faulty_runs_match () =
       let p = Vulfi.Experiment.prepare w Vir.Target.Avx category in
       let pi = Vulfi.Experiment.prepare_input p ~input:0 in
       let g = pi.Vulfi.Experiment.pi_golden in
-      let hi = min 25 g.Vulfi.Experiment.g_dyn_sites in
+      let hi = g.Vulfi.Experiment.g_dyn_sites in
       let all_sites = List.init hi (fun i -> i + 1) in
       let plans =
         [
@@ -475,7 +533,7 @@ let test_ff_fault_kinds_match () =
   in
   let pi = Vulfi.Experiment.prepare_input p ~input:0 in
   let g = pi.Vulfi.Experiment.pi_golden in
-  let hi = min 12 g.Vulfi.Experiment.g_dyn_sites in
+  let hi = g.Vulfi.Experiment.g_dyn_sites in
   let plan =
     Vulfi.Experiment.checkpoint_plan ~max_checkpoints:4
       (List.init hi (fun i -> i + 1))
@@ -515,7 +573,7 @@ let test_pruned_faulty_runs_match () =
       let p = Vulfi.Experiment.prepare w Vir.Target.Avx category in
       let pi = Vulfi.Experiment.prepare_input p ~input:0 in
       let g = pi.Vulfi.Experiment.pi_golden in
-      let hi = min 25 g.Vulfi.Experiment.g_dyn_sites in
+      let hi = g.Vulfi.Experiment.g_dyn_sites in
       let all_sites = List.init hi (fun i -> i + 1) in
       let plans =
         [
@@ -568,7 +626,7 @@ let test_pruned_fault_kinds_match () =
   in
   let pi = Vulfi.Experiment.prepare_input p ~input:0 in
   let g = pi.Vulfi.Experiment.pi_golden in
-  let hi = min 12 g.Vulfi.Experiment.g_dyn_sites in
+  let hi = g.Vulfi.Experiment.g_dyn_sites in
   let plan =
     Vulfi.Experiment.checkpoint_plan ~max_checkpoints:4
       (List.init hi (fun i -> i + 1))
@@ -696,11 +754,13 @@ let prepare_cell ~detectors w category =
   (Vulfi.Experiment.prepare ?transform w Vir.Target.Avx category, hooks)
 
 (* Inputs of the two QCheck differentials below: random (workload,
-   category, fault kind, plan density, site, seed). The workloads
-   marked [true] run with the paper's detectors and detector hooks, so
-   [r_detected] is compared too. Prepared machines and laid checkpoints
-   are cached per (workload, category, density); each property case
-   only runs the two faulty executions. *)
+   category, fault kind, mask awareness, plan density, site, seed). The
+   workloads marked [true] run with the paper's detectors and detector
+   hooks, so [r_detected] is compared too. Mask-oblivious cells count
+   and corrupt masked-off lanes, so their checkpoints sit among dead
+   lanes' inject calls too. Prepared machines and laid checkpoints are
+   cached per (workload, category, mask awareness, density); each
+   property case only runs the two faulty executions. *)
 let diff_workloads =
   [|
     (false, fun () -> vcopy_workload [ 19 ]);
@@ -722,21 +782,25 @@ let diff_kinds =
 
 let diff_cell =
   let cache = Hashtbl.create 16 in
-  fun w_i cat_i density ->
-    let key = (w_i, cat_i, density) in
+  fun w_i cat_i ~respect_masks density ->
+    let key = (w_i, cat_i, respect_masks, density) in
     match Hashtbl.find_opt cache key with
     | Some c -> c
     | None ->
       let detectors, w = diff_workloads.(w_i) in
       let p, hooks = prepare_cell ~detectors (w ()) diff_categories.(cat_i) in
-      let pi = Vulfi.Experiment.prepare_input ?hooks p ~input:0 in
+      let pi =
+        Vulfi.Experiment.prepare_input ?hooks ~respect_masks p ~input:0
+      in
       let g = pi.Vulfi.Experiment.pi_golden in
       let hi = g.Vulfi.Experiment.g_dyn_sites in
       let plan =
         Vulfi.Experiment.checkpoint_plan ~max_checkpoints:density
           (List.init hi (fun i -> i + 1))
       in
-      let ff = Vulfi.Experiment.lay_checkpoints ?hooks p ~pi ~plan in
+      let ff =
+        Vulfi.Experiment.lay_checkpoints ?hooks ~respect_masks p ~pi ~plan
+      in
       let c = (p, hooks, g, ff, hi) in
       Hashtbl.add cache key c;
       c
@@ -748,26 +812,28 @@ let diff_input =
         (pair
            (int_range 0 (Array.length diff_workloads - 1))
            (int_range 0 (Array.length diff_categories - 1)))
-        (int_range 0 (Array.length diff_kinds - 1))
+        (pair (int_range 0 (Array.length diff_kinds - 1)) bool)
         (int_range 1 5) (pair (int_range 0 10_000) (int_range 0 10_000)))
-    ~print:(fun ((w, c), k, d, (site, seed)) ->
-      Printf.sprintf "workload=%d cat=%d kind=%d density=%d site_pick=%d seed=%d"
-        w c k d site seed)
+    ~print:(fun ((w, c), (k, m), d, (site, seed)) ->
+      Printf.sprintf
+        "workload=%d cat=%d kind=%d respect_masks=%b density=%d site_pick=%d \
+         seed=%d"
+        w c k m d site seed)
 
 (* Run the legacy protocol and [executor] on one random input and
    compare outcome, detector flag, dynamic instruction count and
    injection record. *)
-let agrees_with_legacy executor ((w_i, cat_i), kind_i, density, (site_pick, seed))
-    =
-  let p, hooks, g, ff, hi = diff_cell w_i cat_i density in
+let agrees_with_legacy executor
+    ((w_i, cat_i), (kind_i, respect_masks), density, (site_pick, seed)) =
+  let p, hooks, g, ff, hi = diff_cell w_i cat_i ~respect_masks density in
   let dynamic_site = 1 + (site_pick mod hi) in
   let fault_kind = diff_kinds.(kind_i) in
   let legacy =
-    Vulfi.Experiment.faulty_run ?hooks ~fault_kind p ~golden:g ~dynamic_site
-      ~seed
+    Vulfi.Experiment.faulty_run ?hooks ~respect_masks ~fault_kind p ~golden:g
+      ~dynamic_site ~seed
   in
   let r : Vulfi.Experiment.run_result =
-    executor ?hooks ~fault_kind p ~ff ~dynamic_site ~seed
+    executor ?hooks ~respect_masks ~fault_kind p ~ff ~dynamic_site ~seed
   in
   Vulfi.Outcome.to_string legacy.Vulfi.Experiment.r_outcome
   = Vulfi.Outcome.to_string r.Vulfi.Experiment.r_outcome
@@ -787,9 +853,10 @@ let agrees_with_legacy executor ((w_i, cat_i), kind_i, density, (site_pick, seed
 let prop_ff_equals_legacy =
   Test.make ~name:"ff == legacy (random category/kind/plan/site/seed)"
     ~count:300 diff_input
-    (agrees_with_legacy (fun ?hooks ~fault_kind p ~ff ~dynamic_site ~seed ->
-         Vulfi.Experiment.faulty_run_ff ?hooks ~fault_kind p ~ff ~dynamic_site
-           ~seed))
+    (agrees_with_legacy
+       (fun ?hooks ~respect_masks ~fault_kind p ~ff ~dynamic_site ~seed ->
+         Vulfi.Experiment.faulty_run_ff ?hooks ~respect_masks ~fault_kind p ~ff
+           ~dynamic_site ~seed))
 
 (* Convergence soundness: the pruned executor, which may terminate a
    run early and splice the golden outcome, must be indistinguishable
@@ -799,9 +866,10 @@ let prop_pruned_equals_legacy =
   Test.make
     ~name:"convergence soundness: pruned == legacy (random cell/site/seed)"
     ~count:300 diff_input
-    (agrees_with_legacy (fun ?hooks ~fault_kind p ~ff ~dynamic_site ~seed ->
-         Vulfi.Experiment.faulty_run_pruned ?hooks ~fault_kind p ~ff
-           ~dynamic_site ~seed))
+    (agrees_with_legacy
+       (fun ?hooks ~respect_masks ~fault_kind p ~ff ~dynamic_site ~seed ->
+         Vulfi.Experiment.faulty_run_pruned ?hooks ~respect_masks ~fault_kind
+           p ~ff ~dynamic_site ~seed))
 
 (* The checkpoint [faulty_run_ff] and [faulty_run_pruned] resume from
    for a run injecting at [site]: the rightmost one at or before it. *)
@@ -851,7 +919,7 @@ let test_resume_ignores_dead_registers () =
           let p = Vulfi.Experiment.prepare w Vir.Target.Avx category in
           let pi = Vulfi.Experiment.prepare_input p ~input:0 in
           let g = pi.Vulfi.Experiment.pi_golden in
-          let hi = min 30 g.Vulfi.Experiment.g_dyn_sites in
+          let hi = g.Vulfi.Experiment.g_dyn_sites in
           let plan =
             Vulfi.Experiment.checkpoint_plan ~max_checkpoints:6
               (List.init hi (fun i -> i + 1))
@@ -964,19 +1032,20 @@ let tiny_config =
     seed = 99;
   }
 
-(* The acceptance bar of the PR: all four executors are bit-identical
-   — result record and trace bytes — sequentially and across a domain
-   pool. *)
+(* All four executors are bit-identical — result record and trace
+   bytes — in every category, with VULFI's mask-aware injector and with
+   the mask-oblivious one of the ablation study, whose site counts
+   include masked-off lanes. *)
 let test_campaign_executors_match () =
   let w = vcopy_workload [ 8; 16; 19 ] in
   List.iter
-    (fun category ->
+    (fun (category, respect_masks) ->
       let run_with executor =
         let buf = Buffer.create 4096 in
         let sink = Vulfi.Trace.to_buffer buf in
         let r =
-          Vulfi.Campaign.run ~sink ~executor tiny_config w Vir.Target.Avx
-            category
+          Vulfi.Campaign.run ~respect_masks ~sink ~executor tiny_config w
+            Vir.Target.Avx category
         in
         Vulfi.Trace.close sink;
         (r, Buffer.contents buf)
@@ -985,7 +1054,10 @@ let test_campaign_executors_match () =
       let r_ckpt, tr_ckpt = run_with Vulfi.Campaign.Checkpointed in
       let r_ff, tr_ff = run_with Vulfi.Campaign.Fast_forward in
       let r_pr, tr_pr = run_with Vulfi.Campaign.Converge_pruned in
-      let name = Analysis.Sites.category_name category in
+      let name =
+        Analysis.Sites.category_name category
+        ^ if respect_masks then "" else " mask-oblivious"
+      in
       check result_t (name ^ ": checkpointed results equal") r_legacy r_ckpt;
       check result_t (name ^ ": fast-forward results equal") r_legacy r_ff;
       check result_t (name ^ ": converge-pruned results equal") r_legacy r_pr;
@@ -1023,7 +1095,9 @@ let test_campaign_executors_match () =
           (name ^ ": some experiments resume")
           true
           (r_ff.Vulfi.Campaign.c_ff_resumed > 0))
-    Analysis.Sites.all_categories
+    (List.concat_map
+       (fun c -> [ (c, true); (c, false) ])
+       Analysis.Sites.all_categories)
 
 let test_campaign_executors_parallel_match () =
   let w = vcopy_workload [ 8; 16; 19 ] in
@@ -1256,8 +1330,10 @@ let () =
             test_reset_rerun_equals_fresh;
           Alcotest.test_case "reset re-arms budget" `Quick
             test_reset_rearms_budget;
-          Alcotest.test_case "reset ~spent prefix accounting" `Quick
-            test_reset_spent_accounting;
+          Alcotest.test_case "resume ~budget prefix accounting" `Quick
+            test_resume_budget_accounting;
+          Alcotest.test_case "site counter: reset, resume, state_equal"
+            `Quick test_site_counter;
         ] );
       ( "experiment",
         [

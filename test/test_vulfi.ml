@@ -221,7 +221,7 @@ let test_masked_lanes_not_counted () =
       Interp.Machine.run st "masked_copy"
         [ Interp.Vvalue.of_ptr src; Interp.Vvalue.of_ptr dst; mask ]
     in
-    Runtime.dynamic_sites rt
+    Interp.Machine.sites st
   in
   (* full mask: 8 lanes x 2 targets = 16 live sites *)
   check Alcotest.int "full mask" 16 (run_with_mask (Array.make 8 1L));
