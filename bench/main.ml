@@ -594,20 +594,88 @@ let speedup () =
 (* ------------------------------------------------------------------ *)
 (* VM throughput: dynamic instructions per second                      *)
 
-(* Measures raw interpreter throughput per benchmark (uninstrumented,
-   input 0, AVX) and writes BENCH_interp.json so successive PRs can
-   track the perf trajectory. VULFI_INTERP_REPS overrides the
-   repetition count (CI smoke runs use 1). *)
 (* Aggregate bytes allocated per dynamic instruction of the PR 4
    (pre-destination-passing) interpreter, measured with this harness on
    the same workloads right before the rewrite landed. *)
 let baseline_pre_dps_bpi = "78.62"
 
+(* Best-of-[reps] golden run of [w] over [code] on fresh machines
+   ([attach] binds the externs): dynamic instructions, seconds per run
+   and bytes allocated per run. *)
+let time_golden ~reps ?(attach = fun _ -> ()) (w : Vulfi.Workload.t)
+    (code : Interp.Compile.cmodule) =
+  (* Timed region = Machine.run only: the metric is VM execution
+     throughput; per-experiment state construction and input
+     generation are excluded (identically for every interpreter under
+     comparison). Each run still gets a fresh state, like a campaign
+     experiment does. *)
+  let prepare () =
+    let st = Interp.Machine.create code in
+    attach st;
+    let args, _ = w.Vulfi.Workload.w_setup ~input:0 st in
+    (st, args)
+  in
+  let dyn =
+    let st, args = prepare () in
+    ignore (Interp.Machine.run st w.Vulfi.Workload.w_fn args);
+    Interp.Machine.dyn_count st
+  in
+  (* Warm-up done. Tiny kernels are batched so a measurement spans well
+     above timer resolution; the *fastest* batch is kept: on a
+     shared/noisy host the minimum is the only robust estimator of the
+     true cost (preemption only ever adds time). *)
+  let batch = max 1 (min 512 (1 + (20_000 / max 1 dyn))) in
+  let fn = w.Vulfi.Workload.w_fn in
+  let best = ref infinity in
+  let best_bytes = ref infinity in
+  for _ = 1 to reps do
+    let prepared = Array.init batch (fun _ -> prepare ()) in
+    (* drain the allocation debt of the untimed construction above so
+       its minor-GC work cannot land inside the timed window *)
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () in
+    let t0 = Unix.gettimeofday () in
+    Array.iter
+      (fun (st, args) -> ignore (Interp.Machine.run st fn args))
+      prepared;
+    let t1 = Unix.gettimeofday () in
+    (* Allocation across the same timed window. The count is
+       deterministic per run; the minimum across reps simply rejects
+       any stray allocation from a signal/GC hook. *)
+    let db = (Gc.allocated_bytes () -. a0) /. float_of_int batch in
+    let dt = (t1 -. t0) /. float_of_int batch in
+    if dt < !best then best := dt;
+    if db < !best_bytes then best_bytes := db
+  done;
+  (dyn, !best, !best_bytes)
+
+let per_instr x dyn = if dyn > 0 then x /. float_of_int dyn else 0.0
+
+type interp_row = {
+  ir_name : string;
+  ir_dyn : int;
+  ir_seconds : float;
+  ir_bytes : float;  (** per run *)
+  ir_inst_dyn : int;  (** the three instrumented runs together *)
+  ir_inst_seconds : float;
+  ir_inst_bytes : float;
+}
+
+(* Measures raw interpreter throughput per benchmark (input 0, AVX) and
+   writes BENCH_interp.json so successive PRs can track the perf
+   trajectory. Two arms: the uninstrumented program, and its
+   instrumented copies — what every campaign run executes — one per
+   fault-site category, each golden run under a profiling runtime. The
+   instrumented arm reports its time ratio to the uninstrumented one
+   (the three category runs against three uninstrumented runs).
+   VULFI_INTERP_REPS overrides the repetition count (CI smoke runs use
+   2). *)
 let interp_bench () =
   header
     (Printf.sprintf
        "VM throughput: dynamic instructions / second per benchmark \
-        (uninstrumented, input 0, AVX, fusion %s)"
+        (input 0, AVX, fusion %s), uninstrumented | instrumented \
+        golden runs of the three categories"
        (if !Vulfi.Experiment.fusion_enabled then "on" else "off"));
   let reps = getenv_int "VULFI_INTERP_REPS" 5 in
   (* VULFI_BENCH_ONLY=substr restricts the table to matching rows: used
@@ -654,81 +722,65 @@ let interp_bench () =
             Hashtbl.replace fused_hist l
               (n + Option.value ~default:0 (Hashtbl.find_opt fused_hist l)))
           (Interp.Compile.fused_length_hist code);
-        (* Timed region = Machine.run only: the metric is VM execution
-           throughput; per-experiment state construction and input
-           generation are excluded (identically for every interpreter
-           under comparison). Each run still gets a fresh state, like a
-           campaign experiment does. *)
-        let prepare () =
-          let st = Interp.Machine.create code in
-          let args, _ = w.Vulfi.Workload.w_setup ~input:0 st in
-          (st, args)
+        let dyn, best, bytes = time_golden ~reps w code in
+        let inst_dyn = ref 0 and inst_best = ref 0.0 and inst_bytes = ref 0.0 in
+        List.iter
+          (fun category ->
+            let p = Vulfi.Experiment.prepare w Vir.Target.Avx category in
+            let d, t, b =
+              time_golden ~reps
+                ~attach:
+                  (Vulfi.Runtime.attach
+                     (Vulfi.Runtime.create Vulfi.Runtime.Profile))
+                w p.Vulfi.Experiment.p_code
+            in
+            inst_dyn := !inst_dyn + d;
+            inst_best := !inst_best +. t;
+            inst_bytes := !inst_bytes +. b)
+          Analysis.Sites.all_categories;
+        let r =
+          {
+            ir_name = w.Vulfi.Workload.w_name;
+            ir_dyn = dyn;
+            ir_seconds = best;
+            ir_bytes = bytes;
+            ir_inst_dyn = !inst_dyn;
+            ir_inst_seconds = !inst_best;
+            ir_inst_bytes = !inst_bytes;
+          }
         in
-        let dyn =
-          let st, args = prepare () in
-          ignore (Interp.Machine.run st w.Vulfi.Workload.w_fn args);
-          Interp.Machine.dyn_count st
-        in
-        (* Warm-up done. Tiny kernels are batched so a measurement spans
-           well above timer resolution; the *fastest* batch is kept: on
-           a shared/noisy host the minimum is the only robust estimator
-           of the true cost (preemption only ever adds time). *)
-        let batch =
-          max 1 (min 512 (1 + (20_000 / max 1 dyn)))
-        in
-        let fn = w.Vulfi.Workload.w_fn in
-        let best = ref infinity in
-        let best_bytes = ref infinity in
-        for _ = 1 to reps do
-          let prepared = Array.init batch (fun _ -> prepare ()) in
-          (* drain the allocation debt of the untimed construction above
-             so its minor-GC work cannot land inside the timed window *)
-          Gc.minor ();
-          let a0 = Gc.allocated_bytes () in
-          let t0 = Unix.gettimeofday () in
-          Array.iter
-            (fun (st, args) -> ignore (Interp.Machine.run st fn args))
-            prepared;
-          let t1 = Unix.gettimeofday () in
-          (* Allocation across the same timed window. The count is
-             deterministic per run; the minimum across reps simply
-             rejects any stray allocation from a signal/GC hook. *)
-          let db = (Gc.allocated_bytes () -. a0) /. float_of_int batch in
-          let dt = (t1 -. t0) /. float_of_int batch in
-          if dt < !best then best := dt;
-          if db < !best_bytes then best_bytes := db
-        done;
-        let mips =
-          if !best > 0.0 then float_of_int dyn /. !best /. 1.0e6 else 0.0
-        in
-        let bpi =
-          if dyn > 0 then !best_bytes /. float_of_int dyn else 0.0
-        in
+        let ratio = r.ir_inst_seconds /. (3.0 *. r.ir_seconds) in
         Printf.printf
-          "%-18s %10d dyn instrs  %8.3f ms/run  %8.2f M instr/s  %7.2f B/instr\n"
-          w.Vulfi.Workload.w_name dyn (!best *. 1000.0) mips bpi;
-        (w.Vulfi.Workload.w_name, dyn, reps, !best, mips, bpi))
+          "%-18s %10d dyn instrs  %8.3f ms/run  %8.2f M instr/s  %7.2f \
+           B/instr | instrumented %9d  %7.2f B/instr  %5.2fx time\n"
+          r.ir_name dyn (best *. 1000.0)
+          (float_of_int dyn /. best /. 1.0e6)
+          (per_instr bytes dyn) r.ir_inst_dyn
+          (per_instr r.ir_inst_bytes r.ir_inst_dyn)
+          ratio;
+        r)
       benches
   in
-  let total_dyn =
-    List.fold_left (fun acc (_, d, _, _, _, _) -> acc + d) 0 rows
-  in
-  let total_dt =
-    List.fold_left (fun acc (_, _, _, t, _, _) -> acc +. t) 0.0 rows
-  in
-  let total_bytes =
-    List.fold_left
-      (fun acc (_, d, _, _, _, b) -> acc +. (b *. float_of_int d))
-      0.0 rows
-  in
+  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 rows in
+  let total_dyn = sum (fun r -> float_of_int r.ir_dyn) in
+  let total_dt = sum (fun r -> r.ir_seconds) in
   let agg_mips =
-    if total_dt > 0.0 then float_of_int total_dyn /. total_dt /. 1.0e6 else 0.0
+    if total_dt > 0.0 then total_dyn /. total_dt /. 1.0e6 else 0.0
   in
   let agg_bpi =
-    if total_dyn > 0 then total_bytes /. float_of_int total_dyn else 0.0
+    if total_dyn > 0.0 then sum (fun r -> r.ir_bytes) /. total_dyn else 0.0
   in
-  Printf.printf "%-18s %33s  %8.2f M instr/s  %7.2f B/instr\n" "AGGREGATE" ""
-    agg_mips agg_bpi;
+  let inst_dyn = sum (fun r -> float_of_int r.ir_inst_dyn) in
+  let agg_inst_bpi =
+    if inst_dyn > 0.0 then sum (fun r -> r.ir_inst_bytes) /. inst_dyn else 0.0
+  in
+  let inst_ratio =
+    if total_dt > 0.0 then sum (fun r -> r.ir_inst_seconds) /. (3.0 *. total_dt)
+    else 0.0
+  in
+  Printf.printf "%-18s %33s  %8.2f M instr/s  %7.2f B/instr | instrumented \
+                 %7.2f B/instr  %5.2fx time\n"
+    "AGGREGATE" "" agg_mips agg_bpi agg_inst_bpi inst_ratio;
   Printf.printf "fused chains: %d of %d annotated\n" !chains_fused
     !chains_annotated;
   (* Allocation-regression tripwire for the one workload that used to
@@ -736,8 +788,9 @@ let interp_bench () =
      fail loudly right here rather than letting CI bisect the
      aggregate. *)
   List.iter
-    (fun (name, _, _, _, _, bpi) ->
-      if name = "ConjugateGradient" && bpi > 12.0 then begin
+    (fun r ->
+      let bpi = per_instr r.ir_bytes r.ir_dyn in
+      if r.ir_name = "ConjugateGradient" && bpi > 12.0 then begin
         Printf.eprintf
           "FAIL: ConjugateGradient allocates %.2f B/instr (> 12.0 \
            regression gate)\n"
@@ -750,7 +803,7 @@ let interp_bench () =
     |> List.sort compare
   in
   let oc = open_out "BENCH_interp.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"vulfi-interp-bench-v5\",\n";
+  Printf.fprintf oc "{\n  \"schema\": \"vulfi-interp-bench-v6\",\n";
   Printf.fprintf oc "  \"reps\": %d,\n" reps;
   Printf.fprintf oc "  \"fusion\": %b,\n" !Vulfi.Experiment.fusion_enabled;
   Printf.fprintf oc "  \"chains_annotated\": %d,\n" !chains_annotated;
@@ -760,6 +813,9 @@ let interp_bench () =
        (List.map (fun (l, n) -> Printf.sprintf "[%d, %d]" l n) hist_rows));
   Printf.fprintf oc "  \"aggregate_minstr_per_s\": %.3f,\n" agg_mips;
   Printf.fprintf oc "  \"aggregate_bytes_per_instr\": %.3f,\n" agg_bpi;
+  Printf.fprintf oc "  \"aggregate_instrumented_bytes_per_instr\": %.3f,\n"
+    agg_inst_bpi;
+  Printf.fprintf oc "  \"instrumented_time_ratio\": %.3f,\n" inst_ratio;
   (* Pre-DPS reference point (PR 4 tree, measured with this very
      harness before the destination-passing rewrite) so the before/after
      of the allocation work stays in the artifact. *)
@@ -777,14 +833,30 @@ let interp_bench () =
   Printf.fprintf oc
     "  \"baseline_pre_superblock\": {\"aggregate_minstr_per_s\": 70.325, \
      \"aggregate_bytes_per_instr\": 4.275},\n";
+  (* Pre-site-kernel reference point (the tree right before fault
+     sites became interpreter primitives, this harness's instrumented
+     arm, 50 reps): every lane's fault-site call went through a host
+     handler with an argument list. *)
+  Printf.fprintf oc
+    "  \"baseline_pre_site_kernels\": \
+     {\"aggregate_instrumented_bytes_per_instr\": 38.37, \
+     \"instrumented_time_ratio\": 6.68},\n";
   Printf.fprintf oc "  \"benchmarks\": [\n";
   List.iteri
-    (fun i (name, dyn, r, dt, mips, bpi) ->
+    (fun i r ->
       Printf.fprintf oc
         "    {\"name\": %S, \"dyn_instrs\": %d, \"reps\": %d, \
          \"best_seconds_per_run\": %.9f, \"minstr_per_s\": %.3f, \
-         \"bytes_per_instr\": %.3f}%s\n"
-        name dyn r dt mips bpi
+         \"bytes_per_instr\": %.3f, \"instrumented_dyn_instrs\": %d, \
+         \"instrumented_seconds_per_run\": %.9f, \
+         \"instrumented_bytes_per_instr\": %.3f, \
+         \"instrumented_time_ratio\": %.3f}%s\n"
+        r.ir_name r.ir_dyn reps r.ir_seconds
+        (float_of_int r.ir_dyn /. r.ir_seconds /. 1.0e6)
+        (per_instr r.ir_bytes r.ir_dyn)
+        r.ir_inst_dyn r.ir_inst_seconds
+        (per_instr r.ir_inst_bytes r.ir_inst_dyn)
+        (r.ir_inst_seconds /. (3.0 *. r.ir_seconds))
         (if i = List.length rows - 1 then "" else ","))
     rows;
   Printf.fprintf oc "  ]\n}\n";

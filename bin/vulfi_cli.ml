@@ -242,20 +242,7 @@ let inject_cmd =
 
 let fault_kind_conv =
   let parse s =
-    match String.lowercase_ascii s with
-    | "single" | "single-bit" | "bitflip" -> Ok Vulfi.Runtime.Single_bit_flip
-    | "random" | "random-value" -> Ok Vulfi.Runtime.Random_value
-    | "zero" | "stuck-at-zero" -> Ok Vulfi.Runtime.Stuck_at_zero
-    | other -> (
-      (* "Nbit" multi-bit flips, e.g. "2bit" *)
-      try
-        Scanf.sscanf other "%dbit%!" (fun k ->
-            Ok (Vulfi.Runtime.Multi_bit_flip k))
-      with _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "unknown fault kind %S (single|Nbit|random|zero)"
-               other)))
+    Result.map_error (fun m -> `Msg m) (Vulfi.Runtime.fault_kind_of_string s)
   in
   Arg.conv
     ( parse,

@@ -32,9 +32,12 @@
     Calls are pre-resolved into direct calls (the callee's compiled
     function captured), specialized intrinsic closures, or extern
     *slots* — the string-keyed hash lookups of the old interpreter
-    happen once per module instead of once per dynamic call. The
-    campaign semantics (fuel, dyn_count/dyn_vector accounting, traps,
-    extern hook surface) are preserved exactly. *)
+    happen once per module instead of once per dynamic call. A slot
+    bound as a fault site runs inside the interpreter, and each
+    instrumented vector fault site runs on the hot path as one kernel
+    (see "Fault-site kernels" below). The campaign semantics (fuel,
+    dyn_count/dyn_vector accounting, traps, extern hook surface) are
+    preserved exactly. *)
 
 type coperand =
   | Creg of int
@@ -167,6 +170,10 @@ and cmodule = {
   fused_hist : (int, int) Hashtbl.t;
       (** chain length -> count over the actually-fused chains; feeds
           the VULFI_FUSION_STATS / bench fusion report *)
+  mutable n_site_kernels : int;
+      (** instrumented vector fault sites lowered to one hot-path
+          kernel each (see [thread_site_chain]); not counted in
+          [n_fused_chains] *)
 }
 
 and state = {
@@ -182,8 +189,9 @@ and state = {
           dynamic counter like the two above: checkpoints save it,
           resumes restore it and convergence checks compare it. *)
   mutable sites : int;
-      (** live dynamic fault sites, bumped by the fault-injection
-          extern handler; a dynamic counter like [detections] *)
+      (** live dynamic fault sites, bumped by calls on [Site] extern
+          slots and by the vector site kernels; a dynamic counter like
+          [detections] *)
   mutable depth : int;  (** current call depth; reset per [run] *)
   mutable regs : Vvalue.t array;
       (** register frame of the running activation. Threaded closures
@@ -201,11 +209,31 @@ and state = {
           call are never observable. Two live activations can never
           share a frame because a nested call always runs one depth
           deeper. *)
-  extern_slots : extern_fn option array;
+  extern_slots : extern_slot array;
   max_depth : int;
 }
 
 and extern_fn = state -> Vvalue.t list -> Vvalue.t option
+
+(* What a call on an extern slot runs. [Host] handlers take the
+   arguments as a list of borrowed register aliases; [Site] is the
+   fault-injection primitive, run by the interpreter itself without
+   building an argument list (see [site_call]). *)
+and extern_slot =
+  | Unbound
+  | Host of extern_fn
+  | Site of site
+
+(* A fault-site extern [f(value, mask, site_id)]: a call on a live lane
+   (any lane when [respect_masks] is off) bumps [sites]; the call that
+   brings [sites] to [armed] returns [fire site_id value] instead of
+   [value]. [fire] receives a borrowed alias of the value register and
+   must return a private value. [armed <= 0] never fires. *)
+and site = {
+  respect_masks : bool;
+  armed : int;
+  fire : int -> Vvalue.t -> Vvalue.t;
+}
 
 (* ------------------------------------------------------------------ *)
 (* Stage 1: register form                                              *)
@@ -684,6 +712,40 @@ let exec_resumable (st : state) ?(check : check option) (entry : entry) :
     in
     unwind (n - 1) None
 
+(* A call on a [Site] slot: the value and mask lanes are read straight
+   from their registers and the result is written into [dst] — no
+   argument list, no option, no host round trip. Exactly the protocol
+   the [site] type documents; [gsite] is read only when the site fires. *)
+let site_call (st : state) (s : site) (regs : Vvalue.t array) dst
+    (v : Vvalue.t) (mask : Vvalue.t) (gsite : Vvalue.t array -> Vvalue.t) =
+  let live =
+    (not s.respect_masks)
+    ||
+    (* [Vvalue.as_bool] without boxing the lane *)
+    match mask with
+    | Vvalue.I (_, m) when Ilanes.length m = 1 -> Ilanes.unsafe_get m 0 <> 0L
+    | _ -> Vvalue.as_bool mask
+  in
+  let fired =
+    live
+    &&
+    let n = st.sites + 1 in
+    st.sites <- n;
+    n = s.armed
+  in
+  if fired then
+    store_ret regs dst
+      (Some (s.fire (Int64.to_int (Vvalue.as_int (gsite regs))) v))
+  else if dst >= 0 then
+    match (Array.unsafe_get regs dst, v) with
+    | Vvalue.I (_, d), Vvalue.I (_, x)
+      when Ilanes.length d = 1 && Ilanes.length x = 1 ->
+      Ilanes.unsafe_set d 0 (Ilanes.unsafe_get x 0)
+    | Vvalue.F (_, d), Vvalue.F (_, x)
+      when Array.length d = 1 && Array.length x = 1 ->
+      Array.unsafe_set d 0 (Array.unsafe_get x 0)
+    | d, _ -> Vvalue.copy_into ~dst:d v
+
 (* ------------------------------------------------------------------ *)
 (* Stage 2: closure threading                                          *)
 
@@ -1081,10 +1143,12 @@ let rec thread_instr (cm : cmodule) (cf : cfunc) (ci : cinstr) : texec =
       let ix = Int64.to_int (Vvalue.as_int (gi regs)) in
       if ix < 0 || ix >= Vvalue.lanes v then Trap.raise_ (Trap.Invalid_lane ix)
       else (
+        (* [ix] is in bounds for [v]: unchecked lane access, so an
+           integer lane moves as an unboxed int64 *)
         match (v, Array.unsafe_get regs dst) with
         | Vvalue.I (_, a), Vvalue.I (_, o) ->
-          Ilanes.unsafe_set o 0 (Ilanes.get a ix)
-        | Vvalue.F (_, a), Vvalue.F (_, o) -> o.(0) <- a.(ix)
+          Ilanes.unsafe_set o 0 (Ilanes.unsafe_get a ix)
+        | Vvalue.F (_, a), Vvalue.F (_, o) -> o.(0) <- Array.unsafe_get a ix
         | _ -> invalid_arg "Machine: extractelement kind mismatch")
   | Vir.Instr.Insertelement _ ->
     let s = Vir.Vtype.elem i.Vir.Instr.ty in
@@ -1097,13 +1161,17 @@ let rec thread_instr (cm : cmodule) (cf : cfunc) (ci : cinstr) : texec =
       let ix = Int64.to_int (Vvalue.as_int (gi regs)) in
       if ix < 0 || ix >= Vvalue.lanes v then Trap.raise_ (Trap.Invalid_lane ix)
       else (
+        (* [ix] is in bounds for [v], and the guards give [o] the same
+           lane count: unchecked lane writes *)
         match (v, e, Array.unsafe_get regs dst) with
-        | Vvalue.I (_, a), Vvalue.I (_, e), Vvalue.I (_, o) ->
+        | Vvalue.I (_, a), Vvalue.I (_, e), Vvalue.I (_, o)
+          when Ilanes.length a = Ilanes.length o ->
           Ilanes.blit a 0 o 0 (Ilanes.length o);
-          Ilanes.set o ix (Bits.truncate s (Ilanes.unsafe_get e 0))
-        | Vvalue.F (_, a), Vvalue.F (_, [| x |]), Vvalue.F (_, o) ->
+          Ilanes.unsafe_set o ix (Bits.truncate s (Ilanes.unsafe_get e 0))
+        | Vvalue.F (_, a), Vvalue.F (_, [| x |]), Vvalue.F (_, o)
+          when Array.length a = Array.length o ->
           Array.blit a 0 o 0 (Array.length o);
-          o.(ix) <- Bits.round_float s x
+          Array.unsafe_set o ix (Bits.round_float s x)
         | _ -> invalid_arg "Vvalue.insert: kind mismatch")
   | Vir.Instr.Shufflevector (_, _, mask) ->
     let ga = getter ops.(0) and gb = getter ops.(1) in
@@ -1153,10 +1221,9 @@ and thread_call (cm : cmodule) (ci : cinstr) (callee : string)
   let dst = ci.dst in
   let gs = Array.map getter ops in
   let nargs = Array.length gs in
-  (* Shared arg-list builder for list-based callees (externs). The list
-     holds *aliases* of register buffers: handlers consume them during
-     the call and must copy anything they retain (the VULFI runtime
-     copies its injection record; see DESIGN.md). *)
+  (* Shared arg-list builder for [Host] extern handlers. The list holds
+     *aliases* of register buffers: handlers consume them during the
+     call and must copy anything they retain (see DESIGN.md). *)
   let mk_args : Vvalue.t array -> Vvalue.t list =
     match gs with
     | [||] -> fun _ -> []
@@ -1322,14 +1389,31 @@ and thread_call (cm : cmodule) (ci : cinstr) (callee : string)
           chg st;
           Memory.store ~mask:(gm regs) st.mem (gv regs)
             (Vvalue.as_int (gp regs))
-    | None ->
+    | None -> (
       let slot = Hashtbl.find cm.extern_index callee in
-      fun st ->
-        let regs = st.regs in
-        chg st;
-        (match Array.unsafe_get st.extern_slots slot with
-        | Some handler -> store_ret regs dst (handler st (mk_args regs))
-        | None -> Trap.raise_ (Trap.Unknown_function callee)))
+      let unbound () = Trap.raise_ (Trap.Unknown_function callee) in
+      match gs with
+      | [| gv; gm; gsite |] ->
+        fun st ->
+          let regs = st.regs in
+          chg st;
+          (match Array.unsafe_get st.extern_slots slot with
+          | Site s -> site_call st s regs dst (gv regs) (gm regs) gsite
+          | Host handler -> store_ret regs dst (handler st (mk_args regs))
+          | Unbound -> unbound ())
+      | _ ->
+        fun st ->
+          let regs = st.regs in
+          chg st;
+          (match Array.unsafe_get st.extern_slots slot with
+          | Host handler -> store_ret regs dst (handler st (mk_args regs))
+          | Site _ ->
+            invalid_arg
+              (Printf.sprintf
+                 "Machine: fault-site extern @%s called with %d argument(s), \
+                  expects 3"
+                 callee nargs)
+          | Unbound -> unbound ())))
 
 (* ------------------------------------------------------------------ *)
 (* Per-register liveness over the register-form CFG. The convergence
@@ -2179,77 +2263,326 @@ let thread_term (t : cterm) : tterm =
   | Tret None -> Ct_ret_void
   | Tunreachable -> Ct_unreachable
 
-(* Hot-path body with annotated chains lowered to fused kernels. The
-   per-instruction closures ([body]) always exist — they back
-   [t_steps] — so a chain the emitter declines simply stays unfused. *)
-let fuse_body (cm : cmodule) (cf : cfunc) (blk : cblock) (body : texec array)
-    : texec array =
-  let chains =
-    List.filter
-      (fun (ch : Vir.Func.fuse_chain) -> ch.Vir.Func.fc_block = blk.clabel)
-      cf.cf.Vir.Func.fuse_chains
+(* ------------------------------------------------------------------ *)
+(* Fault-site kernels.
+
+   [Instrument] splices one chain per vector fault site. For lanes
+   j = 0 .. n-1, contiguous in one block:
+
+     %e_j = extractelement %v_j, j
+     %m_j = extractelement %mask, j          (masked sites only)
+     %c_j = call @inject(%e_j, %m_j, site_j)  (an immediate mask else)
+     %v_(j+1) = insertelement %v_j, %c_j, j
+
+   where %v_0 is the site's vector value and %v_n the instrumented one.
+   [match_site_chain] recognises the chain on the compiled body: every
+   call on one extern slot, and every intermediate read only inside
+   the chain (its whole-function use count equals its in-chain count).
+   [thread_site_chain] lowers it into one hot-path kernel. The kernel
+   charges the chain's fuel and vector count in one step and adds its
+   live lanes to [sites]. Lane j of %v_j is lane j of %v_0, and a call
+   that does not fire returns its value unchanged. So the kernel writes
+   %v_n's buffer straight from %v_0, each lane normalised exactly as
+   [insertelement] normalises it.
+
+   The kernel leaves the intermediates unwritten. Nothing can observe
+   that. SSA confines their reads to the chain, which the kernel
+   replaces as a whole. Only the resumable driver stops inside a chain,
+   and it walks [t_steps], which keep one closure per instruction. The
+   kernel runs the member closures instead, exact by construction,
+   whenever it could differ from them:
+   - [fuel] is below the member count, so a budget trap lands on the
+     member that runs out;
+   - the slot is not a [Site]: a host handler sees every call, and an
+     unbound slot traps at its first call;
+   - [armed] falls among this execution's live lanes, so [fire] runs
+     from the lane's own call;
+   - a value is not shaped as its static type says. *)
+
+type site_chain = {
+  sc_len : int;  (** members *)
+  sc_lanes : int;
+  sc_elem : Vir.Vtype.scalar;
+  sc_src : coperand;  (** the site's vector value, [%v_0] *)
+  sc_mask : coperand option;
+      (** the mask vector the calls' mask lanes are extracted from;
+          [None] when every call takes an immediate mask *)
+  sc_imm_live : int;
+      (** with [sc_mask = None]: the calls whose immediate mask is on *)
+  sc_slot : int;
+  sc_dst : int;  (** the last insert's register, [%v_n] *)
+  sc_nvec : int;  (** members that count as vector instructions *)
+}
+
+let same_operand a b =
+  match (a, b) with
+  | Creg x, Creg y -> x = y
+  | Cimm x, Cimm y -> Vvalue.equal x y
+  | Creg _, Cimm _ | Cimm _, Creg _ -> false
+
+let imm_int_is (o : coperand) (j : int) =
+  match o with
+  | Cimm (Vvalue.I (_, a)) ->
+    Ilanes.length a = 1 && Ilanes.unsafe_get a 0 = Int64.of_int j
+  | Cimm (Vvalue.F _) | Creg _ -> false
+
+(* Per-register use counts over a whole function: phi incomings,
+   body operands and terminators. *)
+let use_counts (cf : cfunc) : int array =
+  let uses = Array.make (max cf.nregs 1) 0 in
+  let mark r = uses.(r) <- uses.(r) + 1 in
+  Array.iter
+    (fun (blk : cblock) ->
+      Array.iter
+        (fun (p : cphi) ->
+          Array.iter
+            (function _, Creg r -> mark r | _, Cimm _ -> ())
+            p.incoming)
+        blk.cphis;
+      Array.iter (fun ci -> instr_uses ci mark) blk.body;
+      term_uses blk.term mark)
+    cf.cblocks;
+  uses
+
+(* The vector site chain starting at [body.(k)], if any (see above). *)
+let match_site_chain (cm : cmodule) (uses : int array) (body : cinstr array)
+    (k : int) : site_chain option =
+  let nb = Array.length body in
+  let get p = if p < nb then body.(p) else raise Exit in
+  let require b = if not b then raise Exit in
+  let ty_is (ci : cinstr) t =
+    require (ci.dst >= 0 && ci.src.Vir.Instr.ty = t)
   in
-  if chains = [] then body
-  else begin
-    let n = Array.length blk.body in
-    (* Validate bounds and overlap; annotations are advisory input. *)
-    let chain_at = Array.make (max n 1) None in
-    let covered = Array.make (max n 1) false in
-    List.iter
-      (fun (ch : Vir.Func.fuse_chain) ->
-        let s = ch.Vir.Func.fc_start and l = ch.Vir.Func.fc_len in
-        if s >= 0 && l >= 2 && s + l <= n then begin
-          let free = ref true in
-          for k = s to s + l - 1 do
-            if covered.(k) then free := false
-          done;
-          if !free then begin
-            for k = s to s + l - 1 do
-              covered.(k) <- true
-            done;
-            chain_at.(s) <- Some l
-          end
-        end)
-      chains;
-    let out = ref [] in
-    let k = ref 0 in
-    while !k < n do
-      match chain_at.(!k) with
-      | Some l -> (
-        (* Two/three-member chains go through the PR 7 whole-chain
-           peephole kernels; everything else (longer chains, reduction
-           tails, unclassified shapes) through the segmenting
-           superblock emitter. *)
-        let fx =
-          match if l <= 3 then thread_chain blk.body !k l else None with
-          | Some fx -> Some fx
-          | None -> thread_superblock body blk.body !k l
+  (* the vector operand of an extract of constant lane [j] *)
+  let extract_src (ci : cinstr) j =
+    match ci.src.Vir.Instr.op with
+    | Vir.Instr.Extractelement _ ->
+      require (imm_int_is ci.ops.(1) j);
+      ci.ops.(0)
+    | _ -> raise Exit
+  in
+  try
+    let e0 = get k in
+    let n, elem =
+      match e0.src.Vir.Instr.op with
+      | Vir.Instr.Extractelement (v, _) -> (
+        match Vir.Instr.operand_ty v with
+        | Vir.Vtype.Vector (n, s) -> (n, s)
+        | _ -> raise Exit)
+      | _ -> raise Exit
+    in
+    let vec_ty = Vir.Vtype.Vector (n, elem) in
+    let masked =
+      match (get (k + 1)).src.Vir.Instr.op with
+      | Vir.Instr.Extractelement _ -> true
+      | _ -> false
+    in
+    let per_lane = if masked then 4 else 3 in
+    let mask = ref None and imm_live = ref 0 and slot = ref (-1) in
+    let nvec = ref 0 and cur = ref e0.ops.(0) in
+    for j = 0 to n - 1 do
+      let p = k + (j * per_lane) in
+      let e = get p in
+      require (same_operand (extract_src e j) !cur);
+      ty_is e (Vir.Vtype.Scalar elem);
+      let c = get (p + per_lane - 2) and ins = get (p + per_lane - 1) in
+      require (Array.length c.ops = 3);
+      if masked then begin
+        let m = get (p + 1) in
+        let mv = extract_src m j in
+        (match !mask with
+        | None -> mask := Some mv
+        | Some mv0 -> require (same_operand mv mv0));
+        ty_is m Vir.Vtype.bool_ty;
+        require (uses.(m.dst) = 1 && same_operand c.ops.(1) (Creg m.dst))
+      end
+      else begin
+        match c.ops.(1) with
+        | Cimm (Vvalue.I (_, b)) when Ilanes.length b = 1 ->
+          if Ilanes.unsafe_get b 0 <> 0L then incr imm_live
+        | _ -> raise Exit
+      end;
+      (match c.src.Vir.Instr.op with
+      | Vir.Instr.Call (callee, _) ->
+        let s =
+          if Hashtbl.mem cm.cfuncs callee then raise Exit
+          else
+            match Hashtbl.find_opt cm.extern_index callee with
+            | Some s -> s
+            | None -> raise Exit
         in
-        match fx with
-        | Some fx ->
-          out := fx :: !out;
-          cm.n_fused_chains <- cm.n_fused_chains + 1;
-          Hashtbl.replace cm.fused_hist l
-            (1 + Option.value ~default:0 (Hashtbl.find_opt cm.fused_hist l));
-          k := !k + l
-        | None ->
-          out := body.(!k) :: !out;
-          incr k)
-      | None ->
-        out := body.(!k) :: !out;
-        incr k
+        require (!slot < 0 || !slot = s);
+        slot := s
+      | _ -> raise Exit);
+      ty_is c (Vir.Vtype.Scalar elem);
+      require (same_operand c.ops.(0) (Creg e.dst) && uses.(e.dst) = 1);
+      (match ins.src.Vir.Instr.op with
+      | Vir.Instr.Insertelement _ ->
+        require
+          (same_operand ins.ops.(0) !cur
+          && same_operand ins.ops.(1) (Creg c.dst)
+          && imm_int_is ins.ops.(2) j)
+      | _ -> raise Exit);
+      ty_is ins vec_ty;
+      require (uses.(c.dst) = 1);
+      (* %v_(j+1) feeds lane j+1's extract and insert, and nothing else *)
+      if j < n - 1 then require (uses.(ins.dst) = 2);
+      for q = p to p + per_lane - 1 do
+        if body.(q).cvec then incr nvec
+      done;
+      cur := Creg ins.dst
     done;
-    Array.of_list (List.rev !out)
-  end
+    Some
+      {
+        sc_len = n * per_lane;
+        sc_lanes = n;
+        sc_elem = elem;
+        sc_src = e0.ops.(0);
+        sc_mask = !mask;
+        sc_imm_live = !imm_live;
+        sc_slot = !slot;
+        sc_dst = (match !cur with Creg r -> r | Cimm _ -> raise Exit);
+        sc_nvec = !nvec;
+      }
+  with Exit -> None
+
+(* The kernel of one matched chain; [slow] runs its member closures. *)
+let thread_site_chain (sc : site_chain) (slow : texec) : texec =
+  let n = sc.sc_lanes and len = sc.sc_len and nvec = sc.sc_nvec in
+  let slot = sc.sc_slot and dst = sc.sc_dst and elem = sc.sc_elem in
+  let gsrc = getter sc.sc_src in
+  (* The live lanes of this execution, or -1 when the mask vector is
+     not shaped as the member extracts expect. *)
+  let live_lanes : bool -> Vvalue.t array -> int =
+    match sc.sc_mask with
+    | None ->
+      let imm = sc.sc_imm_live in
+      fun respect _ -> if respect then imm else n
+    | Some m ->
+      let gm = getter m in
+      fun respect regs ->
+        match gm regs with
+        | Vvalue.I (_, ml) when Ilanes.length ml = n ->
+          if not respect then n
+          else begin
+            let c = ref 0 in
+            for j = 0 to n - 1 do
+              if Ilanes.unsafe_get ml j <> 0L then incr c
+            done;
+            !c
+          end
+        | _ -> -1
+  in
+  (* Charge the whole chain and count its live sites, unless one of the
+     fallbacks applies; [true] = charged. *)
+  let commit st (s : site) regs =
+    let live = live_lanes s.respect_masks regs in
+    let s0 = st.sites in
+    if live < 0 || (s.armed > s0 && s.armed <= s0 + live) then false
+    else begin
+      st.fuel <- st.fuel - len;
+      st.dyn_vector <- st.dyn_vector + nvec;
+      st.sites <- s0 + live;
+      true
+    end
+  in
+  let is_float = Vir.Vtype.is_float_scalar elem in
+  fun st ->
+    match Array.unsafe_get st.extern_slots slot with
+    | Site s when st.fuel >= len -> (
+      let regs = st.regs in
+      match (gsrc regs, Array.unsafe_get regs dst) with
+      | Vvalue.I (_, a), Vvalue.I (_, o)
+        when (not is_float) && Ilanes.length a = n && Ilanes.length o = n ->
+        if commit st s regs then
+          for j = 0 to n - 1 do
+            Ilanes.unsafe_set o j (Bits.truncate elem (Ilanes.unsafe_get a j))
+          done
+        else slow st
+      | Vvalue.F (_, a), Vvalue.F (_, o)
+        when is_float && Array.length a = n && Array.length o = n ->
+        if commit st s regs then
+          for j = 0 to n - 1 do
+            Array.unsafe_set o j (Bits.round_float elem (Array.unsafe_get a j))
+          done
+        else slow st
+      | _ -> slow st)
+    | Site _ | Host _ | Unbound -> slow st
+
+(* Hot-path body: annotated chains lowered to fused kernels, then the
+   instrumented vector sites to site kernels. The per-instruction
+   closures ([body]) always exist — they back [t_steps] and every
+   kernel's fallback — so a chain the emitters decline simply stays
+   per-instruction. *)
+let hot_body (cm : cmodule) (cf : cfunc) (uses : int array) (blk : cblock)
+    (body : texec array) : texec array =
+  let n = Array.length blk.body in
+  (* Validate bounds and overlap; annotations are advisory input. *)
+  let chain_at = Array.make (max n 1) None in
+  let covered = Array.make (max n 1) false in
+  List.iter
+    (fun (ch : Vir.Func.fuse_chain) ->
+      let s = ch.Vir.Func.fc_start and l = ch.Vir.Func.fc_len in
+      if ch.Vir.Func.fc_block = blk.clabel && s >= 0 && l >= 2 && s + l <= n
+      then begin
+        let free = ref true in
+        for k = s to s + l - 1 do
+          if covered.(k) then free := false
+        done;
+        if !free then begin
+          for k = s to s + l - 1 do
+            covered.(k) <- true
+          done;
+          chain_at.(s) <- Some l
+        end
+      end)
+    cf.cf.Vir.Func.fuse_chains;
+  let out = ref [] in
+  let k = ref 0 in
+  let emit fx l =
+    out := fx :: !out;
+    k := !k + l
+  in
+  while !k < n do
+    match chain_at.(!k) with
+    | Some l -> (
+      (* Two/three-member chains go through the whole-chain peephole
+         kernels; everything else (longer chains, reduction tails,
+         unclassified shapes) through the segmenting superblock
+         emitter. *)
+      let fx =
+        match if l <= 3 then thread_chain blk.body !k l else None with
+        | Some fx -> Some fx
+        | None -> thread_superblock body blk.body !k l
+      in
+      match fx with
+      | Some fx ->
+        cm.n_fused_chains <- cm.n_fused_chains + 1;
+        Hashtbl.replace cm.fused_hist l
+          (1 + Option.value ~default:0 (Hashtbl.find_opt cm.fused_hist l));
+        emit fx l
+      | None -> emit body.(!k) 1)
+    | None -> (
+      match match_site_chain cm uses blk.body !k with
+      | Some sc
+        when not (Array.exists Fun.id (Array.sub covered !k sc.sc_len)) ->
+        cm.n_site_kernels <- cm.n_site_kernels + 1;
+        emit
+          (thread_site_chain sc (compose_body body !k (!k + sc.sc_len)))
+          sc.sc_len
+      | Some _ | None -> emit body.(!k) 1)
+  done;
+  Array.of_list (List.rev !out)
 
 let thread_func (cm : cmodule) (cf : cfunc) : unit =
   let nblocks = Array.length cf.cblocks in
   let live_in = live_in_sets cf in
+  let uses = use_counts cf in
   cf.tblocks <-
     Array.mapi
       (fun bi (blk : cblock) ->
         let body = Array.map (thread_instr cm cf) blk.body in
-        let hot = fuse_body cm cf blk body in
+        let hot = hot_body cm cf uses blk body in
         let lives = step_live_sets cf live_in bi blk in
         {
           t_phis = thread_phis cf blk nblocks;
@@ -2309,6 +2642,7 @@ let compile_module (m : Vir.Vmodule.t) : cmodule =
       n_extern_slots = !n_extern_slots;
       n_fused_chains = 0;
       fused_hist = Hashtbl.create 8;
+      n_site_kernels = 0;
     }
   in
   Hashtbl.iter (fun _ cf -> thread_func cm cf) cfuncs;
@@ -2323,3 +2657,7 @@ let fused_chain_count (cm : cmodule) : int = cm.n_fused_chains
 let fused_length_hist (cm : cmodule) : (int * int) list =
   Hashtbl.fold (fun l n acc -> (l, n) :: acc) cm.fused_hist []
   |> List.sort compare
+
+(* How many instrumented vector fault sites the threading stage lowered
+   to site kernels, for tests and the bench coverage counters. *)
+let site_kernel_count (cm : cmodule) : int = cm.n_site_kernels

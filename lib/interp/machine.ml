@@ -29,7 +29,8 @@ let create ?(budget = default_budget) ?(max_depth = 512)
     depth = 0;
     regs = [||];
     frames = Array.make (max_depth + 1) [||];
-    extern_slots = Array.make (max code.Compile.n_extern_slots 1) None;
+    extern_slots =
+      Array.make (max code.Compile.n_extern_slots 1) Compile.Unbound;
     max_depth;
   }
 
@@ -47,14 +48,29 @@ let reset ?budget (st : state) =
   st.Compile.depth <- 0;
   st.Compile.regs <- [||]
 
-(* Register (or replace) a handler for calls to an undefined function.
-   Call sites were pre-resolved to extern slots at compile time, so a
-   name no call site references has no slot — registering it is a no-op
-   (it could never have been invoked anyway). *)
-let register_extern (st : state) name handler =
+(* Bind a name's extern slot. Call sites were pre-resolved to extern
+   slots at compile time, so a name no call site references has no slot
+   — binding it is a no-op (it could never have been invoked anyway). *)
+let bind (st : state) name (binding : Compile.extern_slot) =
   match Hashtbl.find_opt st.Compile.code.Compile.extern_index name with
-  | Some slot -> st.Compile.extern_slots.(slot) <- Some handler
+  | Some slot -> st.Compile.extern_slots.(slot) <- binding
   | None -> ()
+
+(* Register (or replace) a host handler for calls to an undefined
+   function. *)
+let register_extern (st : state) name handler =
+  bind st name (Compile.Host handler)
+
+type site = Compile.site = {
+  respect_masks : bool;
+  armed : int;
+  fire : int -> Vvalue.t -> Vvalue.t;
+}
+
+(* Register (or replace) a fault-site extern: calls run inside the
+   interpreter (see [Compile.site_call]), and the vector site chains
+   that call it run as one kernel each. *)
+let register_site (st : state) name (s : site) = bind st name (Compile.Site s)
 
 let memory (st : state) = st.Compile.mem
 
@@ -72,7 +88,8 @@ let record_detection (st : state) =
   st.Compile.detections <- st.Compile.detections + 1
 
 (* Live fault sites: a machine counter for the same reason, so a resumed
-   run counts on from its prefix's sites. *)
+   run counts on from its prefix's sites. Site externs bump it inside
+   the interpreter; [record_site] is for host code. *)
 let sites (st : state) = st.Compile.sites
 
 let record_site (st : state) = st.Compile.sites <- st.Compile.sites + 1

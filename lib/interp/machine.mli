@@ -22,10 +22,35 @@ val create : ?budget:int -> ?max_depth:int -> Compile.cmodule -> state
     {!Memory.restore} to roll those back. *)
 val reset : ?budget:int -> state -> unit
 
-(** Register (or replace) a handler for calls to an undefined function.
-    The handler returns [None] for void functions. *)
+(** Register (or replace) a host handler for calls to an undefined
+    function. The handler receives the arguments as borrowed aliases of
+    register buffers, valid only during the call, and returns [None]
+    for void functions. *)
 val register_extern :
   state -> string -> (state -> Vvalue.t list -> Vvalue.t option) -> unit
+
+(** A fault-site extern [f(value, mask, site_id)], run by the
+    interpreter itself with no argument list and no host round trip.
+    A call on a live lane — its mask is true, or any lane when
+    [respect_masks] is [false] — adds one to {!sites}. The call that
+    brings {!sites} to [armed] returns [fire site_id value], where
+    [value] is a borrowed alias of the value register and [fire] must
+    return a private value; every other call returns [value]. An
+    [armed <= 0] never fires.
+
+    A vector fault site, the per-lane extract → call → insert chain the
+    instrumentor emits, runs on the hot path as one kernel with the
+    same dynamic counts, fuel charges and {!sites} total as its member
+    instructions. The kernel defers to the members when fuel runs out
+    inside the chain, or when [armed] falls among its live lanes. *)
+type site = Compile.site = {
+  respect_masks : bool;
+  armed : int;
+  fire : int -> Vvalue.t -> Vvalue.t;
+}
+
+(** Register (or replace) a fault-site extern under [name]. *)
+val register_site : state -> string -> site -> unit
 
 (** The machine's memory, for setting up inputs / reading outputs. *)
 val memory : state -> Memory.t
@@ -47,14 +72,13 @@ val detections : state -> int
 val record_detection : state -> unit
 
 (** Live dynamic fault sites counted since the machine was created or
-    last {!reset}: the fault-injection extern handler bumps it once per
-    live lane it sees. A dynamic counter like {!detections}: a
-    {!checkpoint} saves it, {!resume} restores it and {!state_equal}
-    compares it, so a resumed run counts on from its prefix's sites. *)
+    last {!reset}: each call on a {!site} extern bumps it once per live
+    lane. A dynamic counter like {!detections}: a {!checkpoint} saves
+    it, {!resume} restores it and {!state_equal} compares it, so a
+    resumed run counts on from its prefix's sites. *)
 val sites : state -> int
 
-(** Record one live fault site; the fault-injection extern handler
-    calls this on the machine it is invoked with. *)
+(** Record one live fault site from host code. *)
 val record_site : state -> unit
 
 (** Lane evaluators, exposed for reuse by constant folding and the

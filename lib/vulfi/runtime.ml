@@ -1,14 +1,17 @@
 (** The VULFI runtime injection API.
 
     Instrumented programs call [__vulfi_inject_T(value, mask, site_id)]
-    once per scalar fault site per dynamic execution. The runtime counts
-    dynamic fault sites on the machine ({!Interp.Machine.sites}; a site
-    is live only when its execution-mask lane is on — the paper's
-    central point about masked vector instructions) and:
+    once per scalar fault site per dynamic execution. The runtime
+    registers these as fault-site externs ({!Interp.Machine.register_site}):
+    the interpreter counts dynamic fault sites on the machine
+    ({!Interp.Machine.sites}; a site is live only when its
+    execution-mask lane is on — the paper's central point about masked
+    vector instructions), and:
 
-    - in [Profile] mode passes values through;
-    - in [Inject] mode flips one uniformly chosen bit of the value at
-      the configured dynamic site index. *)
+    - in [Profile] mode values pass through;
+    - in [Inject] mode the value at the configured dynamic site index is
+      corrupted per the fault kind (one uniformly chosen bit flipped by
+      default). *)
 
 (* How the chosen register is corrupted. The paper's study uses
    [Single_bit_flip]; the other kinds reproduce the wider fault-model
@@ -55,6 +58,12 @@ type t = {
    happens in the executed suffix. *)
 let create ?(seed = 0) ?(respect_masks = true)
     ?(fault_kind = Single_bit_flip) mode =
+  (match fault_kind with
+  | Multi_bit_flip k when k < 1 ->
+    invalid_arg
+      (Printf.sprintf "Runtime.create: a multi-bit flip needs k >= 1, got %d"
+         k)
+  | Multi_bit_flip _ | Single_bit_flip | Random_value | Stuck_at_zero -> ());
   {
     mode;
     injection = None;
@@ -118,41 +127,57 @@ let corrupt t (value : Interp.Vvalue.t) : Interp.Vvalue.t * int =
 
 let injected t = t.injection
 
-(* The handler shared by all __vulfi_inject_* externs. *)
-let handle t (st : Interp.Machine.state) (args : Interp.Vvalue.t list) :
-    Interp.Vvalue.t option =
-  match args with
-  | [ value; mask; site ] ->
-    if t.respect_masks && not (Interp.Vvalue.as_bool mask) then
-      (* Masked-off lane: not a live fault site. *)
-      Some value
-    else begin
-      Interp.Machine.record_site st;
-      match t.mode with
-      | Profile -> Some value
-      | Inject { dynamic_site } ->
-        if Interp.Machine.sites st = dynamic_site then begin
-          let corrupted, bit = corrupt t value in
-          (* [value] aliases a register buffer the interpreter will keep
-             rewriting; the record must capture a snapshot, not the
-             alias. [corrupted] is already a private copy. *)
-          t.injection <-
-            Some
-              {
-                inj_static_site = Int64.to_int (Interp.Vvalue.as_int site);
-                inj_dynamic_site = dynamic_site;
-                inj_bit = bit;
-                inj_before = Interp.Vvalue.copy value;
-                inj_after = corrupted;
-              };
-          Some corrupted
-        end
-        else Some value
-    end
-  | _ -> invalid_arg "__vulfi_inject: bad arity"
+(* The injection at the armed site: corrupt the value and record what
+   happened. [value] aliases a register buffer the interpreter will
+   keep rewriting, so the record captures a snapshot; [corrupted] is
+   already a private copy. *)
+let fire t ~dynamic_site site value =
+  let corrupted, bit = corrupt t value in
+  t.injection <-
+    Some
+      {
+        inj_static_site = site;
+        inj_dynamic_site = dynamic_site;
+        inj_bit = bit;
+        inj_before = Interp.Vvalue.copy value;
+        inj_after = corrupted;
+      };
+  corrupted
 
-(* Register the injection API on a machine. *)
+(* Register the injection API on a machine: every inject function is a
+   fault-site extern armed at the configured dynamic site ([Profile]
+   never fires). *)
 let attach t (st : Interp.Machine.state) =
+  let dynamic_site =
+    match t.mode with Profile -> 0 | Inject { dynamic_site } -> dynamic_site
+  in
+  let site =
+    {
+      Interp.Machine.respect_masks = t.respect_masks;
+      armed = dynamic_site;
+      fire = fire t ~dynamic_site;
+    }
+  in
   List.iter
-    (fun (name, _) -> Interp.Machine.register_extern st name (handle t))
+    (fun (name, _) -> Interp.Machine.register_site st name site)
     Fault_model.all_inject_fns
+
+(* Parse a fault kind as the command line spells it; [Error] carries the
+   message. *)
+let fault_kind_of_string s =
+  match String.lowercase_ascii s with
+  | "single" | "single-bit" | "bitflip" -> Ok Single_bit_flip
+  | "random" | "random-value" -> Ok Random_value
+  | "zero" | "stuck-at-zero" -> Ok Stuck_at_zero
+  | other -> (
+    (* "Nbit" multi-bit flips, e.g. "2bit" *)
+    match Scanf.sscanf other "%dbit%!" (fun k -> k) with
+    | k when k >= 1 -> Ok (Multi_bit_flip k)
+    | k ->
+      Error
+        (Printf.sprintf "fault kind %S: a multi-bit flip needs k >= 1, got %d"
+           other k)
+    | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+      Error
+        (Printf.sprintf "unknown fault kind %S (single|Nbit|random|zero)"
+           other))

@@ -1,9 +1,11 @@
 (** The VULFI runtime injection API.
 
     Instrumented programs call [__vulfi_inject_T(value, mask, site_id)]
-    once per scalar fault site per dynamic execution; this module
-    provides the handlers behind those externs. The dynamic-site count
-    is a machine counter ({!Interp.Machine.sites}), not runtime state. *)
+    once per scalar fault site per dynamic execution. {!attach} binds
+    those externs as interpreter fault sites
+    ({!Interp.Machine.register_site}): the interpreter counts the
+    dynamic sites on the machine ({!Interp.Machine.sites}) and calls
+    back into this module only at the armed site. *)
 
 (** How the chosen register is corrupted. The paper's study uses
     {!Single_bit_flip}; the other kinds reproduce the wider fault-model
@@ -36,9 +38,15 @@ type t
 (** [create ?seed ?respect_masks ?fault_kind mode] builds a runtime.
     [respect_masks] (default [true]) is VULFI's defining behaviour of
     skipping masked-off vector lanes; [false] reproduces a
-    mask-oblivious injector for ablation. *)
+    mask-oblivious injector for ablation.
+    @raise Invalid_argument for [Multi_bit_flip k] with [k < 1]. *)
 val create :
   ?seed:int -> ?respect_masks:bool -> ?fault_kind:fault_kind -> mode -> t
+
+(** Parse a fault kind as the command line spells it:
+    [single|Nbit|random|zero] (case-insensitive), [N >= 1]. [Error]
+    carries a message. *)
+val fault_kind_of_string : string -> (fault_kind, string) result
 
 (** [corrupt t v] corrupts a scalar runtime value per the configured
     fault kind; returns the corrupted value and the representative bit
@@ -49,14 +57,10 @@ val corrupt : t -> Interp.Vvalue.t -> Interp.Vvalue.t * int
 (** The injection performed during the run, if any. *)
 val injected : t -> injection_record option
 
-(** The extern handler shared by all [__vulfi_inject_*] functions. A
-    call on a live lane (any lane, when mask-oblivious) records one
-    site on the machine ({!Interp.Machine.record_site}); in [Inject]
-    mode the call that brings {!Interp.Machine.sites} to
-    [dynamic_site] is corrupted. *)
-val handle :
-  t -> Interp.Machine.state -> Interp.Vvalue.t list ->
-  Interp.Vvalue.t option
-
-(** Register the injection API on a machine. *)
+(** Register the injection API on a machine: every [__vulfi_inject_*]
+    function becomes a fault-site extern ({!Interp.Machine.site}). A
+    call on a live lane (any lane, when mask-oblivious) counts one
+    site on the machine; in [Inject] mode the call that brings
+    {!Interp.Machine.sites} to [dynamic_site] is corrupted and
+    recorded ({!injected}). [Profile] never fires. *)
 val attach : t -> Interp.Machine.state -> unit

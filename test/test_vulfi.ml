@@ -501,6 +501,49 @@ let test_fault_kind_names () =
   Alcotest.(check string) "random" "random-value"
     (Runtime.fault_kind_name Runtime.Random_value)
 
+(* Regression: a multi-bit flip of k < 1 bits crashed the faulty run
+   (k = 0 read the head of an empty draw) or never terminated (k < 0
+   could never draw down to zero). The runtime refuses to build one. *)
+let test_multi_bit_rejects_k_below_one () =
+  List.iter
+    (fun k ->
+      match
+        Runtime.create ~fault_kind:(Runtime.Multi_bit_flip k)
+          (Runtime.Inject { dynamic_site = 1 })
+      with
+      | _ -> Alcotest.failf "Multi_bit_flip %d accepted" k
+      | exception Invalid_argument _ -> ())
+    [ 0; -1; min_int ];
+  ignore
+    (Runtime.create ~fault_kind:(Runtime.Multi_bit_flip 1)
+       (Runtime.Inject { dynamic_site = 1 }))
+
+(* The command line's [--fault-kind] parser rejects "0bit" and "-1bit"
+   with a message, and still reads every other spelling. *)
+let test_fault_kind_of_string () =
+  List.iter
+    (fun s ->
+      match Runtime.fault_kind_of_string s with
+      | Ok k ->
+        Alcotest.failf "%S parsed as %s" s (Runtime.fault_kind_name k)
+      | Error _ -> ())
+    [ "0bit"; "-1bit"; "bit"; "2bits"; "foo"; "" ];
+  List.iter
+    (fun (s, k) ->
+      match Runtime.fault_kind_of_string s with
+      | Ok k' ->
+        Alcotest.(check string) s (Runtime.fault_kind_name k)
+          (Runtime.fault_kind_name k')
+      | Error m -> Alcotest.failf "%S rejected: %s" s m)
+    [
+      ("single", Runtime.Single_bit_flip);
+      ("BitFlip", Runtime.Single_bit_flip);
+      ("1bit", Runtime.Multi_bit_flip 1);
+      ("4bit", Runtime.Multi_bit_flip 4);
+      ("random-value", Runtime.Random_value);
+      ("zero", Runtime.Stuck_at_zero);
+    ]
+
 (* ---------------- Campaigns ---------------- *)
 
 let tiny_config =
@@ -910,6 +953,10 @@ let () =
           Alcotest.test_case "random value narrow width" `Quick
             test_random_value_narrow_width;
           Alcotest.test_case "names" `Quick test_fault_kind_names;
+          Alcotest.test_case "multi-bit rejects k < 1" `Quick
+            test_multi_bit_rejects_k_below_one;
+          Alcotest.test_case "command-line spelling" `Quick
+            test_fault_kind_of_string;
         ] );
       ( "seed-schedule",
         [
