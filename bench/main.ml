@@ -10,7 +10,8 @@
      timing            — Bechamel wall-clock benches
 
      campaign          throughput of the four executors (legacy,
-                       checkpointed, fast-forward, converge-pruned)
+                       checkpointed, fast-forward, converge-pruned),
+                       and the time and allocation of a set-up pass
 
    Default (no argument): everything at "quick" scale. Flags:
      -j N                     run campaigns on N domains (default 1)
@@ -866,9 +867,10 @@ let interp_bench () =
 (* ------------------------------------------------------------------ *)
 (* Campaign throughput: the four executors head to head                *)
 
-(* Runs the fig11 cell sweep four times — once per executor — over the
-   same shared pool settings, cross-checks that results and traces are
-   byte-identical across all four, and writes BENCH_campaign.json so
+(* Times set-up passes over the fig11 cells, runs the fig11 cell sweep
+   four times — once per executor — over the same shared pool settings,
+   cross-checks that results and traces are byte-identical across all
+   four, and writes BENCH_campaign.json so
    successive PRs can track end-to-end campaign throughput the way
    BENCH_interp.json tracks raw VM throughput. *)
 let campaign_bench () =
@@ -889,6 +891,25 @@ let campaign_bench () =
           Vir.Target.all)
       Benchmarks.Registry.paper_benchmarks
   in
+  (* Set-up work, which [Campaign.run_cells] pays once per cell in every
+     sweep below: [Experiment.prepare] over every cell. After one
+     warm-up pass, the fastest of three passes and the allocation of
+     the first (deterministic, so CI can gate it). The allocation
+     counters are exact only right after a minor collection. *)
+  let prepare_pass () =
+    Gc.minor ();
+    let a0 = Gc.allocated_bytes () and t0 = Unix.gettimeofday () in
+    List.iter
+      (fun (w, target, cat) -> ignore (Vulfi.Experiment.prepare w target cat))
+      cells;
+    let dt = Unix.gettimeofday () -. t0 in
+    Gc.minor ();
+    (dt, (Gc.allocated_bytes () -. a0) /. 1e6)
+  in
+  ignore (prepare_pass ());
+  let passes = List.init 3 (fun _ -> prepare_pass ()) in
+  let prepare_seconds = List.fold_left (fun m (t, _) -> min m t) infinity passes in
+  let prepare_alloc_mb = snd (List.hd passes) in
   let sweep executor =
     let buf = Buffer.create (1 lsl 16) in
     let sink = Vulfi.Trace.to_buffer buf in
@@ -944,6 +965,10 @@ let campaign_bench () =
     && String.equal tr_ff tr_pr
   in
   Printf.printf "cells: %d   experiments: %d\n" (List.length cells) n_exps;
+  Printf.printf
+    "set-up         : %7.3f s per prepare pass (min of 3), %.1f MB \
+     allocated\n"
+    prepare_seconds prepare_alloc_mb;
   Printf.printf "legacy         : %7.2f s  %8.1f experiments/s\n" t_leg
     (rate t_leg);
   Printf.printf "checkpointed   : %7.2f s  %8.1f experiments/s\n" t_ckpt
@@ -964,7 +989,7 @@ let campaign_bench () =
   Printf.printf "results identical: %b   traces identical: %b\n"
     results_identical traces_identical;
   let oc = open_out "BENCH_campaign.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"vulfi-campaign-bench-v3\",\n";
+  Printf.fprintf oc "{\n  \"schema\": \"vulfi-campaign-bench-v4\",\n";
   Printf.fprintf oc "  \"scale\": %S,\n"
     (if scale_is_paper then "paper" else "quick");
   Printf.fprintf oc "  \"jobs\": %d,\n" !jobs;
@@ -980,6 +1005,8 @@ let campaign_bench () =
   Printf.fprintf oc "  \"prunes_performed\": %d,\n" prunes_performed;
   Printf.fprintf oc "  \"prune_checks_performed\": %d,\n"
     prune_checks_performed;
+  Printf.fprintf oc "  \"prepare_seconds\": %.3f,\n" prepare_seconds;
+  Printf.fprintf oc "  \"prepare_alloc_mb\": %.1f,\n" prepare_alloc_mb;
   Printf.fprintf oc "  \"legacy_seconds\": %.3f,\n" t_leg;
   Printf.fprintf oc "  \"checkpointed_seconds\": %.3f,\n" t_ckpt;
   Printf.fprintf oc "  \"fastforward_seconds\": %.3f,\n" t_ff;
@@ -1000,6 +1027,12 @@ let campaign_bench () =
     "  \"baseline_pre_prune\": {\"legacy_seconds\": 12.022, \
      \"checkpointed_seconds\": 5.524, \"fastforward_seconds\": 3.694, \
      \"speedup_fastforward\": 1.495},\n";
+  (* Set-up before the liveness sets and use redirects became linear
+     (the parent of that change, this harness, quick scale), so the
+     before/after stays in the artifact. *)
+  Printf.fprintf oc
+    "  \"baseline_pre_linear_setup\": {\"prepare_seconds\": 0.556, \
+     \"prepare_alloc_mb\": 598.5},\n";
   Printf.fprintf oc "  \"results_identical\": %b,\n" results_identical;
   Printf.fprintf oc "  \"traces_identical\": %b\n" traces_identical;
   Printf.fprintf oc "}\n";

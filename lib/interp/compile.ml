@@ -91,6 +91,12 @@ type cfunc = {
           copies, so the template's values are never written and are
           safe to share across machines and domains. *)
   mutable tblocks : tblock array;  (** threaded code; filled by stage 2 *)
+  mutable live_in : int array array;
+      (** per block, the registers live at its entry (before the phi
+          moves), as a word bitset ([Sys.int_size] registers a word);
+          filled by stage 2 with the threaded code and never written
+          after. [pending_live] derives every checkpoint's saved set
+          from it. *)
 }
 
 and tblock = {
@@ -119,7 +125,9 @@ and tstep = { s_exec : texec; s_kind : skind }
    entering the callee); [Kcall] is a resolved direct call, carrying
    enough of the call-site shape to re-enter the callee under position
    tracking; [Kextern] is an extern-slot call, the only place a fault
-   can be injected and hence the only checkpoint site. *)
+   can be injected and hence the only checkpoint site. The registers a
+   checkpoint saves at a [Kcall] or [Kextern] step come from
+   [pending_live]. *)
 and skind =
   | Kplain
   | Kcall of {
@@ -127,20 +135,8 @@ and skind =
       k_gs : tgetter array;
       k_dst : int;
       k_chg : state -> unit;
-      k_live : int array;
-          (** registers live after the call minus the destination: the
-              exact frame slots a checkpoint saves and a convergence
-              check compares when this call is the pending step of an
-              outer activation (pooled frames are never cleared, so
-              dead slots hold unrelated garbage and must be skipped) *)
     }
-  | Kextern of {
-      x_live : int array;
-          (** registers live before the call (including its arguments):
-              the frame slots a checkpoint saves and a convergence check
-              compares when this extern is the interrupted step of the
-              innermost activation *)
-    }
+  | Kextern
 
 and texec = state -> unit
 
@@ -338,7 +334,174 @@ let compile_func ~(func_id : int) (f : Vir.Func.t) : cfunc =
     alloca_name = f.Vir.Func.fname ^ ".alloca";
     reg_tmpl;
     tblocks = [||];
+    live_in = [||];
   }
+
+(* ------------------------------------------------------------------ *)
+(* Per-register liveness over the register-form CFG. The convergence
+   executor compares frames only over the live-in registers of each
+   interrupted position: pooled frames are reused across runs without
+   clearing, so dead slots hold garbage from unrelated experiments —
+   comparing them would be sound but would make convergence near-never
+   fire. Restricting to live registers stays exact: a register is live
+   at p iff the continuation from p can read its current value, so
+   equal live registers (plus memory and counters) imply an identical
+   continuation. Standard backward dataflow; phi uses are attributed to
+   the predecessor edge and phi defs kill at the successor's entry.
+
+   Sets are word bitsets over a function's register slots,
+   [Sys.int_size] slots a word. Only block live-ins are stored (per
+   function, by [thread_func]); the set a checkpoint saves is derived
+   from them on demand by [pending_live]. *)
+
+let instr_uses (ci : cinstr) (mark : int -> unit) : unit =
+  Array.iter (function Creg r -> mark r | Cimm _ -> ()) ci.ops
+
+let term_uses (t : cterm) (mark : int -> unit) : unit =
+  match t with
+  | Tcondbr (Creg r, _, _) -> mark r
+  | Tret (Some (Creg r)) -> mark r
+  | Tbr _ | Tcondbr (Cimm _, _, _) | Tret _ | Tunreachable -> ()
+
+let block_succs (t : cterm) : int list =
+  match t with
+  | Tbr l -> [ l ]
+  | Tcondbr (_, l1, l2) -> [ l1; l2 ]
+  | Tret _ | Tunreachable -> []
+
+let bits_words nregs = (nregs + Sys.int_size - 1) / Sys.int_size
+
+let bits_add (s : int array) r =
+  let w = r / Sys.int_size in
+  s.(w) <- s.(w) lor (1 lsl (r mod Sys.int_size))
+
+let bits_remove (s : int array) r =
+  let w = r / Sys.int_size in
+  s.(w) <- s.(w) land lnot (1 lsl (r mod Sys.int_size))
+
+(* The members of [s], ascending. *)
+let bits_to_array (s : int array) : int array =
+  let count = ref 0 in
+  Array.iter
+    (fun w ->
+      let w = ref w in
+      while !w <> 0 do
+        w := !w land (!w - 1);
+        incr count
+      done)
+    s;
+  let out = Array.make !count 0 and j = ref 0 in
+  Array.iteri
+    (fun wi w ->
+      if w <> 0 then
+        for b = 0 to Sys.int_size - 1 do
+          if (w lsr b) land 1 <> 0 then begin
+            out.(!j) <- (wi * Sys.int_size) + b;
+            incr j
+          end
+        done)
+    s;
+  out
+
+(* Step backwards over body instruction [ci]: kill its destination,
+   then add its uses. A plain loop: [capture] walks many steps, and a
+   closure per step would allocate. *)
+let step_back (live : int array) (ci : cinstr) : unit =
+  if ci.dst >= 0 then bits_remove live ci.dst;
+  for j = 0 to Array.length ci.ops - 1 do
+    match ci.ops.(j) with Creg r -> bits_add live r | Cimm _ -> ()
+  done
+
+(* Live-out of block [bi] into [live]: every successor's live-in (which
+   already excludes its phi defs) plus the phi sources those successors
+   draw from this edge (first-match semantics, like [thread_phis]). *)
+let live_out_into (cf : cfunc) (live_in : int array array) (bi : int)
+    (blk : cblock) (live : int array) : unit =
+  List.iter
+    (fun s ->
+      let sin = live_in.(s) in
+      for w = 0 to Array.length sin - 1 do
+        live.(w) <- live.(w) lor sin.(w)
+      done;
+      Array.iter
+        (fun (p : cphi) ->
+          match
+            Array.find_opt (fun (pred, _) -> pred = bi) p.incoming
+          with
+          | Some (_, Creg r) -> bits_add live r
+          | Some (_, Cimm _) | None -> ())
+        cf.cblocks.(s).cphis)
+    (block_succs blk.term)
+
+(* Live-in (at block entry, before the phi moves) per block: the least
+   fixpoint, by a worklist that re-queues a block's predecessors
+   whenever its live-in grows. *)
+let live_in_sets (cf : cfunc) : int array array =
+  let nb = Array.length cf.cblocks in
+  let words = bits_words cf.nregs in
+  let live_in = Array.init nb (fun _ -> Array.make words 0) in
+  let preds = Array.make nb [] in
+  Array.iteri
+    (fun bi (blk : cblock) ->
+      List.iter (fun s -> preds.(s) <- bi :: preds.(s)) (block_succs blk.term))
+    cf.cblocks;
+  (* a stack of queued blocks, last block on top *)
+  let work = Array.init nb Fun.id and top = ref nb in
+  let queued = Array.make nb true in
+  let live = Array.make words 0 in
+  while !top > 0 do
+    decr top;
+    let bi = work.(!top) in
+    queued.(bi) <- false;
+    let blk = cf.cblocks.(bi) in
+    Array.fill live 0 words 0;
+    live_out_into cf live_in bi blk live;
+    term_uses blk.term (bits_add live);
+    for k = Array.length blk.body - 1 downto 0 do
+      step_back live blk.body.(k)
+    done;
+    Array.iter (fun (p : cphi) -> bits_remove live p.pdst) blk.cphis;
+    if live <> live_in.(bi) then begin
+      Array.blit live 0 live_in.(bi) 0 words;
+      List.iter
+        (fun p ->
+          if not queued.(p) then begin
+            queued.(p) <- true;
+            work.(!top) <- p;
+            incr top
+          end)
+        preds.(bi)
+    end
+  done;
+  live_in
+
+(* The registers a continuation from pending call step [step] of block
+   [block] can read, ascending: the frame slots a checkpoint saves and
+   a convergence check compares (pooled frames are never cleared, so
+   dead slots hold unrelated garbage and must be skipped). The walk
+   starts from the block's live-out and goes backwards over the steps
+   after the pending one. The innermost activation resumes at its
+   pending extern call, which re-executes: live before the call, its
+   destination killed and its arguments added. An outer activation
+   resumes past its pending direct call, whose destination the
+   callee's return value overwrites (itself determined by the compared
+   callee state): live after the call minus the destination. *)
+let pending_live (cf : cfunc) ~(block : int) ~(step : int) ~(innermost : bool)
+    : int array =
+  (match (cf.tblocks.(block).t_steps.(step).s_kind, innermost) with
+  | Kextern, true | Kcall _, false -> ()
+  | _ -> invalid_arg "Compile.pending_live: not at a pending call");
+  let blk = cf.cblocks.(block) in
+  let live = Array.make (bits_words cf.nregs) 0 in
+  live_out_into cf cf.live_in block blk live;
+  term_uses blk.term (bits_add live);
+  for k = Array.length blk.body - 1 downto step + 1 do
+    step_back live blk.body.(k)
+  done;
+  let ci = blk.body.(step) in
+  if innermost then step_back live ci
+  else if ci.dst >= 0 then bits_remove live ci.dst;
+  bits_to_array live
 
 (* ------------------------------------------------------------------ *)
 (* Execution engine                                                    *)
@@ -457,9 +620,8 @@ type frame_ckpt = {
       (** the live pool frame, aliased — a checkpoint is bound to the
           machine that captured it *)
   fc_live : int array;
-      (** the registers a continuation from this position can read:
-          the pending extern's [x_live] for the innermost activation,
-          the pending call's [k_live] for every outer one *)
+      (** the registers a continuation from this position can read
+          ([pending_live]), ascending *)
   fc_saved : Vvalue.t array;
       (** deep copies of the [fc_live] registers, index for index *)
 }
@@ -486,21 +648,17 @@ type check = state -> tracked_frame list -> bool
    Only live registers are saved, by the argument [state_equal] rests
    on: under verified SSA a continuation reads a register slot only if
    the slot is live at the position it resumes from, and every other
-   slot is written before it is read. The innermost activation resumes
-   at the extern call itself, so its live set is [x_live] (live before
-   the call, arguments included); an outer activation resumes past its
-   pending call, whose destination the callee's return value
-   overwrites, so its live set is [k_live]. A resume that restores
-   these registers and leaves every other slot holding whatever the
-   pool frame last held is therefore indistinguishable from one that
-   restores the whole frame. *)
+   slot is written before it is read. [pending_live] computes that set
+   for each frame: live before the extern call for the innermost
+   activation, which resumes at the call itself; live after the
+   pending call minus its destination for an outer one, which resumes
+   past it. A resume that restores these registers and leaves every
+   other slot holding whatever the pool frame last held is therefore
+   indistinguishable from one that restores the whole frame. *)
 let capture (st : state) (stack : tracked_frame list) : checkpoint =
   let save ~innermost tf =
     let live =
-      match tf.tf_func.tblocks.(tf.tf_block).t_steps.(tf.tf_instr).s_kind with
-      | Kextern { x_live; _ } when innermost -> x_live
-      | Kcall { k_live; _ } when not innermost -> k_live
-      | _ -> invalid_arg "Compile.capture: not at a pending call"
+      pending_live tf.tf_func ~block:tf.tf_block ~step:tf.tf_instr ~innermost
     in
     {
       fc_func = tf.tf_func;
@@ -608,7 +766,7 @@ let exec_resumable (st : state) ?(check : check option) (entry : entry) :
         let s = Array.unsafe_get steps !k in
         (match s.s_kind with
         | Kplain -> s.s_exec st
-        | Kextern _ ->
+        | Kextern ->
           if not (check st !stack) then live := false;
           s.s_exec st
         | Kcall { k_target; k_gs; k_dst; k_chg; _ } ->
@@ -753,26 +911,14 @@ let getter : coperand -> tgetter = function
   | Creg r -> fun regs -> Array.unsafe_get regs r
   | Cimm v -> fun _ -> v
 
-(* Hand-rolled destination-passing lane maps: results go straight into
+(* A hand-rolled destination-passing lane map: results go straight into
    the destination buffer, no closure capture or Array.init dispatch on
    the dynamic path, no allocation. Safe indexing on the operands keeps
    the original failure mode on a shape-confused value. *)
-let map2_int_into (f : int64 -> int64 -> int64) (a : Ilanes.t)
-    (b : Ilanes.t) (o : Ilanes.t) : unit =
-  for i = 0 to Ilanes.length o - 1 do
-    Ilanes.unsafe_set o i (f (Ilanes.unsafe_get a i) (Ilanes.unsafe_get b i))
-  done
-
 let map2_float_into (f : float -> float -> float) (a : float array)
     (b : float array) (o : float array) : unit =
   for i = 0 to Array.length o - 1 do
     Array.unsafe_set o i (f a.(i) b.(i))
-  done
-
-let map2_float_int_into (f : float -> float -> int64) (a : float array)
-    (b : float array) (o : Ilanes.t) : unit =
-  for i = 0 to Ilanes.length o - 1 do
-    Ilanes.unsafe_set o i (f a.(i) b.(i))
   done
 
 (* Static element kind of an operand, for pre-specialization. The
@@ -1415,130 +1561,13 @@ and thread_call (cm : cmodule) (ci : cinstr) (callee : string)
                  callee nargs)
           | Unbound -> unbound ())))
 
-(* ------------------------------------------------------------------ *)
-(* Per-register liveness over the register-form CFG. The convergence
-   executor compares frames only over the live-in registers of each
-   interrupted position: pooled frames are reused across runs without
-   clearing, so dead slots hold garbage from unrelated experiments —
-   comparing them would be sound but would make convergence near-never
-   fire. Restricting to live registers stays exact: a register is live
-   at p iff the continuation from p can read its current value, so
-   equal live registers (plus memory and counters) imply an identical
-   continuation. Standard backward dataflow; phi uses are attributed to
-   the predecessor edge and phi defs kill at the successor's entry. *)
-
-let instr_uses (ci : cinstr) (mark : int -> unit) : unit =
-  Array.iter (function Creg r -> mark r | Cimm _ -> ()) ci.ops
-
-let term_uses (t : cterm) (mark : int -> unit) : unit =
-  match t with
-  | Tcondbr (Creg r, _, _) -> mark r
-  | Tret (Some (Creg r)) -> mark r
-  | Tbr _ | Tcondbr (Cimm _, _, _) | Tret _ | Tunreachable -> ()
-
-let block_succs (t : cterm) : int list =
-  match t with
-  | Tbr l -> [ l ]
-  | Tcondbr (_, l1, l2) -> [ l1; l2 ]
-  | Tret _ | Tunreachable -> []
-
-(* live-out of block [bi] into [live]: every successor's live-in (which
-   already excludes its phi defs) plus the phi sources those successors
-   draw from this edge (first-match semantics, like [thread_phis]). *)
-let live_out_into (cf : cfunc) (live_in : bool array array) (bi : int)
-    (blk : cblock) (live : bool array) : unit =
-  List.iter
-    (fun s ->
-      let sb = cf.cblocks.(s) in
-      let sin = live_in.(s) in
-      for r = 0 to Array.length sin - 1 do
-        if sin.(r) then live.(r) <- true
-      done;
-      Array.iter
-        (fun (p : cphi) ->
-          match
-            Array.find_opt (fun (pred, _) -> pred = bi) p.incoming
-          with
-          | Some (_, Creg r) -> live.(r) <- true
-          | Some (_, Cimm _) | None -> ())
-        sb.cphis)
-    (block_succs blk.term)
-
-(* Fixpoint live-in (at block entry, before the phi moves) per block. *)
-let live_in_sets (cf : cfunc) : bool array array =
-  let nb = Array.length cf.cblocks in
-  let live_in = Array.init nb (fun _ -> Array.make cf.nregs false) in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for bi = nb - 1 downto 0 do
-      let blk = cf.cblocks.(bi) in
-      let live = Array.make cf.nregs false in
-      live_out_into cf live_in bi blk live;
-      term_uses blk.term (fun r -> live.(r) <- true);
-      for k = Array.length blk.body - 1 downto 0 do
-        let ci = blk.body.(k) in
-        if ci.dst >= 0 then live.(ci.dst) <- false;
-        instr_uses ci (fun r -> live.(r) <- true)
-      done;
-      Array.iter (fun (p : cphi) -> live.(p.pdst) <- false) blk.cphis;
-      if live <> live_in.(bi) then begin
-        live_in.(bi) <- live;
-        changed := true
-      end
-    done
-  done;
-  live_in
-
-(* (live-before, live-after) register sets — sorted index arrays — for
-   each call step of [blk]; non-call steps get empty arrays (only
-   [Kcall]/[Kextern] annotations consume them). *)
-let step_live_sets (cf : cfunc) (live_in : bool array array) (bi : int)
-    (blk : cblock) : (int array * int array) array =
-  let n = Array.length blk.body in
-  let out = Array.make n ([||], [||]) in
-  if n > 0 then begin
-    let live = Array.make cf.nregs false in
-    live_out_into cf live_in bi blk live;
-    term_uses blk.term (fun r -> live.(r) <- true);
-    let to_set () =
-      let count = ref 0 in
-      Array.iter (fun v -> if v then incr count) live;
-      let a = Array.make !count 0 in
-      let j = ref 0 in
-      Array.iteri
-        (fun r v ->
-          if v then begin
-            a.(!j) <- r;
-            incr j
-          end)
-        live;
-      a
-    in
-    for k = n - 1 downto 0 do
-      let ci = blk.body.(k) in
-      let is_call =
-        match ci.src.Vir.Instr.op with
-        | Vir.Instr.Call _ -> true
-        | _ -> false
-      in
-      let after = if is_call then to_set () else [||] in
-      if ci.dst >= 0 then live.(ci.dst) <- false;
-      instr_uses ci (fun r -> live.(r) <- true);
-      let before = if is_call then to_set () else [||] in
-      out.(k) <- (before, after)
-    done
-  end;
-  out
-
 (* Call-structure annotation for [t_steps], resolved with exactly the
    same chain as [thread_call] (module functions, then intrinsics, then
    extern slots) so the resumable driver enters precisely the calls the
    fast closures enter. Arity-mismatched direct calls and intrinsics
    stay [Kplain]: their closures never run callee code under a deeper
    frame, so position tracking has nothing to record. *)
-let step_kind (cm : cmodule) (ci : cinstr) ~(live_before : int array)
-    ~(live_after : int array) : skind =
+let step_kind (cm : cmodule) (ci : cinstr) : skind =
   match ci.src.Vir.Instr.op with
   | Vir.Instr.Call (callee, _) -> (
     match Hashtbl.find_opt cm.cfuncs callee with
@@ -1551,22 +1580,11 @@ let step_kind (cm : cmodule) (ci : cinstr) ~(live_before : int array)
             k_gs = Array.map getter ci.ops;
             k_dst = ci.dst;
             k_chg = (if ci.cvec then charge_vec else charge);
-            k_live =
-              (* the destination is overwritten by the callee's return
-                 (itself determined by the compared callee state), so
-                 its pre-call content is excluded from comparisons *)
-              (if ci.dst >= 0 && Array.exists (fun r -> r = ci.dst) live_after
-               then
-                 Array.of_list
-                   (List.filter
-                      (fun r -> r <> ci.dst)
-                      (Array.to_list live_after))
-               else live_after);
           }
     | None -> (
       match Vir.Intrinsics.lookup callee with
       | Some _ -> Kplain
-      | None -> Kextern { x_live = live_before }))
+      | None -> Kextern))
   | _ -> Kplain
 
 (* Per-predecessor parallel phi move: each phi charges one dynamic
@@ -2576,27 +2594,20 @@ let hot_body (cm : cmodule) (cf : cfunc) (uses : int array) (blk : cblock)
 
 let thread_func (cm : cmodule) (cf : cfunc) : unit =
   let nblocks = Array.length cf.cblocks in
-  let live_in = live_in_sets cf in
   let uses = use_counts cf in
+  cf.live_in <- live_in_sets cf;
   cf.tblocks <-
-    Array.mapi
-      (fun bi (blk : cblock) ->
+    Array.map
+      (fun (blk : cblock) ->
         let body = Array.map (thread_instr cm cf) blk.body in
         let hot = hot_body cm cf uses blk body in
-        let lives = step_live_sets cf live_in bi blk in
         {
           t_phis = thread_phis cf blk nblocks;
           t_body = compose_body hot 0 (Array.length hot);
           t_term = thread_term blk.term;
           t_steps =
             Array.mapi
-              (fun k ex ->
-                let live_before, live_after = lives.(k) in
-                {
-                  s_exec = ex;
-                  s_kind =
-                    step_kind cm blk.body.(k) ~live_before ~live_after;
-                })
+              (fun k ex -> { s_exec = ex; s_kind = step_kind cm blk.body.(k) })
               body;
         })
       cf.cblocks

@@ -16,7 +16,14 @@
       execution-mask lanes (Fig 5 lines L5-L8).
 
     Each (target, lane) pair receives a unique static site id, passed to
-    the runtime as a constant third argument. *)
+    the runtime as a constant third argument.
+
+    The output is that of redirecting each Lvalue target's uses as soon
+    as its chain is spliced in, target after target; a chain therefore
+    reads a register as it stood when the chain was built. Rather than
+    sweeping the function once per target, the redirects are recorded
+    and applied in one pass per function ([redirect_uses]) that keeps
+    exactly that order rule. *)
 
 open Vir
 
@@ -125,26 +132,56 @@ let build_chain (f : Func.t) ~next_site ~(sites : site_info list ref)
           (Instr.Insertelement
              (!cur, Instr.Reg (call_id, Vtype.Scalar s), lane_imm))
       in
-      instrs := !instrs @ [ ext ] @ mask_instr @ [ call; ins ];
+      instrs := ins :: call :: List.rev_append mask_instr (ext :: !instrs);
       cur := Instr.Reg (ins_id, ty)
     done;
-    (!instrs, !cur)
+    (List.rev !instrs, !cur)
 
-(* Instrument one Lvalue target in place. *)
-let instrument_lvalue (f : Func.t) ~next_site ~sites
+(* Instrument one Lvalue target in place: splice its chain in after the
+   defining instruction (after the phi cluster for a phi), and record in
+   [finals] the redirect of its register's uses: to the chain's final
+   operand, in instructions older than the chain's first register. *)
+let instrument_lvalue (f : Func.t) ~next_site ~sites finals
     (target : Analysis.Sites.target) =
   let i = target.Analysis.Sites.t_instr in
   let block = Func.find_block f target.Analysis.Sites.t_block in
   let reg = i.Instr.id in
   let ty = i.Instr.ty in
   let mask = mask_operand_of target in
+  let born = f.Func.next_reg in
   let chain, final =
     build_chain f ~next_site ~sites ~target ~mask (Instr.Reg (reg, ty)) ty
   in
   if Instr.is_phi i then Block.insert_after_phis block chain
   else Block.insert_after block ~after:reg chain;
-  let chain_ids = List.map (fun (c : Instr.t) -> c.Instr.id) chain in
-  Func.replace_uses f ~except:chain_ids ~reg ~by:final
+  (* the order rule assumes each register is one target *)
+  assert (not (Hashtbl.mem finals reg));
+  Hashtbl.replace finals reg (final, born)
+
+(* Apply the recorded redirects to [f] in one pass. Register ids are
+   handed out in creation order, so an instruction whose id is below
+   the first register of [%r]'s chain was built before that chain:
+   original code (void instructions have id -1), store chains and
+   earlier Lvalue chains. Those read the chain's final operand instead
+   of [%r]; [%r]'s own chain and every later chain keep reading [%r].
+   This is exactly the result of redirecting each target's uses,
+   everywhere but in its own chain, right after splicing that chain. *)
+let redirect_uses (f : Func.t) finals =
+  let redirect id = function
+    | Instr.Reg (r, _) as o -> (
+      match Hashtbl.find_opt finals r with
+      | Some (final, born) when id < born -> final
+      | Some _ | None -> o)
+    | Instr.Imm _ as o -> o
+  in
+  List.iter
+    (fun b ->
+      Block.map_instrs b (fun (i : Instr.t) ->
+          let id = i.Instr.id in
+          if List.exists (fun o -> redirect id o != o) (Instr.operands i)
+          then Instr.map_operands (redirect id) i
+          else i))
+    f.Func.blocks
 
 (* Instrument the value operand of a (masked) store, just before it. *)
 let instrument_store_value (f : Func.t) ~next_site ~sites
@@ -198,7 +235,8 @@ let run (m : Vmodule.t) (targets : Analysis.Sites.target list) : t =
   (* Store-value targets are located by physical identity, which Lvalue
      instrumentation invalidates (redirecting uses rebuilds instruction
      records); Lvalue targets are located by their stable register id.
-     Hence stores are instrumented first. *)
+     Hence stores are instrumented first, and their chains count as
+     original instructions for the redirects. *)
   let stores, lvalues =
     List.partition
       (fun (t : Analysis.Sites.target) ->
@@ -210,11 +248,25 @@ let run (m : Vmodule.t) (targets : Analysis.Sites.target list) : t =
       let f = Vmodule.find_func_exn m target.Analysis.Sites.t_func in
       instrument_store_value f ~next_site ~sites target)
     stores;
+  let pending = Hashtbl.create 8 in
   List.iter
     (fun (target : Analysis.Sites.target) ->
-      let f = Vmodule.find_func_exn m target.Analysis.Sites.t_func in
-      instrument_lvalue f ~next_site ~sites target)
+      let fname = target.Analysis.Sites.t_func in
+      let finals =
+        match Hashtbl.find_opt pending fname with
+        | Some finals -> finals
+        | None ->
+          let finals = Hashtbl.create 64 in
+          Hashtbl.replace pending fname finals;
+          finals
+      in
+      instrument_lvalue (Vmodule.find_func_exn m fname) ~next_site ~sites
+        finals target)
     lvalues;
+  List.iter
+    (fun (f : Func.t) ->
+      Option.iter (redirect_uses f) (Hashtbl.find_opt pending f.Func.fname))
+    m.Vmodule.funcs;
   Verify.check_module m;
   let table = Array.of_list (List.rev !sites) in
   Array.iteri (fun k si -> assert (si.si_id = k)) table;

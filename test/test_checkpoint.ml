@@ -891,6 +891,144 @@ let test_resume_ignores_dead_registers () =
         Analysis.Sites.all_categories)
     [ vcopy_workload [ 19 ]; copy_twice_workload 19 ]
 
+(* The compiler's dense liveness before checkpoints computed their
+   saved sets on demand, kept as the reference for [pending_live]:
+   per-block live-ins as [bool array]s, iterated round-robin to a
+   fixpoint, then one backward walk per block recording (live before,
+   live after) — sorted register arrays — at every call step. *)
+module Dense_live = struct
+  open Interp.Compile
+
+  let live_out_into (cf : cfunc) (live_in : bool array array) (bi : int)
+      (blk : cblock) (live : bool array) : unit =
+    List.iter
+      (fun s ->
+        let sb = cf.cblocks.(s) in
+        let sin = live_in.(s) in
+        for r = 0 to Array.length sin - 1 do
+          if sin.(r) then live.(r) <- true
+        done;
+        Array.iter
+          (fun (p : cphi) ->
+            match Array.find_opt (fun (pred, _) -> pred = bi) p.incoming with
+            | Some (_, Creg r) -> live.(r) <- true
+            | Some (_, Cimm _) | None -> ())
+          sb.cphis)
+      (block_succs blk.term)
+
+  let live_in_sets (cf : cfunc) : bool array array =
+    let nb = Array.length cf.cblocks in
+    let live_in = Array.init nb (fun _ -> Array.make cf.nregs false) in
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for bi = nb - 1 downto 0 do
+        let blk = cf.cblocks.(bi) in
+        let live = Array.make cf.nregs false in
+        live_out_into cf live_in bi blk live;
+        term_uses blk.term (fun r -> live.(r) <- true);
+        for k = Array.length blk.body - 1 downto 0 do
+          let ci = blk.body.(k) in
+          if ci.dst >= 0 then live.(ci.dst) <- false;
+          instr_uses ci (fun r -> live.(r) <- true)
+        done;
+        Array.iter (fun (p : cphi) -> live.(p.pdst) <- false) blk.cphis;
+        if live <> live_in.(bi) then begin
+          live_in.(bi) <- live;
+          changed := true
+        end
+      done
+    done;
+    live_in
+
+  let step_live_sets (cf : cfunc) (live_in : bool array array) (bi : int)
+      (blk : cblock) : (int array * int array) array =
+    let n = Array.length blk.body in
+    let out = Array.make n ([||], [||]) in
+    let live = Array.make cf.nregs false in
+    live_out_into cf live_in bi blk live;
+    term_uses blk.term (fun r -> live.(r) <- true);
+    let to_set () =
+      Array.of_list
+        (List.filter (fun r -> live.(r)) (List.init cf.nregs Fun.id))
+    in
+    for k = n - 1 downto 0 do
+      let ci = blk.body.(k) in
+      let is_call =
+        match ci.src.Vir.Instr.op with Vir.Instr.Call _ -> true | _ -> false
+      in
+      let after = if is_call then to_set () else [||] in
+      if ci.dst >= 0 then live.(ci.dst) <- false;
+      instr_uses ci (fun r -> live.(r) <- true);
+      let before = if is_call then to_set () else [||] in
+      out.(k) <- (before, after)
+    done;
+    out
+end
+
+(* Every checkpoint's saved set equals the dense reference's: for each
+   extern step, the innermost set is the reference's live-before; for
+   each direct-call step, the outer set is its live-after minus the
+   call's destination. Over the 144 instrumented modules of the study
+   grid, plus the two-call workload, whose direct calls the grid does
+   not have. *)
+let test_live_sets_match_dense () =
+  let externs = ref 0 and calls = ref 0 in
+  let check_module label (m : Vir.Vmodule.t) =
+    let cm = Interp.Compile.compile_module m in
+    Hashtbl.iter
+      (fun fname (cf : Interp.Compile.cfunc) ->
+        let live_in = Dense_live.live_in_sets cf in
+        Array.iteri
+          (fun bi (blk : Interp.Compile.cblock) ->
+            let lives = Dense_live.step_live_sets cf live_in bi blk in
+            Array.iteri
+              (fun k (s : Interp.Compile.tstep) ->
+                let expect ~innermost want =
+                  let got =
+                    Interp.Compile.pending_live cf ~block:bi ~step:k ~innermost
+                  in
+                  if got <> want then
+                    let show a =
+                      String.concat " "
+                        (Array.to_list (Array.map string_of_int a))
+                    in
+                    Alcotest.failf
+                      "%s @%s block %d step %d (innermost %b): expected [%s], \
+                       got [%s]"
+                      label fname bi k innermost (show want) (show got)
+                in
+                let before, after = lives.(k) in
+                match s.Interp.Compile.s_kind with
+                | Interp.Compile.Kextern ->
+                  incr externs;
+                  expect ~innermost:true before
+                | Interp.Compile.Kcall _ ->
+                  incr calls;
+                  let dst = blk.Interp.Compile.body.(k).Interp.Compile.dst in
+                  expect ~innermost:false
+                    (Array.of_list
+                       (List.filter (fun r -> r <> dst) (Array.to_list after)))
+                | Interp.Compile.Kplain -> ())
+              cf.Interp.Compile.tblocks.(bi).Interp.Compile.t_steps)
+          cf.Interp.Compile.cblocks)
+      cm.Interp.Compile.cfuncs
+  in
+  Instrumented_grid.iter (fun label instr ->
+      check_module label instr.Vulfi.Instrument.instrumented);
+  List.iter
+    (fun category ->
+      let p =
+        Vulfi.Experiment.prepare (copy_twice_workload 19) Vir.Target.Avx
+          category
+      in
+      check_module
+        ("copy_twice/" ^ Analysis.Sites.category_name category)
+        p.Vulfi.Experiment.p_instr.Vulfi.Instrument.instrumented)
+    Analysis.Sites.all_categories;
+  check Alcotest.bool "extern steps checked" true (!externs > 0);
+  check Alcotest.bool "direct-call steps checked" true (!calls > 0)
+
 (* The detector flag across resume and splice. [flag_early]'s assert
    fails before the first plan site, so every resumed run's flag comes
    from the restored counter; [flag_late]'s fails after the last plan
@@ -1285,6 +1423,8 @@ let () =
             `Quick test_pruned_fault_kinds_match;
           QCheck_alcotest.to_alcotest prop_ff_equals_legacy;
           QCheck_alcotest.to_alcotest prop_pruned_equals_legacy;
+          Alcotest.test_case "live sets == dense reference" `Quick
+            test_live_sets_match_dense;
           Alcotest.test_case "resume ignores dead registers" `Quick
             test_resume_ignores_dead_registers;
           Alcotest.test_case "detector flag across resume and splice" `Quick

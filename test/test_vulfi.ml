@@ -197,6 +197,91 @@ let test_instrument_scalar_module () =
     "fig3 semantics preserved" [| 2; 2; 3; 5; 8; 12 |]
     (Interp.Memory.read_i32_array mem a 6)
 
+(* ---------------- Instrumentation: pinned output ---------------- *)
+
+(* The printed instrumented module and site table of every cell of the
+   study grid ({!Instrumented_grid}), pinned by MD5 in
+   instrument_digests.txt. Any change to what the instrumentor emits —
+   instruction order, register numbering, which register a chain reads —
+   shows here. The test never rewrites the file: on a mismatch it names
+   the differing rows and writes the whole current table, header
+   included, to instrument_digests.actual beside the copy it read. *)
+let digest_file = "instrument_digests.txt"
+
+let digest_header =
+  "# MD5 of Vir.Pp.module_to_string of the instrumented module, MD5 of\n\
+   # its site table, cell (workload/ISA/category/detector arm).\n\
+   # Checked by test_vulfi's \"pinned output\" case; re-record only in a\n\
+   # change that means to alter the instrumentor's output.\n"
+
+let kind_name = function
+  | Analysis.Sites.Lvalue -> "lvalue"
+  | Analysis.Sites.Store_value -> "store"
+  | Analysis.Sites.Maskstore_value -> "maskstore"
+
+let site_table_string (t : Instrument.t) =
+  let buf = Buffer.create 4096 in
+  Array.iter
+    (fun (si : Instrument.site_info) ->
+      let tg = si.Instrument.si_target in
+      Printf.bprintf buf "%d %s %s %s %d %s\n" si.Instrument.si_id
+        tg.Analysis.Sites.t_func tg.Analysis.Sites.t_block
+        (kind_name tg.Analysis.Sites.t_kind)
+        si.Instrument.si_lane
+        (Vir.Pp.instr_to_string tg.Analysis.Sites.t_instr))
+    t.Instrument.site_table;
+  Buffer.contents buf
+
+let instrument_digest_rows () =
+  let hex s = Digest.to_hex (Digest.string s) in
+  let rows = ref [] in
+  Instrumented_grid.iter (fun label instr ->
+      rows :=
+        Printf.sprintf "%s %s %s"
+          (hex (Vir.Pp.module_to_string instr.Instrument.instrumented))
+          (hex (site_table_string instr))
+          label
+        :: !rows);
+  List.rev !rows
+
+(* A row's cell label: everything after the two digests. *)
+let row_label row =
+  let i = String.index_from row (String.index row ' ' + 1) ' ' in
+  String.sub row (i + 1) (String.length row - i - 1)
+
+let test_instrument_pinned () =
+  let expected =
+    In_channel.with_open_text digest_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
+  in
+  let actual = instrument_digest_rows () in
+  check Alcotest.int "grid cells" 144 (List.length actual);
+  if actual <> expected then begin
+    Out_channel.with_open_text "instrument_digests.actual" (fun oc ->
+        output_string oc digest_header;
+        List.iter (fun r -> output_string oc (r ^ "\n")) actual);
+    let by_label rows = List.map (fun r -> (row_label r, r)) rows in
+    let exp = by_label expected and act = by_label actual in
+    let labels =
+      List.sort_uniq compare (List.map fst exp @ List.map fst act)
+    in
+    let show = function Some r -> r | None -> "(missing)" in
+    let diffs =
+      List.filter_map
+        (fun l ->
+          let e = List.assoc_opt l exp and a = List.assoc_opt l act in
+          if e = a then None
+          else
+            Some
+              (Printf.sprintf "  expected %s\n  actual   %s" (show e) (show a)))
+        labels
+    in
+    Alcotest.failf "%d of %d instrumented cells differ from %s:\n%s"
+      (List.length diffs) (List.length labels) digest_file
+      (String.concat "\n" diffs)
+  end
+
 (* ---------------- Masked lanes are not live fault sites ------------- *)
 
 let test_masked_lanes_not_counted () =
@@ -918,6 +1003,8 @@ let () =
             test_instrument_fig5_shape;
           Alcotest.test_case "scalar module" `Quick
             test_instrument_scalar_module;
+          Alcotest.test_case "pinned output (144 grid cells)" `Quick
+            test_instrument_pinned;
         ] );
       ( "mask-awareness",
         [
