@@ -668,7 +668,9 @@ type interp_row = {
    instrumented copies — what every campaign run executes — one per
    fault-site category, each golden run under a profiling runtime. The
    instrumented arm reports its time ratio to the uninstrumented one
-   (the three category runs against three uninstrumented runs).
+   (the three category runs against three uninstrumented runs). A
+   "fusion_stats" line per benchmark gives the chains the compiler
+   fused, their lengths and the member kinds of those it did not.
    VULFI_INTERP_REPS overrides the repetition count (CI smoke runs use
    2). *)
 let interp_bench () =
@@ -677,7 +679,7 @@ let interp_bench () =
        "VM throughput: dynamic instructions / second per benchmark \
         (input 0, AVX, fusion %s), uninstrumented | instrumented \
         golden runs of the three categories"
-       (if !Vulfi.Experiment.fusion_enabled then "on" else "off"));
+       (if !Interp.Compile.fusion then "on" else "off"));
   let reps = getenv_int "VULFI_INTERP_REPS" 5 in
   (* VULFI_BENCH_ONLY=substr restricts the table to matching rows: used
      by the profiling recipe in EXPERIMENTS.md to isolate one workload. *)
@@ -696,33 +698,33 @@ let interp_bench () =
           at 0)
         Benchmarks.Registry.all
   in
-  let chains_annotated = ref 0 and chains_fused = ref 0 in
+  let chains_fused = ref 0 in
   let fused_hist : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let unfused : (string, int) Hashtbl.t = Hashtbl.create 8 in
+  let add tbl k n =
+    Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
   let rows =
     List.map
       (fun (b : Benchmarks.Harness.benchmark) ->
         let w = (scale_workload b.Benchmarks.Harness.bench) in
         let m = w.Vulfi.Workload.w_build Vir.Target.Avx in
-        if !Vulfi.Experiment.fusion_enabled then begin
-          chains_annotated := !chains_annotated + Passes.Fuse.run_module m;
-          if Sys.getenv_opt "VULFI_FUSION_STATS" <> None then begin
-            Printf.printf "fusion_stats %s:" w.Vulfi.Workload.w_name;
-            List.iter
-              (fun (k, n) -> Printf.printf " %s=%d" k n)
-              (Passes.Fuse.rule_stats m);
-            List.iter
-              (fun (l, n) -> Printf.printf " len%d=%d" l n)
-              (Passes.Fuse.length_hist m);
-            print_newline ()
-          end
-        end;
         let code = Interp.Compile.compile_module m in
-        chains_fused := !chains_fused + Interp.Compile.fused_chain_count code;
-        List.iter
-          (fun (l, n) ->
-            Hashtbl.replace fused_hist l
-              (n + Option.value ~default:0 (Hashtbl.find_opt fused_hist l)))
-          (Interp.Compile.fused_length_hist code);
+        let fused = Interp.Compile.fused_chain_count code in
+        let hist = Interp.Compile.fused_length_hist code in
+        let shapes = Interp.Compile.unfused_shapes code in
+        chains_fused := !chains_fused + fused;
+        List.iter (fun (l, n) -> add fused_hist l n) hist;
+        List.iter (fun (k, n) -> add unfused k n) shapes;
+        Printf.printf "fusion_stats %s: %d of %d fused;" w.Vulfi.Workload.w_name
+          fused
+          (List.fold_left (fun acc (_, n) -> acc + n) fused shapes);
+        List.iter (fun (l, n) -> Printf.printf " len%d=%d" l n) hist;
+        if shapes <> [] then begin
+          print_string "; unfused";
+          List.iter (fun (k, n) -> Printf.printf " %s=%d" k n) shapes
+        end;
+        print_newline ();
         let dyn, best, bytes = time_golden ~reps w code in
         let inst_dyn = ref 0 and inst_best = ref 0.0 and inst_bytes = ref 0.0 in
         List.iter
@@ -782,8 +784,17 @@ let interp_bench () =
   Printf.printf "%-18s %33s  %8.2f M instr/s  %7.2f B/instr | instrumented \
                  %7.2f B/instr  %5.2fx time\n"
     "AGGREGATE" "" agg_mips agg_bpi agg_inst_bpi inst_ratio;
-  Printf.printf "fused chains: %d of %d annotated\n" !chains_fused
-    !chains_annotated;
+  (* Every candidate chain either fuses or runs one closure per member
+     under its member kinds. *)
+  let unfused_rows =
+    Hashtbl.fold (fun k n acc -> (k, n) :: acc) unfused []
+    |> List.sort (fun (k1, n1) (k2, n2) -> compare (n2, k1) (n1, k2))
+  in
+  let chain_candidates =
+    List.fold_left (fun acc (_, n) -> acc + n) !chains_fused unfused_rows
+  in
+  Printf.printf "fused chains: %d of %d candidates\n" !chains_fused
+    chain_candidates;
   (* Allocation-regression tripwire for the one workload that used to
      blow the aggregate gate (23 B/instr before the memory fast paths):
      fail loudly right here rather than letting CI bisect the
@@ -804,14 +815,17 @@ let interp_bench () =
     |> List.sort compare
   in
   let oc = open_out "BENCH_interp.json" in
-  Printf.fprintf oc "{\n  \"schema\": \"vulfi-interp-bench-v6\",\n";
+  Printf.fprintf oc "{\n  \"schema\": \"vulfi-interp-bench-v7\",\n";
   Printf.fprintf oc "  \"reps\": %d,\n" reps;
-  Printf.fprintf oc "  \"fusion\": %b,\n" !Vulfi.Experiment.fusion_enabled;
-  Printf.fprintf oc "  \"chains_annotated\": %d,\n" !chains_annotated;
+  Printf.fprintf oc "  \"fusion\": %b,\n" !Interp.Compile.fusion;
+  Printf.fprintf oc "  \"chain_candidates\": %d,\n" chain_candidates;
   Printf.fprintf oc "  \"chains_fused\": %d,\n" !chains_fused;
   Printf.fprintf oc "  \"chain_length_hist\": [%s],\n"
     (String.concat ", "
        (List.map (fun (l, n) -> Printf.sprintf "[%d, %d]" l n) hist_rows));
+  Printf.fprintf oc "  \"unfused_chains\": {%s},\n"
+    (String.concat ", "
+       (List.map (fun (k, n) -> Printf.sprintf "%S: %d" k n) unfused_rows));
   Printf.fprintf oc "  \"aggregate_minstr_per_s\": %.3f,\n" agg_mips;
   Printf.fprintf oc "  \"aggregate_bytes_per_instr\": %.3f,\n" agg_bpi;
   Printf.fprintf oc "  \"aggregate_instrumented_bytes_per_instr\": %.3f,\n"
@@ -1176,7 +1190,7 @@ let () =
         | _ -> Vulfi.Campaign.Converge_pruned);
       parse_args acc rest
     | "--no-fusion" :: rest ->
-      Vulfi.Experiment.fusion_enabled := false;
+      Interp.Compile.fusion := false;
       parse_args acc rest
     | cmd :: rest -> parse_args (cmd :: acc) rest
   in

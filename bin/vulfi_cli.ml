@@ -262,7 +262,7 @@ let print_cell ~detectors (r : Vulfi.Campaign.result) =
 let campaign_cmd =
   let run target category name experiments campaigns with_detectors
       fault_kind jobs trace trace_timings legacy ff prune no_fusion =
-    if no_fusion then Vulfi.Experiment.fusion_enabled := false;
+    if no_fusion then Interp.Compile.fusion := false;
     (* executor flags are mutually exclusive, pairwise *)
     List.iter
       (fun (a, b, msg) ->
@@ -375,12 +375,11 @@ let campaign_cmd =
   in
   let no_fusion_arg =
     Arg.(value & flag & info [ "no-fusion" ]
-           ~doc:"Disable the peephole fusion annotation pass before \
-                 threading (equivalent to VULFI_NO_FUSION=1). Fusion \
-                 only changes how the hot path is lowered, never what \
-                 it computes, so results and traces are byte-identical \
-                 either way; the flag exists for cross-checking and \
-                 timing comparisons.")
+           ~doc:"Compile without superblock fusion: every chain runs \
+                 one closure per member. Fusion only changes how the \
+                 hot path is lowered, never what it computes, so \
+                 results and traces are byte-identical either way; the \
+                 flag exists for cross-checking and timing comparisons.")
   in
   Cmd.v
     (Cmd.info "campaign"
@@ -504,27 +503,29 @@ let load_module target file =
       Printf.eprintf "%s: %s\n" file (Minispc.Driver.error_to_string e);
       exit 1
 
+(* The fusion decisions [Interp.Compile] takes on [m]: chains fused,
+   their length histogram, and the member kinds of the chains no kernel
+   covers. *)
+let print_fusion_stats m =
+  let cm = Interp.Compile.compile_module m in
+  Printf.eprintf "; fused chains: %d\n" (Interp.Compile.fused_chain_count cm);
+  List.iter
+    (fun (len, n) -> Printf.eprintf ";   chain length %d: %d\n" len n)
+    (Interp.Compile.fused_length_hist cm);
+  List.iter
+    (fun (shape, n) -> Printf.eprintf ";   unfused %s: %d\n" shape n)
+    (Interp.Compile.unfused_shapes cm)
+
 let opt_cmd =
-  let run target file do_pipeline do_constfold do_dce do_verify =
+  let run target file do_dce do_verify =
     let m = load_module target file in
-    if do_pipeline then begin
-      List.iter
-        (fun (name, n) -> Printf.eprintf "; %s: %d\n" name n)
-        (Passes.Pipeline.run ~passes:Passes.Pipeline.optimizing m);
-      List.iter
-        (fun (rule, n) -> Printf.eprintf ";   fuse %s: %d\n" rule n)
-        (Passes.Fuse.rule_stats m);
-      List.iter
-        (fun (len, n) -> Printf.eprintf ";   chain length %d: %d\n" len n)
-        (Passes.Fuse.length_hist m)
-    end;
-    if do_constfold then
-      Printf.eprintf "; constfold: %d folds\n" (Passes.Constfold.run_module m);
     if do_dce then
       Printf.eprintf "; dce: %d removed\n" (Vir.Dce.run_module m);
     if do_verify then begin
       match Vir.Verify.verify_module m with
-      | [] -> Printf.eprintf "; verify: ok\n"
+      | [] ->
+        Printf.eprintf "; verify: ok\n";
+        print_fusion_stats m
       | errs ->
         List.iter
           (fun e -> Printf.eprintf "%s\n" (Vir.Verify.error_to_string e))
@@ -533,29 +534,21 @@ let opt_cmd =
     end;
     print_string (Vir.Pp.module_to_string m)
   in
-  let pipeline_arg =
-    Arg.(value & flag & info [ "O"; "pipeline" ]
-           ~doc:"Run the optimizing pass pipeline (constfold, then the \
-                 fusion annotator) with per-pass statistics (per-rule \
-                 chain counts, chain-length histogram) and post-pass \
-                 verification.")
-  in
-  let constfold_arg =
-    Arg.(value & flag & info [ "constfold" ] ~doc:"Run constant folding.")
-  in
   let dce_arg =
     Arg.(value & flag & info [ "dce" ] ~doc:"Run dead-code elimination.")
   in
   let verify_arg =
-    Arg.(value & flag & info [ "verify" ] ~doc:"Verify and report.")
+    Arg.(value & flag & info [ "verify" ]
+           ~doc:"Verify and report; a module that verifies is then \
+                 compiled and its fusion decisions reported (chains \
+                 fused, chain lengths, the shapes of unfused chains).")
   in
   Cmd.v
     (Cmd.info "opt"
        ~doc:
          "Load mini-ISPC source or textual VIR, run passes, print the VIR \
           (an opt-style pipeline)")
-    Term.(const run $ target_arg $ file_arg $ pipeline_arg $ constfold_arg
-          $ dce_arg $ verify_arg)
+    Term.(const run $ target_arg $ file_arg $ dce_arg $ verify_arg)
 
 let () =
   let doc = "vector-oriented LLVM-style fault injector (VULFI reproduction)" in

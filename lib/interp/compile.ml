@@ -160,12 +160,13 @@ and cmodule = {
   extern_index : (string, int) Hashtbl.t;
   n_extern_slots : int;
   mutable n_fused_chains : int;
-      (** chains from [Func.fuse_chains] actually lowered as fused
-          kernels by the threading stage (advisory annotations that
-          fail the emitter's defensive re-checks are skipped) *)
+      (** fusion chains ([chain_length]) lowered with at least one
+          fused kernel *)
   fused_hist : (int, int) Hashtbl.t;
-      (** chain length -> count over the actually-fused chains; feeds
-          the VULFI_FUSION_STATS / bench fusion report *)
+      (** chain length -> count over the fused chains *)
+  unfused : (string, int) Hashtbl.t;
+      (** member kinds (["fbinop+select"]) -> count over the chains no
+          kernel covers, which run one closure per member *)
   mutable n_site_kernels : int;
       (** instrumented vector fault sites lowered to one hot-path
           kernel each (see [thread_site_chain]); not counted in
@@ -1771,11 +1772,24 @@ let rec compose_body (body : texec array) lo hi : texec =
       b st
 
 (* ------------------------------------------------------------------ *)
-(* Fused superblock kernels.
+(* Fusion chains.
 
-   [thread_chain] lowers a chain annotated by the fusion pass
-   ([Func.fuse_chains], computed by [Analysis.Chains]) into ONE closure
-   covering all members. The legality argument:
+   [hot_body] finds them itself. A chain is a maximal run of adjacent
+   body instructions, each linked to the next ([links]):
+   - the producer's result has exactly one use in the whole function,
+     and that use is the next member (so [a * a] never links: it reads
+     the register twice);
+   - a gep feeds only the access it addresses, and a load's address
+     comes only from a gep (an address in a plain register is read
+     straight from the register file: nothing to fuse);
+   - a store links through its value (through its pointer only from a
+     gep) and ends the chain, as does a [reduce_*] intrinsic;
+   - allocas, lane shuffles and other calls are never members
+     ([member_kind]), so a chain can neither swallow a fault site nor
+     reorder an allocation.
+
+   [thread_superblock] lowers a chain into fused kernels. The legality
+   argument:
 
    - every intermediate register is single-use (its only reader is the
      next chain member), so skipping — or keeping, for load/store
@@ -1790,13 +1804,13 @@ let rec compose_body (body : texec array) lo hi : texec =
      leaves the same fuel as unfused stepping. Pure producers allow
      grouping the charges up front: the only state a reordered trap
      could expose is a partial register write, which is unobservable;
-   - the resumable driver uses [t_steps], which is NEVER fused — fault sites and checkpoint positions stay per
-     original instruction.
+   - the resumable driver uses [t_steps], which is NEVER fused — fault
+     sites and checkpoint positions stay per original instruction.
 
-   The emitter re-checks every structural assumption (operand
-   positions, lane counts, value kinds) and returns [None] when
-   anything is off — annotations are advisory, and an unfused fallback
-   is always correct. *)
+   The kernels check every structural assumption (operand positions,
+   lane counts, value kinds) and return [None] when anything is off; a
+   chain no kernel covers runs one closure per member, which is always
+   correct, and is counted under its member kinds ([unfused_shapes]). *)
 
 let divlike = function
   | Vir.Instr.Sdiv | Vir.Instr.Srem | Vir.Instr.Udiv | Vir.Instr.Urem -> true
@@ -1812,6 +1826,64 @@ let as_int_slot (v : Vvalue.t) : int64 =
 
 let uses_creg (o : coperand) (r : int) =
   match o with Creg r' -> r' = r | Cimm _ -> false
+
+(* Whether [hot_body] fuses chains. Fusion changes how the hot path is
+   lowered, never what it computes: with it cleared before
+   [compile_module] every chain runs one closure per member. Site
+   kernels are unaffected. *)
+let fusion = ref true
+
+(* [ci]'s kind as a chain member; [None] = never a member. *)
+let member_kind (ci : cinstr) : string option =
+  match ci.src.Vir.Instr.op with
+  | Vir.Instr.Ibinop _ -> Some "ibinop"
+  | Vir.Instr.Fbinop _ -> Some "fbinop"
+  | Vir.Instr.Icmp _ -> Some "icmp"
+  | Vir.Instr.Fcmp _ -> Some "fcmp"
+  | Vir.Instr.Select _ -> Some "select"
+  | Vir.Instr.Cast _ -> Some "cast"
+  | Vir.Instr.Gep _ -> Some "gep"
+  | Vir.Instr.Load _ -> Some "load"
+  | Vir.Instr.Store _ -> Some "store"
+  | Vir.Instr.Call (callee, [ _ ]) -> (
+    match Vir.Intrinsics.lookup callee with
+    | Some { Vir.Intrinsics.kind = Vir.Intrinsics.Reduce _; _ } ->
+      Some "reduce"
+    | _ -> None)
+  | _ -> None
+
+(* May member [p] and the next member [c] be consecutive chain members
+   (the rules above)? [uses] holds whole-function use counts. *)
+let links (uses : int array) (p : cinstr) (c : cinstr) =
+  let r = p.dst in
+  r >= 0
+  && uses.(r) = 1
+  && Array.exists (fun o -> uses_creg o r) c.ops
+  &&
+  match (p.src.Vir.Instr.op, c.src.Vir.Instr.op) with
+  | (Vir.Instr.Store _ | Vir.Instr.Call _), _ -> false
+  | Vir.Instr.Gep _, Vir.Instr.Load _ -> uses_creg c.ops.(0) r
+  | Vir.Instr.Gep _, Vir.Instr.Store _ ->
+    uses_creg c.ops.(1) r && not (uses_creg c.ops.(0) r)
+  | Vir.Instr.Gep _, _ -> false
+  | _, Vir.Instr.Load _ -> false
+  | _, Vir.Instr.Store _ -> uses_creg c.ops.(0) r
+  | _, _ -> true
+
+(* Members of the maximal chain starting at [body.(k)]; 1 when
+   [body.(k)] links to nothing. *)
+let chain_length (uses : int array) (body : cinstr array) (k : int) : int =
+  let n = Array.length body in
+  let j = ref k in
+  while
+    !j + 1 < n
+    && member_kind body.(!j) <> None
+    && member_kind body.(!j + 1) <> None
+    && links uses body.(!j) body.(!j + 1)
+  do
+    incr j
+  done;
+  !j - k + 1
 
 (* An in-place binop kernel for the chain members that keep their
    destination buffer (the binop of load→op, op→store and
@@ -2527,34 +2599,19 @@ let thread_site_chain (sc : site_chain) (slow : texec) : texec =
       | _ -> slow st)
     | Site _ | Host _ | Unbound -> slow st
 
-(* Hot-path body: annotated chains lowered to fused kernels, then the
-   instrumented vector sites to site kernels. The per-instruction
-   closures ([body]) always exist — they back [t_steps] and every
-   kernel's fallback — so a chain the emitters decline simply stays
-   per-instruction. *)
-let hot_body (cm : cmodule) (cf : cfunc) (uses : int array) (blk : cblock)
+let bump (tbl : ('a, int) Hashtbl.t) (key : 'a) =
+  Hashtbl.replace tbl key
+    (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+(* Hot-path body: fusion chains lowered to fused kernels, then the
+   instrumented vector sites to site kernels. Site-chain instructions
+   are never chain members, so the two cannot compete for a position.
+   The per-instruction closures ([body]) always exist — they back
+   [t_steps] and every kernel's fallback — so a chain no kernel covers
+   simply stays per-instruction. *)
+let hot_body (cm : cmodule) (uses : int array) (blk : cblock)
     (body : texec array) : texec array =
   let n = Array.length blk.body in
-  (* Validate bounds and overlap; annotations are advisory input. *)
-  let chain_at = Array.make (max n 1) None in
-  let covered = Array.make (max n 1) false in
-  List.iter
-    (fun (ch : Vir.Func.fuse_chain) ->
-      let s = ch.Vir.Func.fc_start and l = ch.Vir.Func.fc_len in
-      if ch.Vir.Func.fc_block = blk.clabel && s >= 0 && l >= 2 && s + l <= n
-      then begin
-        let free = ref true in
-        for k = s to s + l - 1 do
-          if covered.(k) then free := false
-        done;
-        if !free then begin
-          for k = s to s + l - 1 do
-            covered.(k) <- true
-          done;
-          chain_at.(s) <- Some l
-        end
-      end)
-    cf.cf.Vir.Func.fuse_chains;
   let out = ref [] in
   let k = ref 0 in
   let emit fx l =
@@ -2562,33 +2619,28 @@ let hot_body (cm : cmodule) (cf : cfunc) (uses : int array) (blk : cblock)
     k := !k + l
   in
   while !k < n do
-    match chain_at.(!k) with
-    | Some l -> (
-      (* Two/three-member chains go through the whole-chain peephole
-         kernels; everything else (longer chains, reduction tails,
-         unclassified shapes) through the segmenting superblock
-         emitter. *)
-      let fx =
-        match if l <= 3 then thread_chain blk.body !k l else None with
-        | Some fx -> Some fx
-        | None -> thread_superblock body blk.body !k l
-      in
-      match fx with
+    let s = !k in
+    let l = if !fusion then chain_length uses blk.body s else 1 in
+    if l >= 2 then (
+      match thread_superblock body blk.body s l with
       | Some fx ->
         cm.n_fused_chains <- cm.n_fused_chains + 1;
-        Hashtbl.replace cm.fused_hist l
-          (1 + Option.value ~default:0 (Hashtbl.find_opt cm.fused_hist l));
+        bump cm.fused_hist l;
         emit fx l
-      | None -> emit body.(!k) 1)
-    | None -> (
-      match match_site_chain cm uses blk.body !k with
-      | Some sc
-        when not (Array.exists Fun.id (Array.sub covered !k sc.sc_len)) ->
+      | None ->
+        let kind j = Option.get (member_kind blk.body.(s + j)) in
+        bump cm.unfused (String.concat "+" (List.init l kind));
+        for j = s to s + l - 1 do
+          emit body.(j) 1
+        done)
+    else
+      match match_site_chain cm uses blk.body s with
+      | Some sc ->
         cm.n_site_kernels <- cm.n_site_kernels + 1;
         emit
-          (thread_site_chain sc (compose_body body !k (!k + sc.sc_len)))
+          (thread_site_chain sc (compose_body body s (s + sc.sc_len)))
           sc.sc_len
-      | Some _ | None -> emit body.(!k) 1)
+      | None -> emit body.(s) 1
   done;
   Array.of_list (List.rev !out)
 
@@ -2600,7 +2652,7 @@ let thread_func (cm : cmodule) (cf : cfunc) : unit =
     Array.map
       (fun (blk : cblock) ->
         let body = Array.map (thread_instr cm cf) blk.body in
-        let hot = hot_body cm cf uses blk body in
+        let hot = hot_body cm uses blk body in
         {
           t_phis = thread_phis cf blk nblocks;
           t_body = compose_body hot 0 (Array.length hot);
@@ -2653,21 +2705,28 @@ let compile_module (m : Vir.Vmodule.t) : cmodule =
       n_extern_slots = !n_extern_slots;
       n_fused_chains = 0;
       fused_hist = Hashtbl.create 8;
+      unfused = Hashtbl.create 8;
       n_site_kernels = 0;
     }
   in
   Hashtbl.iter (fun _ cf -> thread_func cm cf) cfuncs;
   cm
 
-(* How many annotated chains the threading stage actually fused, for
-   pipeline statistics and the bench coverage counters. *)
+(* How many chains the threading stage fused, for the fusion report
+   and the bench coverage counters. *)
 let fused_chain_count (cm : cmodule) : int = cm.n_fused_chains
 
-(* (chain length, count) over the actually-fused chains, ascending by
-   length — the chain-length histogram of the fusion-stats report. *)
+(* (chain length, count) over the fused chains, ascending by length —
+   the chain-length histogram of the fusion report. *)
 let fused_length_hist (cm : cmodule) : (int * int) list =
   Hashtbl.fold (fun l n acc -> (l, n) :: acc) cm.fused_hist []
   |> List.sort compare
+
+(* (member kinds, count) over the chains no kernel covers, most
+   frequent first: why a candidate chain did not fuse. *)
+let unfused_shapes (cm : cmodule) : (string * int) list =
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) cm.unfused []
+  |> List.sort (fun (k1, n1) (k2, n2) -> compare (n2, k1) (n1, k2))
 
 (* How many instrumented vector fault sites the threading stage lowered
    to site kernels, for tests and the bench coverage counters. *)

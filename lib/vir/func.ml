@@ -14,15 +14,6 @@ type foreach_meta = {
   fm_vl : int;                (** vector length of the lowering *)
 }
 
-(* Advisory fusion annotation written by the fusion pass and consumed by
-   the interpreter's threading stage: [(label, start, len)] marks [len]
-   adjacent instructions of block [label], starting at index [start]
-   into the block's non-phi, non-terminator body, whose intermediate
-   values are single-use and may be lowered as one fused kernel. The
-   annotation carries no semantics — a backend that ignores it (or finds
-   a stale entry) simply executes the instructions one by one. *)
-type fuse_chain = { fc_block : string; fc_start : int; fc_len : int }
-
 type t = {
   fname : string;
   params : param list;
@@ -31,7 +22,6 @@ type t = {
   mutable next_reg : Instr.reg;
   mutable next_label : int;
   mutable foreach_meta : foreach_meta list;
-  mutable fuse_chains : fuse_chain list;
 }
 
 let create ~name ~params ~ret_ty =
@@ -46,7 +36,6 @@ let create ~name ~params ~ret_ty =
     next_reg = List.length plist;
     next_label = 0;
     foreach_meta = [];
-    fuse_chains = [];
   }
 
 let fresh_reg f =
@@ -114,23 +103,3 @@ let reg_ty f r =
       (fun acc _ i ->
         if Instr.defines i && i.Instr.id = r then Some i.Instr.ty else acc)
       None
-
-(* Replace every use of register [reg] by operand [by], across all
-   blocks, optionally skipping instruction ids in [except]. The skip set
-   is hashed once up front so a sweep over a large function costs O(n),
-   not O(n * |except|). *)
-let replace_uses ?(except = []) f ~reg ~by =
-  match except with
-  | [] ->
-    List.iter
-      (fun b -> Block.map_instrs b (Instr.replace_reg ~reg ~by))
-      f.blocks
-  | except ->
-    let skip = Hashtbl.create (List.length except) in
-    List.iter (fun id -> Hashtbl.replace skip id ()) except;
-    List.iter
-      (fun b ->
-        Block.map_instrs b (fun i ->
-            if Hashtbl.mem skip i.Instr.id then i
-            else Instr.replace_reg ~reg ~by i))
-      f.blocks

@@ -155,10 +155,6 @@ let map_operands f i =
   in
   { i with op }
 
-(* Substitute register [r] with operand [by] in all operand positions. *)
-let replace_reg ~reg:r ~by i =
-  map_operands (function Reg (r', _) when r' = r -> by | o -> o) i
-
 let ibinop_name = function
   | Add -> "add" | Sub -> "sub" | Mul -> "mul" | Sdiv -> "sdiv"
   | Srem -> "srem" | Udiv -> "udiv" | Urem -> "urem" | And -> "and"

@@ -18,24 +18,13 @@ type prepared = {
   p_instr : Instrument.t;
 }
 
-(* Peephole fusion of the compiled hot path. The pass only annotates
-   (dynamic counts, fault-site numbering and traces are unchanged —
-   see Passes.Fuse), so it is on by default even inside campaigns;
-   [VULFI_NO_FUSION=1] or clearing this ref disables it, which the CI
-   cross-check uses to diff fused against unfused runs. *)
-let fusion_enabled =
-  ref
-    (match Sys.getenv_opt "VULFI_NO_FUSION" with
-    | Some ("1" | "true" | "yes") -> false
-    | _ -> true)
-
 (* Build, select fault sites for [category], instrument, verify and
    compile a workload. [transform] optionally rewrites the module
-   before instrumentation (used to insert error detectors). Fusion
-   runs after instrumentation: injected Call redirections have already
-   split every targeted def-use link, so a chain can never swallow a
-   fault site. Site enumeration ([Sites.targets_of_module]) ran on the
-   pre-pass module, so site numbering is untouched either way. *)
+   before instrumentation (used to insert error detectors). Compiling
+   fuses chains ({!Interp.Compile.fusion}) after instrumentation: the
+   injected calls have already split every targeted def-use link, so a
+   chain can never swallow a fault site, and site numbering comes from
+   the module before instrumentation either way. *)
 let prepare ?(transform = fun (m : Vir.Vmodule.t) -> m)
     (w : Workload.t) (target : Vir.Target.t)
     (category : Analysis.Sites.category) : prepared =
@@ -44,8 +33,6 @@ let prepare ?(transform = fun (m : Vir.Vmodule.t) -> m)
     Analysis.Sites.select (Analysis.Sites.targets_of_module m) category
   in
   let instr = Instrument.run m targets in
-  if !fusion_enabled then
-    ignore (Passes.Fuse.run_module instr.Instrument.instrumented);
   {
     p_workload = w;
     p_target = target;

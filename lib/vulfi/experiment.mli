@@ -20,18 +20,10 @@ type prepared = {
   p_instr : Instrument.t;
 }
 
-(** Whether [prepare] annotates the instrumented module with peephole
-    fusion chains before compiling ({!Passes.Fuse}). Fusion preserves
-    dynamic counts, fault-site numbering and traces exactly, so it
-    defaults to [true] even inside campaigns; set the env var
-    [VULFI_NO_FUSION=1] (read at startup) or clear the ref to compare
-    fused against unfused runs. *)
-val fusion_enabled : bool ref
-
 (** [prepare ?transform w target category] builds the workload module,
     applies [transform] (e.g. detector insertion), selects the fault
-    sites of [category], instruments and compiles (annotating fusion
-    chains first, per {!fusion_enabled}). *)
+    sites of [category], instruments and compiles (fusing chains per
+    {!Interp.Compile.fusion}). *)
 val prepare :
   ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
   Workload.t ->

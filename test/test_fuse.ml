@@ -1,19 +1,18 @@
-(* Per-rule differential equivalence tests for the superblock fusion
-   backend.
+(* Per-kernel differential equivalence tests for the superblock fusion
+   backend, and the pin of every fusion decision on the registry.
 
-   For every peephole rule in Analysis.Chains, a minimal VIR kernel
-   exhibiting exactly that chain is built and executed twice from the
-   same module — once with fusion annotations cleared (per-instruction
-   threading) and once annotated (fused kernel) — and the two runs must
-   agree bit-for-bit: return value lanes, memory contents, dynamic
-   instruction and vector counts, and trap outcome. Inputs are
-   QCheck-generated and include NaN/infinity lanes (float rules),
-   zero divisors (the trapping integer-divide consumer) and
-   out-of-range indices (the gep chains), so trap ordering and
-   lane-blend semantics are exercised, not just the happy path. A
-   budget sweep pins the fuel accounting: a chain interrupted by
-   Budget_exhausted must leave the same dynamic counts as unfused
-   stepping. *)
+   For every fused kernel, a minimal VIR kernel exhibiting exactly that
+   chain is built and executed twice from the same module — once
+   compiled with fusion off (per-instruction threading) and once with
+   it on (fused kernel) — and the two runs must agree bit-for-bit:
+   return value lanes, memory contents, dynamic instruction and vector
+   counts, and trap outcome. Inputs are QCheck-generated and include
+   NaN/infinity lanes (float kernels), zero divisors (the trapping
+   integer-divide consumer) and out-of-range indices (the gep chains),
+   so trap ordering and lane-blend semantics are exercised, not just
+   the happy path. A budget sweep pins the fuel accounting: a chain
+   interrupted by Budget_exhausted must leave the same dynamic counts
+   as unfused stepping. *)
 
 open Vir
 
@@ -43,14 +42,21 @@ let result_equal a b =
   a.r_ret = b.r_ret && a.r_trap = b.r_trap && a.r_dyn = b.r_dyn
   && a.r_vec = b.r_vec && a.r_mem = b.r_mem
 
+(* [m] compiled with {!Interp.Compile.fusion} set to [fused], the
+   switch restored after. *)
+let compile ~fused m =
+  let saved = !Interp.Compile.fusion in
+  Interp.Compile.fusion := fused;
+  Fun.protect
+    ~finally:(fun () -> Interp.Compile.fusion := saved)
+    (fun () -> Interp.Compile.compile_module m)
+
 (* Run [fn] on a fresh machine over [m], fused or not. [setup] builds
    the argument list (and optionally initialises memory), returning a
    closure that renders whatever memory the kernel may write. *)
 let exec ?(budget = Interp.Machine.default_budget) (m : Vmodule.t) ~fused ~fn
     ~setup =
-  if fused then ignore (Passes.Fuse.run_module m)
-  else Passes.Fuse.clear_module m;
-  let cm = Interp.Compile.compile_module m in
+  let cm = compile ~fused m in
   let st = Interp.Machine.create ~budget cm in
   let args, read_mem = setup st in
   let ret, trap =
@@ -91,7 +97,7 @@ let no_mem st =
   ignore st;
   fun () -> ""
 
-(* ---------------- kernels, one per rule ---------------- *)
+(* ---------------- kernels, one per fused shape ---------------- *)
 
 let mk_fbinop_fbinop () =
   let m = Vmodule.create "fuse" in
@@ -298,17 +304,23 @@ let mk_superblock_reduce () =
     (Some (Builder.call b ~ret:Vtype.f32 "llvm.vector.reduce.fadd" [ t2 ]));
   m
 
-(* Every kernel above must be annotated with the rule it was built
-   for — otherwise the differential test exercises nothing — and,
-   conversely, every rule the analysis can report must have at least
-   one kernel here, so adding a rule without differential coverage
-   fails this test. *)
-let test_rules_match () =
-  let cases =
+(* Every kernel above must compile to at least one fused chain and
+   leave no chain unfused; otherwise its differential property would
+   compare unfused execution against itself. *)
+let test_kernels_fuse () =
+  List.iter
+    (fun (name, m) ->
+      let cm = compile ~fused:true m in
+      Alcotest.(check bool)
+        (name ^ " fuses") true
+        (Interp.Compile.fused_chain_count cm >= 1);
+      Alcotest.(check (list (pair string int)))
+        (name ^ " leaves no chain unfused")
+        [] (Interp.Compile.unfused_shapes cm))
     [
       ("fbinop_fbinop", mk_fbinop_fbinop ());
-      ("ibinop_ibinop", mk_ibinop_ibinop_vec ());
-      ("ibinop_ibinop", mk_ibinop_div ());
+      ("ibinop_ibinop_vec", mk_ibinop_ibinop_vec ());
+      ("ibinop_div", mk_ibinop_div ());
       ("icmp_select", mk_icmp_select ());
       ("fcmp_select", mk_fcmp_select ());
       ("cast_binop", mk_cast_binop ());
@@ -318,32 +330,80 @@ let test_rules_match () =
       ("binop_store", mk_binop_store ());
       ("load_binop_store", mk_load_binop_store ());
       ("superblock", mk_superblock ());
-      ("superblock", mk_superblock_int ());
+      ("superblock_int", mk_superblock_int ());
       ("reduce_tail", mk_reduce_tail ());
-      ("reduce_tail", mk_superblock_reduce ());
+      ("superblock_reduce", mk_superblock_reduce ());
     ]
-  in
+
+(* ---------------- pinned fusion decisions ---------------- *)
+
+(* Which chains the compiler fuses, pinned per module in
+   fusion_counts.txt: the 24 uninstrumented registry modules (12
+   workloads x 2 ISAs) and the 144 instrumented modules of the study
+   grid ({!Instrumented_grid}). A row holds the chain candidates, the
+   fused chains, the fused chain-length histogram, the site kernels and
+   the module. With fusion on, the fused count, histogram and site
+   kernels must equal the pin, and every candidate must either fuse or
+   be counted under an unfused shape. With fusion off nothing fuses, no
+   shape is counted and the site kernels stay. The file is checked like
+   the instrumentor's pin ({!Pinned}). *)
+let counts_file = "fusion_counts.txt"
+
+let counts_header =
+  "# Fusion decisions of Interp.Compile, one module a row: chain\n\
+   # candidates, fused chains, fused chain-length histogram\n\
+   # (length:count, - when empty), site kernels, module (workload/ISA/\n\
+   # uninstrumented, or the study-grid cell workload/ISA/category/detector\n\
+   # arm). Checked by test_fuse's \"pinned fusion decisions\" case;\n\
+   # re-record only in a change that means to alter which chains fuse.\n"
+
+let hist_string = function
+  | [] -> "-"
+  | h ->
+    String.concat "," (List.map (fun (l, n) -> Printf.sprintf "%d:%d" l n) h)
+
+(* [f label m] for every pinned module, built just before the call. *)
+let iter_pinned_modules f =
   List.iter
-    (fun (expected, m) ->
-      let stats = Passes.Fuse.rule_stats m in
-      Alcotest.(check bool)
-        (expected ^ " chain found") true
-        (match List.assoc_opt expected stats with
-        | Some n -> n >= 1
-        | None -> false))
-    cases;
-  (* Reverse direction: every rule the analysis can report must appear
-     in [cases] above.  A rule added to [Analysis.Chains.all_rules]
-     without a kernel here has no differential coverage and fails. *)
-  let covered = List.map fst cases in
-  List.iter
-    (fun rule ->
-      let name = Analysis.Chains.rule_name rule in
-      Alcotest.(check bool)
-        (name ^ " has a differential kernel")
-        true
-        (List.mem name covered))
-    Analysis.Chains.all_rules
+    (fun (b : Benchmarks.Harness.benchmark) ->
+      let w = b.Benchmarks.Harness.bench in
+      List.iter
+        (fun target ->
+          f
+            (Printf.sprintf "%s/%s/uninstrumented" w.Vulfi.Workload.w_name
+               (Target.name target))
+            (w.Vulfi.Workload.w_build target))
+        Target.all)
+    Benchmarks.Registry.all;
+  Instrumented_grid.iter (fun label instr ->
+      f label instr.Vulfi.Instrument.instrumented)
+
+let test_fusion_pinned () =
+  let actual = ref [] and off_errors = ref [] in
+  iter_pinned_modules (fun label m ->
+      let on = compile ~fused:true m and off = compile ~fused:false m in
+      let fused = Interp.Compile.fused_chain_count on in
+      let shapes = Interp.Compile.unfused_shapes on in
+      let sites = Interp.Compile.site_kernel_count on in
+      actual :=
+        Printf.sprintf "%d %d %s %d %s"
+          (List.fold_left (fun acc (_, n) -> acc + n) fused shapes)
+          fused
+          (hist_string (Interp.Compile.fused_length_hist on))
+          sites label
+        :: !actual;
+      if
+        Interp.Compile.fused_chain_count off <> 0
+        || Interp.Compile.unfused_shapes off <> []
+        || Interp.Compile.site_kernel_count off <> sites
+      then off_errors := label :: !off_errors);
+  let actual = List.rev !actual in
+  Alcotest.(check int) "pinned modules" 168 (List.length actual);
+  Pinned.check ~file:counts_file ~header:counts_header ~what:"modules"
+    ~label:(Pinned.label_after 4) ~expected:(Pinned.read counts_file) actual;
+  Alcotest.(check (list string))
+    "fusion off: nothing fused, no shape counted, site kernels kept" []
+    (List.rev !off_errors)
 
 (* ---------------- generators ---------------- *)
 
@@ -627,10 +687,11 @@ let () =
     [
       ( "structure",
         [
-          Alcotest.test_case "each kernel matches its rule" `Quick
-            test_rules_match;
+          Alcotest.test_case "each kernel fuses" `Quick test_kernels_fuse;
           Alcotest.test_case "budget sweep over chains" `Quick
             test_budget_sweep;
+          Alcotest.test_case "pinned fusion decisions (168 modules)" `Quick
+            test_fusion_pinned;
         ] );
       ( "differential",
         List.map QCheck_alcotest.to_alcotest

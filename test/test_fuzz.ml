@@ -182,50 +182,19 @@ let prop_vm_matches_reference_sse =
     ~count:120 fuzz_case (fun (src, n, seed) ->
       agree (run_vm Vir.Target.Sse src n seed) (run_ref 4 src n seed))
 
-let prop_constfold_agrees =
-  Test.make ~name:"constant folding preserves fuzzed kernels" ~count:60
+let prop_fusion_off_agrees =
+  (* [run_vm] compiles with fusion on; the same kernel compiled with
+     every chain one closure per member must agree bit-exactly. *)
+  Test.make ~name:"fusion off matches fused on fuzzed kernels" ~count:60
     fuzz_case (fun (src, n, seed) ->
-      let m = Minispc.Driver.compile Vir.Target.Avx src in
-      ignore (Passes.Constfold.run_module m);
-      let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-      let mem = Interp.Machine.memory st in
-      let a0, b0 = inputs seed in
-      let a = Interp.Memory.alloc mem ~name:"a" ~bytes:(4 * n_max) in
-      let b = Interp.Memory.alloc mem ~name:"b" ~bytes:(4 * n_max) in
-      Interp.Memory.write_f32_array mem a a0;
-      Interp.Memory.write_f32_array mem b b0;
-      ignore
-        (Interp.Machine.run st "kernel"
-           [ Interp.Vvalue.of_ptr a; Interp.Vvalue.of_ptr b;
-             Interp.Vvalue.of_i32 n ]);
-      agree
-        ( Interp.Memory.read_f32_array mem a n_max,
-          Interp.Memory.read_f32_array mem b n_max )
-        (run_vm Vir.Target.Avx src n seed))
-
-let prop_pipeline_agrees =
-  (* The full optimizing pipeline (constfold + fusion annotation) feeding
-     the fused compile path must preserve every fuzzed kernel bit-exactly
-     against the plain (unoptimized, unfused) run. *)
-  Test.make ~name:"optimizing pipeline + fusion preserves fuzzed kernels"
-    ~count:60 fuzz_case (fun (src, n, seed) ->
-      let m = Minispc.Driver.compile Vir.Target.Avx src in
-      ignore (Passes.Pipeline.run ~passes:Passes.Pipeline.optimizing m);
-      let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-      let mem = Interp.Machine.memory st in
-      let a0, b0 = inputs seed in
-      let a = Interp.Memory.alloc mem ~name:"a" ~bytes:(4 * n_max) in
-      let b = Interp.Memory.alloc mem ~name:"b" ~bytes:(4 * n_max) in
-      Interp.Memory.write_f32_array mem a a0;
-      Interp.Memory.write_f32_array mem b b0;
-      ignore
-        (Interp.Machine.run st "kernel"
-           [ Interp.Vvalue.of_ptr a; Interp.Vvalue.of_ptr b;
-             Interp.Vvalue.of_i32 n ]);
-      agree
-        ( Interp.Memory.read_f32_array mem a n_max,
-          Interp.Memory.read_f32_array mem b n_max )
-        (run_vm Vir.Target.Avx src n seed))
+      let unfused =
+        let saved = !Interp.Compile.fusion in
+        Interp.Compile.fusion := false;
+        Fun.protect
+          ~finally:(fun () -> Interp.Compile.fusion := saved)
+          (fun () -> run_vm Vir.Target.Avx src n seed)
+      in
+      agree unfused (run_vm Vir.Target.Avx src n seed))
 
 let prop_instrumented_profile_agrees =
   (* profile-mode instrumentation must be transparent on any kernel *)
@@ -260,8 +229,7 @@ let () =
           [
             prop_vm_matches_reference_avx;
             prop_vm_matches_reference_sse;
-            prop_constfold_agrees;
-            prop_pipeline_agrees;
+            prop_fusion_off_agrees;
             prop_instrumented_profile_agrees;
           ] );
     ]

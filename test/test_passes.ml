@@ -1,6 +1,5 @@
-(* Tests for the optimisation passes: DCE (mark/sweep correctness) and
-   constant folding (semantic preservation, fold coverage), plus the
-   dominator-tree and natural-loop analyses they lean on. *)
+(* Tests for dead-code elimination (mark/sweep correctness) and the
+   dominator-tree and natural-loop analyses. *)
 
 open Vir
 
@@ -76,180 +75,6 @@ let test_dce_removes_dead_maskload () =
   in
   Builder.ret b None;
   check Alcotest.int "dead loads removed" 2 (Dce.run_module m)
-
-(* ---------------- Constfold ---------------- *)
-
-let run_f m fn args =
-  let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-  match Interp.Machine.run st fn args with
-  | Some v -> v
-  | None -> Alcotest.fail "expected a value"
-
-let test_constfold_arith () =
-  let m = Vmodule.create "cf" in
-  let b = Builder.define m ~name:"f" ~params:[] ~ret_ty:Vtype.i32 in
-  let entry = Builder.new_block b "entry" in
-  Builder.position_at_end b entry;
-  let x = Builder.add b (Ir_samples.imm_i32 20) (Ir_samples.imm_i32 22) in
-  let y = Builder.mul b x (Ir_samples.imm_i32 2) in
-  Builder.ret b (Some y);
-  let before = Interp.Vvalue.as_int (run_f m "f" []) in
-  let folds = Passes.Constfold.run_module m in
-  Alcotest.(check bool) "folded something" true (folds >= 2);
-  let f = Vmodule.find_func_exn m "f" in
-  check Alcotest.int "only ret remains" 1 (List.length (Func.all_instrs f));
-  check Alcotest.int64 "same result" before
-    (Interp.Vvalue.as_int (run_f m "f" []))
-
-let test_constfold_skips_trapping_div () =
-  let m = Vmodule.create "cf" in
-  let b = Builder.define m ~name:"f" ~params:[] ~ret_ty:Vtype.i32 in
-  let entry = Builder.new_block b "entry" in
-  Builder.position_at_end b entry;
-  let x = Builder.sdiv b (Ir_samples.imm_i32 1) (Ir_samples.imm_i32 0) in
-  Builder.ret b (Some x);
-  check Alcotest.int "div by zero not folded" 0 (Passes.Constfold.run_module m);
-  (* the trap must still happen at run time *)
-  Alcotest.(check bool) "still traps" true
-    (try
-       ignore (run_f m "f" []);
-       false
-     with Interp.Trap.Trap Interp.Trap.Division_by_zero -> true)
-
-let test_constfold_vector_ops () =
-  let m = Vmodule.create "cf" in
-  let b = Builder.define m ~name:"f" ~params:[] ~ret_ty:Vtype.i32 in
-  let entry = Builder.new_block b "entry" in
-  Builder.position_at_end b entry;
-  let v =
-    Builder.add b
-      (Instr.Imm (Const.iota Vtype.I32 4))
-      (Instr.Imm (Const.splat 4 (Const.i32 10)))
-  in
-  let e = Builder.extractelement b v (Ir_samples.imm_i32 2) in
-  Builder.ret b (Some e);
-  let before = Interp.Vvalue.as_int (run_f m "f" []) in
-  check Alcotest.int64 "sanity" 12L before;
-  Alcotest.(check bool) "folded" true (Passes.Constfold.run_module m > 0);
-  check Alcotest.int64 "same result" 12L (Interp.Vvalue.as_int (run_f m "f" []))
-
-let test_constfold_preserves_benchmarks () =
-  (* Folding must never change observable behaviour of real kernels. *)
-  List.iter
-    (fun (bch : Benchmarks.Harness.benchmark) ->
-      let w = bch.Benchmarks.Harness.bench in
-      let plain = w.Vulfi.Workload.w_build Target.Avx in
-      let folded = w.Vulfi.Workload.w_build Target.Avx in
-      ignore (Passes.Constfold.run_module folded);
-      let outputs m =
-        let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-        let args, read = w.Vulfi.Workload.w_setup ~input:0 st in
-        ignore (Interp.Machine.run st w.Vulfi.Workload.w_fn args);
-        read ()
-      in
-      Alcotest.(check bool)
-        (w.Vulfi.Workload.w_name ^ " unchanged by folding")
-        true
-        (Vulfi.Outcome.output_equal (outputs plain) (outputs folded)))
-    Benchmarks.Registry.all
-
-let prop_constfold_equivalent =
-  QCheck.Test.make ~name:"folding preserves saxpy outputs" ~count:25
-    QCheck.(pair (int_range 0 24) (float_range (-10.) 10.))
-    (fun (n, a) ->
-      let src =
-        "export void saxpy(uniform float x[], uniform float y[], uniform \
-         float a, uniform int n) { foreach (i = 0 ... n) { y[i] = (2.0 * \
-         3.0) * a * x[i] + y[i] * (1.0 + 0.0); } }"
-      in
-      let run fold =
-        let m = Minispc.Driver.compile Target.Avx src in
-        if fold then ignore (Passes.Constfold.run_module m);
-        let st = Interp.Machine.create (Interp.Compile.compile_module m) in
-        let mem = Interp.Machine.memory st in
-        let x = Interp.Memory.alloc mem ~name:"x" ~bytes:(4 * 24) in
-        let y = Interp.Memory.alloc mem ~name:"y" ~bytes:(4 * 24) in
-        Interp.Memory.write_f32_array mem x (Array.init 24 float_of_int);
-        Interp.Memory.write_f32_array mem y (Array.make 24 1.0);
-        ignore
-          (Interp.Machine.run st "saxpy"
-             [ Interp.Vvalue.of_ptr x; Interp.Vvalue.of_ptr y;
-               Interp.Vvalue.of_f32 (Interp.Bits.round_float Vtype.F32 a);
-               Interp.Vvalue.of_i32 n ]);
-        Interp.Memory.read_f32_array mem y 24
-      in
-      run false = run true)
-
-let test_constfold_shuffle_bad_mask () =
-  (* Regression: a shufflevector whose mask indexes outside [0, 2n)
-     must not be folded (the extract would die), and the threading
-     stage must reject it loudly instead of reading out of bounds. *)
-  let m = Vmodule.create "cf" in
-  let b = Builder.define m ~name:"f" ~params:[] ~ret_ty:Vtype.i32 in
-  let entry = Builder.new_block b "entry" in
-  Builder.position_at_end b entry;
-  let va = Instr.Imm (Const.iota Vtype.I32 4) in
-  let vb = Instr.Imm (Const.splat 4 (Const.i32 9)) in
-  let s = Builder.shufflevector b va vb [| 0; 99; 2; 3 |] in
-  let e = Builder.extractelement b s (Ir_samples.imm_i32 0) in
-  Builder.ret b (Some e);
-  check Alcotest.int "bad mask not folded" 0
-    (Passes.Constfold.run_module m);
-  Alcotest.(check bool) "threading rejects the bad mask" true
-    (try
-       ignore (Interp.Compile.compile_module m);
-       false
-     with Invalid_argument _ -> true)
-
-let test_constfold_fold_counts_pinned () =
-  (* Pins the exact per-sweep and total fold counts of a three-step
-     constant chain, so a rewrite of the sweep (e.g. the hash-based
-     dead filter) that accidentally changes fixpoint behaviour fails
-     loudly rather than just running a different number of passes. *)
-  let mk () =
-    let m = Vmodule.create "cf" in
-    let b = Builder.define m ~name:"f" ~params:[] ~ret_ty:Vtype.i32 in
-    let entry = Builder.new_block b "entry" in
-    Builder.position_at_end b entry;
-    let x1 = Builder.add b (Ir_samples.imm_i32 1) (Ir_samples.imm_i32 2) in
-    let x2 = Builder.mul b x1 (Ir_samples.imm_i32 3) in
-    let x3 = Builder.sub b x2 (Ir_samples.imm_i32 4) in
-    Builder.ret b (Some x3);
-    m
-  in
-  (* One sweep folds only the head of the chain: downstream members
-     still read the (now-replaced) register from the snapshot the
-     sweep iterates over. *)
-  let m1 = mk () in
-  let f1 = Vmodule.find_func_exn m1 "f" in
-  check Alcotest.int "one fold per sweep" 1 (Passes.Constfold.fold_func_once f1);
-  (* The fixpoint driver folds all three and reports exactly three. *)
-  let m = mk () in
-  check Alcotest.int "three folds to fixpoint" 3 (Passes.Constfold.run_module m);
-  check Alcotest.int64 "value preserved" 5L (Interp.Vvalue.as_int (run_f m "f" []))
-
-let test_replace_uses_except () =
-  let m = Vmodule.create "ru" in
-  let b = Builder.define m ~name:"f" ~params:[ ("x", Vtype.i32) ] ~ret_ty:Vtype.i32 in
-  let entry = Builder.new_block b "entry" in
-  Builder.position_at_end b entry;
-  let d = Builder.add b (Builder.param b "x") (Ir_samples.imm_i32 1) in
-  let u1 = Builder.mul b d (Ir_samples.imm_i32 2) in
-  let u2 = Builder.sub b d (Ir_samples.imm_i32 3) in
-  Builder.ret b (Some (Builder.add b u1 u2));
-  let f = Vmodule.find_func_exn m "f" in
-  let reg_of = function Instr.Reg (r, _) -> r | _ -> Alcotest.fail "not a reg" in
-  let instr_of op =
-    List.find
-      (fun (i : Instr.t) -> Instr.defines i && i.Instr.id = reg_of op)
-      (Func.all_instrs f)
-  in
-  Func.replace_uses f ~reg:(reg_of d)
-    ~by:(Ir_samples.imm_i32 42)
-    ~except:[ reg_of u2 ];
-  let uses_d i = List.mem d (Instr.operands i) in
-  Alcotest.(check bool) "u1 redirected" false (uses_d (instr_of u1));
-  Alcotest.(check bool) "u2 kept (except)" true (uses_d (instr_of u2))
 
 (* ---------------- Domtree ---------------- *)
 
@@ -341,23 +166,6 @@ let () =
           Alcotest.test_case "removes dead loads" `Quick
             test_dce_removes_dead_maskload;
         ] );
-      ( "constfold",
-        [
-          Alcotest.test_case "folds arithmetic chains" `Quick
-            test_constfold_arith;
-          Alcotest.test_case "keeps trapping division" `Quick
-            test_constfold_skips_trapping_div;
-          Alcotest.test_case "folds vector ops" `Quick
-            test_constfold_vector_ops;
-          Alcotest.test_case "preserves all benchmarks" `Slow
-            test_constfold_preserves_benchmarks;
-          Alcotest.test_case "rejects bad shuffle mask" `Quick
-            test_constfold_shuffle_bad_mask;
-          Alcotest.test_case "fold counts pinned" `Quick
-            test_constfold_fold_counts_pinned;
-          Alcotest.test_case "replace_uses honours except" `Quick
-            test_replace_uses_except;
-        ] );
       ( "domtree",
         [
           Alcotest.test_case "diamond" `Quick test_domtree_diamond;
@@ -369,6 +177,4 @@ let () =
           Alcotest.test_case "foreach + nesting" `Quick
             test_loops_foreach_detection;
         ] );
-      ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_constfold_equivalent ] );
     ]

@@ -1,8 +1,8 @@
-(* Tests for the closure-threading stage: call-arity enforcement, the
-   extern-slot contract, the pinned NaN semantics of the float
-   reductions, and a differential property checking the threaded VM
-   against the exposed lane evaluators on random straight-line
-   programs. *)
+(* Tests for the closure-threading stage: call-arity and shuffle-mask
+   enforcement, the extern-slot contract, the pinned NaN semantics of
+   the float reductions, and a differential property checking the
+   threaded VM against the exposed lane evaluators on random
+   straight-line programs. *)
 
 open Vir
 open Interp
@@ -51,6 +51,22 @@ let test_call_arity () =
   Alcotest.(check bool) "in-module call arity raises" true
     (try
        ignore (Machine.run st "caller" []);
+       false
+     with Invalid_argument _ -> true)
+
+(* A shufflevector whose mask indexes outside [0, 2n) is rejected by the
+   threading stage itself, loudly, instead of reading out of bounds. *)
+let test_bad_shuffle_mask () =
+  let m = Vmodule.create "shuffle" in
+  let b = Builder.define m ~name:"f" ~params:[] ~ret_ty:Vtype.i32 in
+  Builder.position_at_end b (Builder.new_block b "entry");
+  let va = Instr.Imm (Const.iota Vtype.I32 4) in
+  let vb = Instr.Imm (Const.splat 4 (Const.i32 9)) in
+  let s = Builder.shufflevector b va vb [| 0; 99; 2; 3 |] in
+  Builder.ret b (Some (Builder.extractelement b s (Ir_samples.imm_i32 0)));
+  Alcotest.(check bool) "threading rejects the bad mask" true
+    (try
+       ignore (Compile.compile_module m);
        false
      with Invalid_argument _ -> true)
 
@@ -236,6 +252,11 @@ let () =
         [
           Alcotest.test_case "Machine.run arity" `Quick test_run_arity;
           Alcotest.test_case "in-module call arity" `Quick test_call_arity;
+        ] );
+      ( "shuffle",
+        [
+          Alcotest.test_case "bad mask rejected" `Quick
+            test_bad_shuffle_mask;
         ] );
       ( "externs",
         [ Alcotest.test_case "slot contract" `Quick test_extern_slots ] );

@@ -97,12 +97,6 @@ let test_instr_uses () =
   check Alcotest.(list int) "store uses" [ 3; 4 ] (Instr.uses st);
   Alcotest.(check bool) "store defines nothing" false (Instr.defines st)
 
-let test_instr_replace () =
-  let replaced =
-    Instr.replace_reg ~reg:2 ~by:(Instr.Imm (Const.i32 5)) dummy_add
-  in
-  check Alcotest.(list int) "reg 2 replaced" [ 1 ] (Instr.uses replaced)
-
 let test_instr_classify () =
   Alcotest.(check bool) "condbr is control flow" true
     (Instr.is_control_flow
@@ -470,7 +464,6 @@ let () =
       ( "instr",
         [
           Alcotest.test_case "uses" `Quick test_instr_uses;
-          Alcotest.test_case "replace_reg" `Quick test_instr_replace;
           Alcotest.test_case "classification" `Quick test_instr_classify;
           Alcotest.test_case "successors" `Quick test_successors;
         ] );

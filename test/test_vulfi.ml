@@ -201,11 +201,9 @@ let test_instrument_scalar_module () =
 
 (* The printed instrumented module and site table of every cell of the
    study grid ({!Instrumented_grid}), pinned by MD5 in
-   instrument_digests.txt. Any change to what the instrumentor emits —
-   instruction order, register numbering, which register a chain reads —
-   shows here. The test never rewrites the file: on a mismatch it names
-   the differing rows and writes the whole current table, header
-   included, to instrument_digests.actual beside the copy it read. *)
+   instrument_digests.txt ({!Pinned}). Any change to what the
+   instrumentor emits — instruction order, register numbering, which
+   register a chain reads — shows here. *)
 let digest_file = "instrument_digests.txt"
 
 let digest_header =
@@ -244,43 +242,12 @@ let instrument_digest_rows () =
         :: !rows);
   List.rev !rows
 
-(* A row's cell label: everything after the two digests. *)
-let row_label row =
-  let i = String.index_from row (String.index row ' ' + 1) ' ' in
-  String.sub row (i + 1) (String.length row - i - 1)
-
 let test_instrument_pinned () =
-  let expected =
-    In_channel.with_open_text digest_file In_channel.input_all
-    |> String.split_on_char '\n'
-    |> List.filter (fun l -> l <> "" && l.[0] <> '#')
-  in
   let actual = instrument_digest_rows () in
   check Alcotest.int "grid cells" 144 (List.length actual);
-  if actual <> expected then begin
-    Out_channel.with_open_text "instrument_digests.actual" (fun oc ->
-        output_string oc digest_header;
-        List.iter (fun r -> output_string oc (r ^ "\n")) actual);
-    let by_label rows = List.map (fun r -> (row_label r, r)) rows in
-    let exp = by_label expected and act = by_label actual in
-    let labels =
-      List.sort_uniq compare (List.map fst exp @ List.map fst act)
-    in
-    let show = function Some r -> r | None -> "(missing)" in
-    let diffs =
-      List.filter_map
-        (fun l ->
-          let e = List.assoc_opt l exp and a = List.assoc_opt l act in
-          if e = a then None
-          else
-            Some
-              (Printf.sprintf "  expected %s\n  actual   %s" (show e) (show a)))
-        labels
-    in
-    Alcotest.failf "%d of %d instrumented cells differ from %s:\n%s"
-      (List.length diffs) (List.length labels) digest_file
-      (String.concat "\n" diffs)
-  end
+  Pinned.check ~file:digest_file ~header:digest_header
+    ~what:"instrumented cells" ~label:(Pinned.label_after 2)
+    ~expected:(Pinned.read digest_file) actual
 
 (* ---------------- Masked lanes are not live fault sites ------------- *)
 
