@@ -8,7 +8,10 @@
     - pure-data: no [getelementptr] and no control-flow instruction;
     - control: at least one control-flow instruction;
     - address: at least one [getelementptr].
-    Control and address overlap (Fig 2); pure-data excludes both. *)
+    Control and address overlap (Fig 2); pure-data excludes both. The
+    classes of all targets of a function come from one pass of reverse
+    reachability over def-use edges ([marks]), which reaches a register
+    iff its slice holds the instruction the class names. *)
 
 type category = Pure_data | Control | Address
 
@@ -65,36 +68,95 @@ let target_value_ty (t : target) =
       | None -> assert false)
     | _ -> assert false)
 
-let has_prefix p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 (* Runtime functions injected by the instrumentor, and instructions
    synthesised by the detector passes (named "__det_*"), are not
    themselves fault targets: they are measurement/protection machinery,
    not program state. *)
 let is_vulfi_runtime_call (i : Vir.Instr.t) =
-  has_prefix "__det_" i.Vir.Instr.name
+  String.starts_with ~prefix:"__det_" i.Vir.Instr.name
   ||
   match i.Vir.Instr.op with
-  | Vir.Instr.Call (name, _) -> has_prefix "__vulfi_" name
+  | Vir.Instr.Call (name, _) -> String.starts_with ~prefix:"__vulfi_" name
   | _ -> false
 
-(* Enumerate all fault targets of [f] with slice-based classification. *)
-let targets_of_func (f : Vir.Func.t) : target list =
-  let du = Defuse.build f in
-  let classify_instr i =
-    let slice = Slice.forward_slice_of_instr du i in
-    (Slice.contains_control_flow slice, Slice.contains_gep slice)
+(* Marks of a register: the classes its forward slice reaches. *)
+let control_mark = 1
+
+let address_mark = 2
+
+(* Stands in for the defining instruction of a register that has none
+   (a parameter, or an id no instruction defines). *)
+let no_def =
+  { Vir.Instr.id = -1; name = ""; ty = Vir.Vtype.Void; op = Vir.Instr.Unreachable }
+
+(* The marks of every register of [f], by one reverse-reachability
+   pass. A register's forward slice holds a [condbr] (a
+   [getelementptr]) iff the register reaches, along def-use edges, a
+   register some [condbr] reads (the result of some gep, the gep being
+   in its own slice). So the marks start there and flow backwards along
+   those edges: from a register to each register operand of its
+   defining instruction, phi incomings included. Every instruction is a
+   graph node, runtime calls and detector code too, exactly as every
+   instruction is a slice member. The tables are register-indexed and
+   sized by the largest id that occurs; each register enters the
+   worklist at most once per mark. *)
+let marks (f : Vir.Func.t) : Bytes.t =
+  let n = ref f.Vir.Func.next_reg in
+  let see = function
+    | Vir.Instr.Reg (r, _) -> if r >= !n then n := r + 1
+    | Vir.Instr.Imm _ -> ()
   in
-  (* Classification of a store's value: the slice of the value's
-     defining registers' *own* flow already happened upstream; the store
-     itself pins the value, so we classify by the store's address use:
-     the paper treats stored values as data flowing to memory. *)
+  Vir.Func.iter_instrs f (fun _ i ->
+      if Vir.Instr.defines i && i.Vir.Instr.id >= !n then
+        n := i.Vir.Instr.id + 1;
+      Vir.Instr.iter_operands see i);
+  let n = !n in
+  let def = Array.make n no_def in
+  let mark = Bytes.make n '\000' in
+  let stack = Array.make (2 * n) 0 and top = ref 0 in
+  let add bits r =
+    if r >= 0 then begin
+      let old = Bytes.get_uint8 mark r in
+      if old lor bits <> old then begin
+        Bytes.set_uint8 mark r (old lor bits);
+        stack.(!top) <- r;
+        incr top
+      end
+    end
+  in
+  let add_control = function
+    | Vir.Instr.Reg (r, _) -> add control_mark r
+    | Vir.Instr.Imm _ -> ()
+  in
+  Vir.Func.iter_instrs f (fun _ i ->
+      if Vir.Instr.defines i && i.Vir.Instr.id >= 0 then
+        def.(i.Vir.Instr.id) <- i;
+      if Vir.Instr.is_control_flow i then Vir.Instr.iter_operands add_control i;
+      if Vir.Instr.is_gep i && Vir.Instr.defines i then
+        add address_mark i.Vir.Instr.id);
+  while !top > 0 do
+    decr top;
+    let r = stack.(!top) in
+    let bits = Bytes.get_uint8 mark r in
+    Vir.Instr.iter_operands
+      (function Vir.Instr.Reg (x, _) -> add bits x | Vir.Instr.Imm _ -> ())
+      def.(r)
+  done;
+  mark
+
+(* Enumerate all fault targets of [f], classified by [marks]. *)
+let targets_of_func (f : Vir.Func.t) : target list =
+  let mark = marks f in
+  let marked bit (i : Vir.Instr.t) =
+    i.Vir.Instr.id >= 0 && Bytes.get_uint8 mark i.Vir.Instr.id land bit <> 0
+  in
+  (* A store's value gets no class of its own: the value escapes to
+     memory, which intra-procedural slicing does not track, so its
+     slice is the store alone. *)
   let acc = ref [] in
   Vir.Func.iter_instrs f (fun b i ->
       if not (is_vulfi_runtime_call i) then begin
         if Vir.Instr.defines i then begin
-          let is_control, is_address = classify_instr i in
           let lanes = max 1 (Vir.Vtype.lanes i.Vir.Instr.ty) in
           acc :=
             {
@@ -104,8 +166,8 @@ let targets_of_func (f : Vir.Func.t) : target list =
               t_kind = Lvalue;
               t_lanes = lanes;
               t_is_vector = Vir.Instr.is_vector_instr i;
-              t_is_control = is_control;
-              t_is_address = is_address;
+              t_is_control = marked control_mark i;
+              t_is_address = marked address_mark i;
             }
             :: !acc
         end;

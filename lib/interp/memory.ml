@@ -218,10 +218,6 @@ let[@inline] find_region m addr : region =
     r
   end
 
-let find m addr =
-  let r = find_region m addr in
-  if r == no_region then None else Some r
-
 let[@inline] reg_off r addr = Int64.to_int (Int64.sub addr r.base)
 
 (* The whole range [addr, addr + bytes) inside one region, which is
@@ -328,15 +324,6 @@ let write_lane_float (s : Vir.Vtype.scalar) data off (x : float) =
   | Vir.Vtype.F32 -> Bytes.set_int32_le data off (Int32.bits_of_float x)
   | Vir.Vtype.F64 -> Bytes.set_int64_le data off (Int64.bits_of_float x)
   | _ -> assert false
-
-(* The whole range [addr, addr + bytes) inside one region, or None (the
-   caller falls back to the per-lane path, which reproduces the exact
-   per-lane trap address). *)
-let range_in_region m addr ~bytes =
-  match find m addr with
-  | Some r when Int64.to_int (Int64.sub addr r.base) + bytes <= r.size ->
-    Some (r, Int64.to_int (Int64.sub addr r.base))
-  | _ -> None
 
 (* Load a (possibly vector) value of type [ty] from contiguous memory. *)
 let load m (ty : Vir.Vtype.t) addr : Vvalue.t =

@@ -10,9 +10,12 @@ type t = {
 let create ?(instrs = []) label = { label; instrs }
 
 let terminator b =
-  match List.rev b.instrs with
-  | last :: _ when Instr.is_terminator last -> Some last
-  | _ -> None
+  let rec last = function
+    | [] -> None
+    | [ i ] -> if Instr.is_terminator i then Some i else None
+    | _ :: rest -> last rest
+  in
+  last b.instrs
 
 let successors b =
   match terminator b with
@@ -34,32 +37,12 @@ let insert_after b ~after news =
   in
   b.instrs <- go b.instrs
 
-(* Insert [news] immediately before the physically-identical instruction
-   [before] (distinguishes duplicate instructions, e.g. two equal
-   stores). *)
-let insert_before_phys b ~before news =
-  let rec go = function
-    | [] -> []
-    | i :: rest when i == before -> news @ (i :: rest)
-    | i :: rest -> i :: go rest
-  in
-  b.instrs <- go b.instrs
-
-(* Replace the physically-identical instruction [old_i] with [new_i]. *)
-let replace_phys b ~old_i ~new_i =
-  b.instrs <- List.map (fun i -> if i == old_i then new_i else i) b.instrs
-
 (* Insert [news] just before the block terminator. *)
 let insert_before_terminator b news =
   match List.rev b.instrs with
   | last :: rev_rest when Instr.is_terminator last ->
     b.instrs <- List.rev rev_rest @ news @ [ last ]
   | _ -> b.instrs <- b.instrs @ news
-
-(* Insert [news] after the phi cluster at the top of the block. *)
-let insert_after_phis b news =
-  let phis, rest = List.partition Instr.is_phi b.instrs in
-  b.instrs <- phis @ news @ rest
 
 (* Apply [f] to every instruction, in place. *)
 let map_instrs b f = b.instrs <- List.map f b.instrs

@@ -89,6 +89,39 @@ let operands i =
   | Ret (Some v) -> [ v ]
   | Alloca _ | Br _ | Ret None | Unreachable -> []
 
+(* [List.iter f (operands i)] without building the list. *)
+let iter_operands f i =
+  match i.op with
+  | Ibinop (_, a, b) | Fbinop (_, a, b) | Icmp (_, a, b) | Fcmp (_, a, b) ->
+    f a;
+    f b
+  | Select (c, a, b) ->
+    f c;
+    f a;
+    f b
+  | Cast (_, a) | Load a -> f a
+  | Store (v, p) ->
+    f v;
+    f p
+  | Gep (b, i', _) ->
+    f b;
+    f i'
+  | Extractelement (v, i') ->
+    f v;
+    f i'
+  | Insertelement (v, e, i') ->
+    f v;
+    f e;
+    f i'
+  | Shufflevector (a, b, _) ->
+    f a;
+    f b
+  | Call (_, args) -> List.iter f args
+  | Phi incoming -> List.iter (fun (_, v) -> f v) incoming
+  | Condbr (c, _, _) -> f c
+  | Ret (Some v) -> f v
+  | Alloca _ | Br _ | Ret None | Unreachable -> ()
+
 (* Registers read by this instruction. *)
 let uses i =
   List.filter_map

@@ -73,20 +73,21 @@ let table =
     mk "llvm.vector.reduce.fmax" (Reduce "max");
   ]
 
-let is_intrinsic_name name =
-  String.length name >= 5 && String.sub name 0 5 = "llvm."
+let is_intrinsic_name name = String.starts_with ~prefix:"llvm." name
 
 (* Lookup is by prefix for the suffixed generic intrinsics
    (e.g. "llvm.sqrt.v8f32" matches the "llvm.sqrt" entry) and exact for
-   the x86 ones. *)
+   the x86 ones. Every entry starts with "llvm.", so any other name —
+   runtime, detector and benchmark externs — misses without a scan. *)
 let lookup name =
   let matches info =
+    let k = String.length info.iname in
     String.equal info.iname name
-    || (String.length name > String.length info.iname
-        && String.sub name 0 (String.length info.iname + 1)
-           = info.iname ^ ".")
+    || String.length name > k
+       && name.[k] = '.'
+       && String.starts_with ~prefix:info.iname name
   in
-  List.find_opt matches table
+  if is_intrinsic_name name then List.find_opt matches table else None
 
 let is_masked name =
   match lookup name with

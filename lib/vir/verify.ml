@@ -7,13 +7,11 @@ type error = { in_func : string; in_block : string; msg : string }
 let error_to_string e =
   Printf.sprintf "%s/%%%s: %s" e.in_func e.in_block e.msg
 
-(* Immediate dominators by iterative dataflow over block indices;
-   returns dom.(i) = set of blocks dominating block i (as bool array). *)
-let dominators (f : Func.t) =
-  let blocks = Array.of_list f.Func.blocks in
+(* Dominator sets by iterative dataflow over block indices: dom.(i).(j)
+   holds iff block j dominates block i. [index_of] maps a label to its
+   block's index. *)
+let dominators (blocks : Block.t array) index_of =
   let n = Array.length blocks in
-  let index_of = Hashtbl.create n in
-  Array.iteri (fun i b -> Hashtbl.replace index_of b.Block.label i) blocks;
   let preds = Array.make n [] in
   Array.iteri
     (fun i b ->
@@ -24,12 +22,11 @@ let dominators (f : Func.t) =
           | None -> ())
         (Block.successors b))
     blocks;
-  let dom = Array.init n (fun i -> Array.make n (i <> 0 || true)) in
-  (* entry dominated only by itself; others start as full set *)
-  Array.iteri (fun i row -> if i = 0 then Array.iteri (fun j _ -> row.(j) <- j = 0) row) dom;
-  for i = 1 to n - 1 do
-    Array.fill dom.(i) 0 n true
-  done;
+  (* the entry is dominated only by itself; the others start full *)
+  let dom =
+    Array.init n (fun i ->
+        if i = 0 then Array.init n (fun j -> j = 0) else Array.make n true)
+  in
   let changed = ref true in
   while !changed do
     changed := false;
@@ -44,7 +41,13 @@ let dominators (f : Func.t) =
         changed := true)
     done
   done;
-  (dom, index_of)
+  dom
+
+(* The defining block of a register no one defines, and of a
+   parameter, which dominates every use. *)
+let undefined = -1
+
+let param = -2
 
 let verify_func (m : Vmodule.t) (f : Func.t) : error list =
   let errors = ref [] in
@@ -52,43 +55,77 @@ let verify_func (m : Vmodule.t) (f : Func.t) : error list =
     errors := { in_func = f.Func.fname; in_block = block; msg } :: !errors
   in
   if f.Func.blocks = [] then err "" "function has no blocks";
-  let labels = Hashtbl.create 16 in
+  let blocks = Array.of_list f.Func.blocks in
+  let index_of = Hashtbl.create (Array.length blocks) in
+  Array.iteri
+    (fun bi b ->
+      if Hashtbl.mem index_of b.Block.label then
+        err b.Block.label "duplicate block label"
+      else Hashtbl.replace index_of b.Block.label bi)
+    blocks;
+  (* Register-indexed tables: the type of each register's definition
+     and the index of its defining block. They are sized by the largest
+     id that occurs, which malformed input may put at or past
+     [next_reg]; a negative id is never defined. *)
+  let nregs =
+    let top = ref (f.Func.next_reg - 1) in
+    let see r = if r > !top then top := r in
+    List.iter (fun p -> see p.Func.preg) f.Func.params;
+    let see_operand = function Instr.Reg (r, _) -> see r | Instr.Imm _ -> () in
+    Array.iter
+      (fun b ->
+        List.iter
+          (fun (i : Instr.t) ->
+            if Instr.defines i then see i.Instr.id;
+            Instr.iter_operands see_operand i)
+          b.Block.instrs)
+      blocks;
+    !top + 1
+  in
+  let def_ty = Array.make nregs Vtype.Void in
+  let def_block = Array.make nregs undefined in
+  let defined r = r >= 0 && def_block.(r) <> undefined in
+  (* Definitions: params then instruction results, each exactly once;
+     the last definition of a register is the one uses are checked
+     against. *)
   List.iter
-    (fun b ->
-      if Hashtbl.mem labels b.Block.label then
-        err b.Block.label "duplicate block label";
-      Hashtbl.replace labels b.Block.label ())
-    f.Func.blocks;
-  (* Definitions: params then instruction results, each exactly once. *)
-  let def_site = Hashtbl.create 64 in
-  List.iter
-    (fun p -> Hashtbl.replace def_site p.Func.preg ("<param>", p.Func.pty))
+    (fun p ->
+      let r = p.Func.preg in
+      if r >= 0 then begin
+        def_ty.(r) <- p.Func.pty;
+        def_block.(r) <- param
+      end)
     f.Func.params;
-  List.iter
-    (fun b ->
+  Array.iteri
+    (fun bi b ->
       List.iter
         (fun (i : Instr.t) ->
-          if Instr.defines i then begin
-            if Hashtbl.mem def_site i.Instr.id then
+          let r = i.Instr.id in
+          if Instr.defines i && r >= 0 then begin
+            if defined r then
               err b.Block.label
-                (Printf.sprintf "register %%r%d defined twice" i.Instr.id);
-            Hashtbl.replace def_site i.Instr.id (b.Block.label, i.Instr.ty)
+                (Printf.sprintf "register %%r%d defined twice" r);
+            def_ty.(r) <- i.Instr.ty;
+            def_block.(r) <- bi
           end)
         b.Block.instrs)
-    f.Func.blocks;
+    blocks;
   (* Block shape: exactly one terminator, at the end; phis first. *)
-  List.iter
+  Array.iter
     (fun b ->
-      (match List.rev b.Block.instrs with
+      (match b.Block.instrs with
       | [] -> err b.Block.label "empty block"
-      | last :: rest ->
-        if not (Instr.is_terminator last) then
+      | instrs ->
+        if Block.terminator b = None then
           err b.Block.label "block does not end in a terminator";
-        List.iter
-          (fun i ->
+        let rec middle = function
+          | [] | [ _ ] -> ()
+          | i :: rest ->
             if Instr.is_terminator i then
-              err b.Block.label "terminator in the middle of a block")
-          rest);
+              err b.Block.label "terminator in the middle of a block";
+            middle rest
+        in
+        middle instrs);
       let seen_non_phi = ref false in
       List.iter
         (fun i ->
@@ -98,39 +135,34 @@ let verify_func (m : Vmodule.t) (f : Func.t) : error list =
           end
           else seen_non_phi := true)
         b.Block.instrs)
-    f.Func.blocks;
+    blocks;
   (* Branch targets exist. *)
-  List.iter
+  Array.iter
     (fun b ->
       List.iter
         (fun s ->
-          if not (Hashtbl.mem labels s) then
+          if not (Hashtbl.mem index_of s) then
             err b.Block.label ("branch to unknown label %" ^ s))
         (Block.successors b))
-    f.Func.blocks;
+    blocks;
   (* Operand typing: register operands must match their definition. *)
-  List.iter
+  Array.iter
     (fun b ->
       List.iter
-        (fun (i : Instr.t) ->
-          List.iter
-            (fun o ->
-              match o with
-              | Instr.Reg (r, ty) -> (
-                match Hashtbl.find_opt def_site r with
-                | None ->
-                  err b.Block.label
-                    (Printf.sprintf "use of undefined register %%r%d" r)
-                | Some (_, dty) ->
-                  if not (Vtype.equal dty ty) then
-                    err b.Block.label
-                      (Printf.sprintf
-                         "register %%r%d used at type %s but defined at %s" r
-                         (Vtype.to_string ty) (Vtype.to_string dty)))
-              | Instr.Imm _ -> ())
-            (Instr.operands i))
+        (Instr.iter_operands (function
+          | Instr.Reg (r, ty) ->
+            if not (defined r) then
+              err b.Block.label
+                (Printf.sprintf "use of undefined register %%r%d" r)
+            else if not (Vtype.equal def_ty.(r) ty) then
+              err b.Block.label
+                (Printf.sprintf
+                   "register %%r%d used at type %s but defined at %s" r
+                   (Vtype.to_string ty)
+                   (Vtype.to_string def_ty.(r)))
+          | Instr.Imm _ -> ()))
         b.Block.instrs)
-    f.Func.blocks;
+    blocks;
   (* Instruction-specific typing rules. *)
   let check_instr b (i : Instr.t) =
     let ity = i.Instr.ty in
@@ -281,22 +313,22 @@ let verify_func (m : Vmodule.t) (f : Func.t) : error list =
           e "ret type mismatch")
     | Instr.Br _ | Instr.Unreachable -> ()
   in
-  List.iter
-    (fun b -> List.iter (check_instr b) b.Block.instrs)
-    f.Func.blocks;
+  Array.iter (fun b -> List.iter (check_instr b) b.Block.instrs) blocks;
   (* Phi incoming labels must exactly cover the block's predecessors. *)
   let preds = Func.predecessors f in
-  List.iter
+  Array.iter
     (fun b ->
       let ps =
-        try List.sort_uniq compare (Hashtbl.find preds b.Block.label)
-        with Not_found -> []
+        lazy
+          (try List.sort_uniq compare (Hashtbl.find preds b.Block.label)
+           with Not_found -> [])
       in
       List.iter
         (fun (i : Instr.t) ->
           match i.Instr.op with
           | Instr.Phi incoming ->
             let labels = List.sort_uniq compare (List.map fst incoming) in
+            let ps = Lazy.force ps in
             if labels <> ps then
               err b.Block.label
                 (Printf.sprintf "phi %%r%d incoming {%s} != preds {%s}"
@@ -304,34 +336,17 @@ let verify_func (m : Vmodule.t) (f : Func.t) : error list =
                    (String.concat "," ps))
           | _ -> ())
         b.Block.instrs)
-    f.Func.blocks;
+    blocks;
   (* Dominance: every use is dominated by its definition. Uses in phi
-     operands are checked at the end of the incoming block instead. *)
-  if f.Func.blocks <> [] && !errors = [] then begin
-    let dom, index_of = dominators f in
-    let block_index label = Hashtbl.find_opt index_of label in
-    let def_block = Hashtbl.create 64 in
-    List.iter
-      (fun p -> Hashtbl.replace def_block p.Func.preg "<entry>")
-      f.Func.params;
-    List.iter
-      (fun b ->
-        List.iter
-          (fun (i : Instr.t) ->
-            if Instr.defines i then
-              Hashtbl.replace def_block i.Instr.id b.Block.label)
-          b.Block.instrs)
-      f.Func.blocks;
-    let dominates dlabel ulabel =
-      if dlabel = "<entry>" then true
-      else
-        match (block_index dlabel, block_index ulabel) with
-        | Some di, Some ui -> dom.(ui).(di)
-        | _ -> false
-    in
-    List.iter
-      (fun b ->
-        let seen_here = Hashtbl.create 16 in
+     operands are checked at the end of the incoming block instead.
+     [seen.(r)] is the index of the block whose walk has passed [r]'s
+     definition. *)
+  if blocks <> [||] && !errors = [] then begin
+    let dom = dominators blocks index_of in
+    let dominates d u = d = param || dom.(u).(d) in
+    let seen = Array.make nregs undefined in
+    Array.iteri
+      (fun bi b ->
         List.iter
           (fun (i : Instr.t) ->
             (match i.Instr.op with
@@ -339,34 +354,35 @@ let verify_func (m : Vmodule.t) (f : Func.t) : error list =
               List.iter
                 (fun (from, v) ->
                   match v with
-                  | Instr.Reg (r, _) -> (
-                    match Hashtbl.find_opt def_block r with
-                    | Some dl ->
-                      if not (dominates dl from) then
-                        err b.Block.label
-                          (Printf.sprintf
-                             "phi use of %%r%d not dominated via %%%s" r from)
-                    | None -> ())
-                  | Instr.Imm _ -> ())
+                  | Instr.Reg (r, _) when defined r ->
+                    let ok =
+                      match Hashtbl.find_opt index_of from with
+                      | Some u -> dominates def_block.(r) u
+                      | None -> def_block.(r) = param
+                    in
+                    if not ok then
+                      err b.Block.label
+                        (Printf.sprintf
+                           "phi use of %%r%d not dominated via %%%s" r from)
+                  | Instr.Reg _ | Instr.Imm _ -> ())
                 incoming
             | _ ->
-              List.iter
-                (fun r ->
-                  match Hashtbl.find_opt def_block r with
-                  | Some dl ->
+              Instr.iter_operands
+                (function
+                  | Instr.Reg (r, _) when defined r ->
+                    let d = def_block.(r) in
                     let ok =
-                      if dl = b.Block.label then Hashtbl.mem seen_here r
-                      else dominates dl b.Block.label
+                      if d = bi then seen.(r) = bi else dominates d bi
                     in
                     if not ok then
                       err b.Block.label
                         (Printf.sprintf
                            "use of %%r%d not dominated by its definition" r)
-                  | None -> ())
-                (Instr.uses i));
-            if Instr.defines i then Hashtbl.replace seen_here i.Instr.id ())
+                  | Instr.Reg _ | Instr.Imm _ -> ())
+                i);
+            if Instr.defines i && i.Instr.id >= 0 then seen.(i.Instr.id) <- bi)
           b.Block.instrs)
-      f.Func.blocks
+      blocks
   end;
   List.rev !errors
 

@@ -18,12 +18,15 @@
     Each (target, lane) pair receives a unique static site id, passed to
     the runtime as a constant third argument.
 
-    The output is that of redirecting each Lvalue target's uses as soon
-    as its chain is spliced in, target after target; a chain therefore
-    reads a register as it stood when the chain was built. Rather than
-    sweeping the function once per target, the redirects are recorded
-    and applied in one pass per function ([redirect_uses]) that keeps
-    exactly that order rule. *)
+    The output is that of splicing the chains in one at a time — store
+    targets first, then Lvalue targets, each in target order — and of
+    redirecting each Lvalue target's uses as soon as its chain is
+    spliced in; a chain therefore reads a register as it stood when the
+    chain was built. Rather than rewriting a block once per chain and
+    sweeping the function once per target, the chains are recorded as
+    they are built, each touched block is rebuilt once ([splice]) and
+    the redirects are applied in one pass per function
+    ([redirect_uses]); both keep exactly that order rule. *)
 
 open Vir
 
@@ -71,7 +74,7 @@ let build_chain (f : Func.t) ~next_site ~(sites : site_info list ref)
   match ty with
   | Vtype.Void -> invalid_arg "Instrument.build_chain: void"
   | Vtype.Scalar s ->
-    let site = !next_site () in
+    let site = next_site () in
     sites := { si_id = site; si_target = target; si_lane = 0 } :: !sites;
     let id = Func.fresh_reg f in
     let call =
@@ -87,7 +90,7 @@ let build_chain (f : Func.t) ~next_site ~(sites : site_info list ref)
     let cur = ref src in
     for lane = 0 to n - 1 do
       let lane_imm = Instr.Imm (Const.i32 lane) in
-      let site = !next_site () in
+      let site = next_site () in
       sites := { si_id = site; si_target = target; si_lane = lane } :: !sites;
       (* L1/L5: extract the scalar element *)
       let ext_id = Func.fresh_reg f in
@@ -137,27 +140,6 @@ let build_chain (f : Func.t) ~next_site ~(sites : site_info list ref)
     done;
     (List.rev !instrs, !cur)
 
-(* Instrument one Lvalue target in place: splice its chain in after the
-   defining instruction (after the phi cluster for a phi), and record in
-   [finals] the redirect of its register's uses: to the chain's final
-   operand, in instructions older than the chain's first register. *)
-let instrument_lvalue (f : Func.t) ~next_site ~sites finals
-    (target : Analysis.Sites.target) =
-  let i = target.Analysis.Sites.t_instr in
-  let block = Func.find_block f target.Analysis.Sites.t_block in
-  let reg = i.Instr.id in
-  let ty = i.Instr.ty in
-  let mask = mask_operand_of target in
-  let born = f.Func.next_reg in
-  let chain, final =
-    build_chain f ~next_site ~sites ~target ~mask (Instr.Reg (reg, ty)) ty
-  in
-  if Instr.is_phi i then Block.insert_after_phis block chain
-  else Block.insert_after block ~after:reg chain;
-  (* the order rule assumes each register is one target *)
-  assert (not (Hashtbl.mem finals reg));
-  Hashtbl.replace finals reg (final, born)
-
 (* Apply the recorded redirects to [f] in one pass. Register ids are
    handed out in creation order, so an instruction whose id is below
    the first register of [%r]'s chain was built before that chain:
@@ -183,41 +165,147 @@ let redirect_uses (f : Func.t) finals =
           else i))
     f.Func.blocks
 
-(* Instrument the value operand of a (masked) store, just before it. *)
-let instrument_store_value (f : Func.t) ~next_site ~sites
-    (target : Analysis.Sites.target) =
+(* Instructions keyed by physical identity: two equal stores are
+   distinct targets. Equal instructions hash alike, so only they share
+   a bucket. *)
+module Phys = Hashtbl.Make (struct
+  type t = Instr.t
+
+  let equal = ( == )
+
+  let hash (i : Instr.t) = Hashtbl.hash i.Instr.op
+end)
+
+(* Where the chains built for one function go, until [splice] places
+   them. Each table entry is removed when its chain is placed. *)
+type pending = {
+  func : Func.t;
+  touched : (string, unit) Hashtbl.t;  (** labels of target blocks *)
+  before : (Instr.t list * Instr.t) Phys.t;
+      (** store target -> its chain and the rewritten store *)
+  after : (Instr.reg, Instr.t list) Hashtbl.t;
+      (** non-phi Lvalue register -> its chain *)
+  after_phis : (string, Instr.t list list) Hashtbl.t;
+      (** block label -> its phi targets' chains, newest first *)
+  finals : (Instr.reg, Instr.operand * Instr.reg) Hashtbl.t;
+      (** Lvalue register -> the redirect of its uses ([redirect_uses]) *)
+}
+
+let pending_of (f : Func.t) =
+  {
+    func = f;
+    touched = Hashtbl.create 16;
+    before = Phys.create 16;
+    after = Hashtbl.create 64;
+    after_phis = Hashtbl.create 8;
+    finals = Hashtbl.create 64;
+  }
+
+(* Build the chain of a (masked) store's value operand, to go just
+   before the store, which is rewritten to store the chain's result. *)
+let record_store p ~next_site ~sites (target : Analysis.Sites.target) =
   let i = target.Analysis.Sites.t_instr in
-  let block = Func.find_block f target.Analysis.Sites.t_block in
-  match target.Analysis.Sites.t_kind with
-  | Analysis.Sites.Store_value ->
-    (match i.Instr.op with
-    | Instr.Store (v, p) ->
-      let ty = Instr.operand_ty v in
+  let chain, store =
+    match (target.Analysis.Sites.t_kind, i.Instr.op) with
+    | Analysis.Sites.Store_value, Instr.Store (v, ptr) ->
       let chain, final =
-        build_chain f ~next_site ~sites ~target ~mask:None v ty
+        build_chain p.func ~next_site ~sites ~target ~mask:None v
+          (Instr.operand_ty v)
       in
-      Block.insert_before_phys block ~before:i chain;
-      Block.replace_phys block ~old_i:i
-        ~new_i:{ i with Instr.op = Instr.Store (final, p) }
-    | _ -> assert false)
-  | Analysis.Sites.Maskstore_value ->
-    (match i.Instr.op with
-    | Instr.Call (name, args) ->
+      (chain, { i with Instr.op = Instr.Store (final, ptr) })
+    | Analysis.Sites.Maskstore_value, Instr.Call (name, args) ->
       let vix = Option.get (Intrinsics.value_operand name) in
       let v = List.nth args vix in
-      let mask =
-        Option.map (List.nth args) (Intrinsics.mask_operand name)
-      in
-      let ty = Instr.operand_ty v in
+      let mask = Option.map (List.nth args) (Intrinsics.mask_operand name) in
       let chain, final =
-        build_chain f ~next_site ~sites ~target ~mask v ty
+        build_chain p.func ~next_site ~sites ~target ~mask v
+          (Instr.operand_ty v)
       in
-      Block.insert_before_phys block ~before:i chain;
       let args' = List.mapi (fun k a -> if k = vix then final else a) args in
-      Block.replace_phys block ~old_i:i
-        ~new_i:{ i with Instr.op = Instr.Call (name, args') }
-    | _ -> assert false)
-  | Analysis.Sites.Lvalue -> assert false
+      (chain, { i with Instr.op = Instr.Call (name, args') })
+    | _ -> assert false
+  in
+  assert (not (Phys.mem p.before i));
+  Phys.replace p.before i (chain, store);
+  Hashtbl.replace p.touched target.Analysis.Sites.t_block ()
+
+(* Build an Lvalue target's chain, to go after its defining instruction
+   (after the phi cluster for a phi), and record the redirect of its
+   register's uses: to the chain's final operand, in instructions older
+   than the chain's first register. *)
+let record_lvalue p ~next_site ~sites (target : Analysis.Sites.target) =
+  let i = target.Analysis.Sites.t_instr in
+  let label = target.Analysis.Sites.t_block in
+  let reg = i.Instr.id in
+  let ty = i.Instr.ty in
+  let born = p.func.Func.next_reg in
+  let chain, final =
+    build_chain p.func ~next_site ~sites ~target
+      ~mask:(mask_operand_of target) (Instr.Reg (reg, ty)) ty
+  in
+  if Instr.is_phi i then
+    Hashtbl.replace p.after_phis label
+      (chain
+      :: Option.value ~default:[] (Hashtbl.find_opt p.after_phis label))
+  else Hashtbl.replace p.after reg chain;
+  Hashtbl.replace p.touched label ();
+  (* the order rule assumes each register is one target *)
+  assert (not (Hashtbl.mem p.finals reg));
+  Hashtbl.replace p.finals reg (final, born)
+
+(* Rebuild block [b] with its chains in place, in one pass: the phis;
+   the phi targets' chains in reverse target order (each was spliced
+   right after the phi cluster, ahead of the ones before it); then each
+   instruction — a store target as its chain and the rewritten store —
+   followed by its Lvalue chain. An Lvalue chain thus sits right after
+   its definition, ahead of the chain of a store that follows. *)
+let splice p (b : Block.t) =
+  let out = ref [] in
+  let emit i = out := i :: !out in
+  let place (i : Instr.t) =
+    let store_chain =
+      match i.Instr.op with
+      | Instr.Store _ | Instr.Call _ -> Phys.find_opt p.before i
+      | _ -> None
+    in
+    (match store_chain with
+    | Some (chain, store) ->
+      Phys.remove p.before i;
+      List.iter emit chain;
+      emit store
+    | None -> emit i);
+    if Instr.defines i then
+      match Hashtbl.find_opt p.after i.Instr.id with
+      | Some chain ->
+        Hashtbl.remove p.after i.Instr.id;
+        List.iter emit chain
+      | None -> ()
+  in
+  (match Hashtbl.find_opt p.after_phis b.Block.label with
+  | None -> List.iter place b.Block.instrs
+  | Some chains ->
+    Hashtbl.remove p.after_phis b.Block.label;
+    let phis, rest = List.partition Instr.is_phi b.Block.instrs in
+    List.iter emit phis;
+    List.iter (List.iter emit) chains;
+    List.iter place rest);
+  b.Block.instrs <- List.rev !out
+
+(* Place every chain recorded for [p]'s function and redirect the uses
+   of its Lvalue targets. *)
+let finish p =
+  let f = p.func in
+  List.iter
+    (fun b -> if Hashtbl.mem p.touched b.Block.label then splice p b)
+    f.Func.blocks;
+  if
+    Phys.length p.before + Hashtbl.length p.after
+    + Hashtbl.length p.after_phis
+    > 0
+  then
+    invalid_arg
+      ("Instrument.run: a target is not in its block, in @" ^ f.Func.fname);
+  if Hashtbl.length p.finals > 0 then redirect_uses f p.finals
 
 (* Instrument [m] in place for the given fault targets. The target list
    normally comes from {!Analysis.Sites.select} for one site category.
@@ -225,47 +313,37 @@ let instrument_store_value (f : Func.t) ~next_site ~sites
 let run (m : Vmodule.t) (targets : Analysis.Sites.target list) : t =
   declare_runtime m;
   let counter = ref 0 in
-  let next_site =
-    ref (fun () ->
-        let s = !counter in
-        counter := s + 1;
-        s)
+  let next_site () =
+    let s = !counter in
+    counter := s + 1;
+    s
   in
   let sites = ref [] in
-  (* Store-value targets are located by physical identity, which Lvalue
-     instrumentation invalidates (redirecting uses rebuilds instruction
-     records); Lvalue targets are located by their stable register id.
-     Hence stores are instrumented first, and their chains count as
-     original instructions for the redirects. *)
+  let pendings = Hashtbl.create 8 in
+  let pending (target : Analysis.Sites.target) =
+    let name = target.Analysis.Sites.t_func in
+    match Hashtbl.find_opt pendings name with
+    | Some p -> p
+    | None ->
+      let p = pending_of (Vmodule.find_func_exn m name) in
+      Hashtbl.replace pendings name p;
+      p
+  in
+  (* Store chains are built first, so they count as original
+     instructions for the redirects. *)
   let stores, lvalues =
     List.partition
       (fun (t : Analysis.Sites.target) ->
         t.Analysis.Sites.t_kind <> Analysis.Sites.Lvalue)
       targets
   in
-  List.iter
-    (fun (target : Analysis.Sites.target) ->
-      let f = Vmodule.find_func_exn m target.Analysis.Sites.t_func in
-      instrument_store_value f ~next_site ~sites target)
-    stores;
-  let pending = Hashtbl.create 8 in
-  List.iter
-    (fun (target : Analysis.Sites.target) ->
-      let fname = target.Analysis.Sites.t_func in
-      let finals =
-        match Hashtbl.find_opt pending fname with
-        | Some finals -> finals
-        | None ->
-          let finals = Hashtbl.create 64 in
-          Hashtbl.replace pending fname finals;
-          finals
-      in
-      instrument_lvalue (Vmodule.find_func_exn m fname) ~next_site ~sites
-        finals target)
-    lvalues;
+  List.iter (fun t -> record_store (pending t) ~next_site ~sites t) stores;
+  List.iter (fun t -> record_lvalue (pending t) ~next_site ~sites t) lvalues;
   List.iter
     (fun (f : Func.t) ->
-      Option.iter (redirect_uses f) (Hashtbl.find_opt pending f.Func.fname))
+      match Hashtbl.find_opt pendings f.Func.fname with
+      | Some p when p.func == f -> finish p
+      | Some _ | None -> ())
     m.Vmodule.funcs;
   Verify.check_module m;
   let table = Array.of_list (List.rev !sites) in
