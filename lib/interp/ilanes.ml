@@ -51,13 +51,6 @@ let of_array (a : int64 array) : t =
 let to_array (t : t) : int64 array =
   Array.init (length t) (unsafe_get t)
 
-let fold_left f acc (t : t) =
-  let acc = ref acc in
-  for i = 0 to length t - 1 do
-    acc := f !acc (unsafe_get t i)
-  done;
-  !acc
-
 let iteri f (t : t) =
   for i = 0 to length t - 1 do
     f i (unsafe_get t i)

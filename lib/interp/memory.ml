@@ -446,207 +446,14 @@ let store ?mask m (v : Vvalue.t) addr =
 
 (* Pre-specialized load routine for a statically known access type: the
    threading stage builds one per load site, so the per-access work is
-   region lookup + raw byte moves with no type dispatch. Semantics
-   (including per-lane trap addresses on region-straddling vector
-   accesses) are identical to [load]. *)
-let loader (ty : Vir.Vtype.t) : t -> int64 -> Vvalue.t =
-  match ty with
-  | Vir.Vtype.Void -> invalid_arg "Memory.load: void"
-  | Vir.Vtype.Scalar s -> (
-    match s with
-    | I1 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:1 in
-        let off = reg_off r addr in
-        Vvalue.I (I1, Ilanes.of_array [| (if Bytes.get r.data off = '\000' then 0L else 1L) |])
-    | I8 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:1 in
-        let off = reg_off r addr in
-        Vvalue.I (I8, Ilanes.of_array [| Int64.of_int (Char.code (Bytes.get r.data off) lsl 56 asr 56) |])
-    | I32 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        Vvalue.I (I32, Ilanes.make 1 (Int64.of_int32 (Bytes.get_int32_le r.data off)))
-    | I64 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        Vvalue.I (I64, Ilanes.make 1 (Bytes.get_int64_le r.data off))
-    | Ptr ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        Vvalue.I (Ptr, Ilanes.make 1 (Bytes.get_int64_le r.data off))
-    | F32 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        Vvalue.F
-          (F32, [| Int32.float_of_bits (Bytes.get_int32_le r.data off) |])
-    | F64 ->
-      fun m addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        Vvalue.F
-          (F64, [| Int64.float_of_bits (Bytes.get_int64_le r.data off) |]))
-  | Vir.Vtype.Vector (n, s) -> (
-    let sb = Vir.Vtype.scalar_bytes s in
-    let bytes = n * sb in
-    (* Common (kind, width) pairs get fully unrolled bodies with the
-       result array allocated inline by the literal. *)
-    match (s, n) with
-    | Vir.Vtype.F32, 4 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.F
-            ( F32,
-              [|
-                Int32.float_of_bits (Bytes.get_int32_le r.data off);
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 4));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 8));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 12));
-              |] )
-        | false -> load m ty addr)
-    | Vir.Vtype.F32, 8 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.F
-            ( F32,
-              [|
-                Int32.float_of_bits (Bytes.get_int32_le r.data off);
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 4));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 8));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 12));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 16));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 20));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 24));
-                Int32.float_of_bits (Bytes.get_int32_le r.data (off + 28));
-              |] )
-        | false -> load m ty addr)
-    | Vir.Vtype.F64, 2 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.F
-            ( F64,
-              [|
-                Int64.float_of_bits (Bytes.get_int64_le r.data off);
-                Int64.float_of_bits (Bytes.get_int64_le r.data (off + 8));
-              |] )
-        | false -> load m ty addr)
-    | Vir.Vtype.F64, 4 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.F
-            ( F64,
-              [|
-                Int64.float_of_bits (Bytes.get_int64_le r.data off);
-                Int64.float_of_bits (Bytes.get_int64_le r.data (off + 8));
-                Int64.float_of_bits (Bytes.get_int64_le r.data (off + 16));
-                Int64.float_of_bits (Bytes.get_int64_le r.data (off + 24));
-              |] )
-        | false -> load m ty addr)
-    | Vir.Vtype.I32, 4 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.I (I32, Ilanes.of_array [|
-                Int64.of_int32 (Bytes.get_int32_le r.data off);
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 4));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 8));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 12));
-              |])
-        | false -> load m ty addr)
-    | Vir.Vtype.I32, 8 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.I (I32, Ilanes.of_array [|
-                Int64.of_int32 (Bytes.get_int32_le r.data off);
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 4));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 8));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 12));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 16));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 20));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 24));
-                Int64.of_int32 (Bytes.get_int32_le r.data (off + 28));
-              |])
-        | false -> load m ty addr)
-    | Vir.Vtype.I64, 2 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.I (I64, Ilanes.of_array [|
-                Bytes.get_int64_le r.data off;
-                Bytes.get_int64_le r.data (off + 8);
-              |])
-        | false -> load m ty addr)
-    | Vir.Vtype.I64, 4 ->
-      fun m addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true ->
-          Vvalue.I (I64, Ilanes.of_array [|
-                Bytes.get_int64_le r.data off;
-                Bytes.get_int64_le r.data (off + 8);
-                Bytes.get_int64_le r.data (off + 16);
-                Bytes.get_int64_le r.data (off + 24);
-              |])
-        | false -> load m ty addr)
-    | _ ->
-      if Vir.Vtype.is_float_scalar s then
-        fun m addr ->
-          (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-          | true ->
-            let out = Array.make n 0.0 in
-            for i = 0 to n - 1 do
-              Array.unsafe_set out i
-                (read_lane_float s r.data (off + (i * sb)))
-            done;
-            Vvalue.F (s, out)
-          | false -> load m ty addr)
-      else
-        fun m addr ->
-          (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-          | true ->
-            let out = Ilanes.make n 0L in
-            for i = 0 to n - 1 do
-              Ilanes.unsafe_set out i (read_lane_int s r.data (off + (i * sb)))
-            done;
-            Vvalue.I (s, out)
-          | false -> load m ty addr))
-
-(* Destination-passing variant of [loader]: writes the loaded lanes
-   straight into the destination register's pinned buffer instead of
-   allocating a fresh value. The bounds check happens before the first
-   write (and the region-straddling fallback goes through [load], which
-   traps before the copy), so a trapping load leaves the destination
-   untouched. A shape-mismatched destination — only reachable through a
-   kind-confused extern result — raises. *)
+   region lookup + raw byte moves with no type dispatch, and the loaded
+   lanes go straight into the destination register's pinned buffer.
+   Semantics (including per-lane trap addresses on region-straddling
+   vector accesses) are identical to [load]. The bounds check happens
+   before the first write (and the region-straddling fallback goes
+   through [load], which traps before the copy), so a trapping load
+   leaves the destination untouched. A shape-mismatched destination —
+   only reachable through a kind-confused extern result — raises. *)
 let bad_into () = invalid_arg "Memory.loader_into: shape mismatch"
 
 let loader_into (ty : Vir.Vtype.t) : t -> int64 -> Vvalue.t -> unit =
@@ -1099,34 +906,5 @@ let read_f32_array m base n =
   | false ->
     Array.init n (fun i ->
         match load_scalar m F32 (Int64.add base (Int64.of_int (4 * i))) with
-        | Vvalue.F (_, [| x |]) -> x
-        | _ -> assert false)
-
-let write_f64_array m base (xs : float array) =
-  let r = range_region m base ~bytes:(8 * Array.length xs) in
-    let off = reg_off r base in
-    match r != no_region with
-  | true ->
-    touch r off (8 * Array.length xs);
-    Array.iteri
-      (fun i x ->
-        Bytes.set_int64_le r.data (off + (8 * i)) (Int64.bits_of_float x))
-      xs
-  | false ->
-    Array.iteri
-      (fun i x ->
-        store_scalar m F64 (Int64.add base (Int64.of_int (8 * i))) 0L x)
-      xs
-
-let read_f64_array m base n =
-  let r = range_region m base ~bytes:(8 * n) in
-    let off = reg_off r base in
-    match r != no_region with
-  | true ->
-    Array.init n (fun i ->
-        Int64.float_of_bits (Bytes.get_int64_le r.data (off + (8 * i))))
-  | false ->
-    Array.init n (fun i ->
-        match load_scalar m F64 (Int64.add base (Int64.of_int (8 * i))) with
         | Vvalue.F (_, [| x |]) -> x
         | _ -> assert false)

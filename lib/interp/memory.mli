@@ -55,7 +55,6 @@ val store : ?mask:Vvalue.t -> t -> Vvalue.t -> int64 -> unit
     dispatch done once at compile time. Semantics identical to [load]
     and unmasked [store]. *)
 
-val loader : Vir.Vtype.t -> t -> int64 -> Vvalue.t
 val storer : Vir.Vtype.t -> t -> Vvalue.t -> int64 -> unit
 
 (** Destination-passing load: writes the loaded lanes into the given
@@ -80,5 +79,3 @@ val write_i32_array : t -> int64 -> int array -> unit
 val read_i32_array : t -> int64 -> int -> int array
 val write_f32_array : t -> int64 -> float array -> unit
 val read_f32_array : t -> int64 -> int -> float array
-val write_f64_array : t -> int64 -> float array -> unit
-val read_f64_array : t -> int64 -> int -> float array

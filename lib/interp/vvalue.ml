@@ -11,15 +11,9 @@ type t =
   | I of Vir.Vtype.scalar * Ilanes.t  (** I1/I8/I32/I64/Ptr lanes *)
   | F of Vir.Vtype.scalar * float array  (** F32/F64 lanes *)
 
-let ty = function
-  | I (s, a) -> Vir.Vtype.with_lanes (Ilanes.length a) (Vir.Vtype.Scalar s)
-  | F (s, a) -> Vir.Vtype.with_lanes (Array.length a) (Vir.Vtype.Scalar s)
-
 let lanes = function I (_, a) -> Ilanes.length a | F (_, a) -> Array.length a
 
 let scalar_kind = function I (s, _) -> s | F (s, _) -> s
-
-let int_scalar s x = I (s, Ilanes.make 1 (Bits.truncate s x))
 
 let of_bool b = I (I1, Ilanes.make 1 (if b then 1L else 0L))
 
@@ -93,14 +87,6 @@ and zero_of_ty (t : Vir.Vtype.t) =
     if Vir.Vtype.is_float_scalar s then F (s, Array.make n 0.0)
     else I (s, Ilanes.make n 0L)
 
-let splat t scalar_value =
-  let n = Vir.Vtype.lanes t in
-  match scalar_value with
-  | I (s, a) when Ilanes.length a = 1 ->
-    I (s, Ilanes.make n (Ilanes.unsafe_get a 0))
-  | F (s, [| x |]) -> F (s, Array.make n x)
-  | _ -> invalid_arg "Vvalue.splat: non-scalar seed"
-
 let extract v i =
   match v with
   | I (s, a) -> I (s, Ilanes.make 1 (Ilanes.get a i))
@@ -123,18 +109,6 @@ let lane_bits v lane =
   match v with
   | I (s, a) -> Bits.to_unsigned s (Ilanes.get a lane)
   | F (s, a) -> Bits.bits_of_float s a.(lane)
-
-(* Replace one lane with the value encoded by [bits]. *)
-let with_lane_bits v ~lane ~bits =
-  match v with
-  | I (s, a) ->
-    let a' = Ilanes.copy a in
-    Ilanes.set a' lane (Bits.truncate s bits);
-    I (s, a')
-  | F (s, a) ->
-    let a' = Array.copy a in
-    a'.(lane) <- Bits.float_of_bits s bits;
-    F (s, a')
 
 (* Flip one bit of one lane; the core fault-injection primitive. *)
 let flip_bit v ~lane ~bit =

@@ -8,13 +8,11 @@ type t =
   | I of Vir.Vtype.scalar * Ilanes.t  (** I1/I8/I32/I64/Ptr lanes *)
   | F of Vir.Vtype.scalar * float array  (** F32/F64 lanes *)
 
-val ty : t -> Vir.Vtype.t
 val lanes : t -> int
 val scalar_kind : t -> Vir.Vtype.scalar
 
 (** Scalar constructors. *)
 
-val int_scalar : Vir.Vtype.scalar -> int64 -> t
 val of_bool : bool -> t
 val of_i32 : int -> t
 val of_i64 : int64 -> t
@@ -36,9 +34,6 @@ val of_const : Vir.Const.t -> t
 
 val zero_of_ty : Vir.Vtype.t -> t
 
-(** Vector with every lane equal to the given scalar. *)
-val splat : Vir.Vtype.t -> t -> t
-
 (** Non-destructive lane extraction / replacement. *)
 
 val extract : t -> int -> t
@@ -46,9 +41,6 @@ val insert : t -> int -> t -> t
 
 (** Raw bit pattern of a lane (floats via their IEEE encoding). *)
 val lane_bits : t -> int -> int64
-
-(** Replace one lane with the value encoded by [bits]. *)
-val with_lane_bits : t -> lane:int -> bits:int64 -> t
 
 (** Flip one bit of one lane — the core fault-injection primitive. *)
 val flip_bit : t -> lane:int -> bit:int -> t

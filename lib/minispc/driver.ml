@@ -53,10 +53,3 @@ let compile ?(module_name = "minispc") (target : Vir.Target.t) (src : string)
       (String.concat "; " (List.map Vir.Verify.error_to_string errs))
       Ast.no_pos);
   m
-
-(* Compile for both paper targets. *)
-let compile_both ?(module_name = "minispc") (src : string) =
-  [
-    (Vir.Target.Avx, compile ~module_name Vir.Target.Avx src);
-    (Vir.Target.Sse, compile ~module_name Vir.Target.Sse src);
-  ]

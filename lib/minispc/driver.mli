@@ -19,7 +19,3 @@ val frontend : string -> Ast.program
     @raise Error on any front-end, codegen or verification failure. *)
 val compile :
   ?module_name:string -> Vir.Target.t -> string -> Vir.Vmodule.t
-
-(** Compile for both paper targets (AVX and SSE). *)
-val compile_both :
-  ?module_name:string -> string -> (Vir.Target.t * Vir.Vmodule.t) list

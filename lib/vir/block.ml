@@ -22,11 +22,6 @@ let successors b =
   | Some t -> Instr.successors t
   | None -> []
 
-let phis b = List.filter Instr.is_phi b.instrs
-
-let non_phi_instrs b =
-  List.filter (fun i -> not (Instr.is_phi i)) b.instrs
-
 (* Insert [news] immediately after the instruction with id [after]. *)
 let insert_after b ~after news =
   let rec go = function

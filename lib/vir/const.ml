@@ -35,8 +35,6 @@ let f32 x = Cfloat (F32, round_float F32 x)
 
 let f64 x = Cfloat (F64, x)
 
-let null_ptr = Cint (Ptr, 0L)
-
 (* Vector whose lanes are all [c]. *)
 let splat n c = Cvec (Array.make n c)
 

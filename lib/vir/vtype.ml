@@ -50,8 +50,6 @@ let elem = function
 
 let is_vector = function Vector _ -> true | Void | Scalar _ -> false
 
-let is_scalar = function Scalar _ -> true | Void | Vector _ -> false
-
 let is_void = function Void -> true | Scalar _ | Vector _ -> false
 
 let is_int_scalar = function

@@ -35,7 +35,6 @@ val lanes : t -> int
 val elem : t -> scalar
 
 val is_vector : t -> bool
-val is_scalar : t -> bool
 val is_void : t -> bool
 val is_int_scalar : scalar -> bool
 val is_float_scalar : scalar -> bool

@@ -314,10 +314,6 @@ let member name = function
   | Obj fields -> List.assoc_opt name fields
   | _ -> None
 
-let get_string = function String s -> Some s | _ -> None
-let get_int = function Int n -> Some n | _ -> None
-let get_bool = function Bool b -> Some b | _ -> None
-let get_list = function List xs -> Some xs | _ -> None
 
 (* numbers parsed without a fractional part come back as [Int] *)
 let get_float = function

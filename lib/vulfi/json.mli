@@ -29,11 +29,5 @@ val of_string : string -> t
 (** [member name j] is field [name] of object [j], if present. *)
 val member : string -> t -> t option
 
-val get_string : t -> string option
-val get_int : t -> int option
-
 (** [Int] values are accepted and converted. *)
 val get_float : t -> float option
-
-val get_bool : t -> bool option
-val get_list : t -> t list option

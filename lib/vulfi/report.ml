@@ -25,24 +25,6 @@ let fig12_row (r : Campaign.result) =
     r.Campaign.c_totals.Campaign.n_detected_sdc
     r.Campaign.c_totals.Campaign.n_sdc
 
-(* One Fig 10-style row: scalar/vector composition per category. *)
-let fig10_row ~workload ~target (census : (Analysis.Sites.category * Analysis.Instmix.mix) list) =
-  let cell (cat, mix) =
-    Printf.sprintf "%s: %s vector (%d/%d)"
-      (Analysis.Sites.category_name cat)
-      (pct (Analysis.Instmix.vector_fraction mix))
-      mix.Analysis.Instmix.vector_count
-      (Analysis.Instmix.total mix)
-  in
-  Printf.sprintf "%-16s %-4s  %s" workload (Vir.Target.name target)
-    (String.concat "  " (List.map cell census))
-
-(* One Table I-style row. *)
-let table1_row ~workload ~language ~input ~target ~dyn_instrs =
-  Printf.sprintf "%-16s %-6s %-28s %-4s %12.3f M" workload language input
-    (Vir.Target.name target)
-    (float_of_int dyn_instrs /. 1.0e6)
-
 (* Sweep progress/ETA line. The degenerate ticks need explicit guards:
    on the first tick [done_cells] is 0 (ETA would divide by zero) and
    [elapsed_s] can be 0.0 on coarse clocks (the rate would be inf/nan),

@@ -11,22 +11,6 @@ val fig11_row : Campaign.result -> string
 (** One Fig 12-style row: SDC rate and SDC-detection rate. *)
 val fig12_row : Campaign.result -> string
 
-(** One Fig 10-style row: scalar/vector composition per category. *)
-val fig10_row :
-  workload:string ->
-  target:Vir.Target.t ->
-  (Analysis.Sites.category * Analysis.Instmix.mix) list ->
-  string
-
-(** One Table I-style row. *)
-val table1_row :
-  workload:string ->
-  language:string ->
-  input:string ->
-  target:Vir.Target.t ->
-  dyn_instrs:int ->
-  string
-
 (** One sweep progress/ETA line, e.g.
     ["fig11: 3/12 cells done, 412 experiments/s, ETA 38 s"]. Total
     guards against the degenerate first tick: with [done_cells = 0] or

@@ -61,8 +61,6 @@ let cell ~seed ~workload ~(target : Vir.Target.t)
   let st = absorb_string st (Vir.Target.name target) in
   absorb_string st (Analysis.Sites.category_name category)
 
-let to_int64 (c : cell) = c
-
 (* The raw per-experiment key; injective across (campaign, experiment)
    pairs in practice (pinned by a test over the paper-scale grid). *)
 let experiment_key (c : cell) ~campaign ~experiment =

@@ -28,8 +28,6 @@ val cell :
   category:Analysis.Sites.category ->
   cell
 
-val to_int64 : cell -> int64
-
 (** The raw per-experiment key; injective across (campaign, experiment)
     pairs within a cell (pinned by tests over the paper-scale grid). *)
 val experiment_key : cell -> campaign:int -> experiment:int -> int64

@@ -46,14 +46,6 @@ let make ?(timings = false) ~emit:e ~close:c () =
   e header_record;
   s
 
-let to_channel ?timings oc =
-  make ?timings
-    ~emit:(fun j ->
-      output_string oc (Json.to_string j);
-      output_char oc '\n')
-    ~close:(fun () -> flush oc)
-    ()
-
 let to_file ?timings path =
   let oc = open_out path in
   make ?timings

@@ -32,10 +32,6 @@ val make :
   ?timings:bool -> emit:(Json.t -> unit) -> close:(unit -> unit) -> unit ->
   sink
 
-(** Sink appending one line per record to a channel; [close] flushes
-    but does not close the channel. *)
-val to_channel : ?timings:bool -> out_channel -> sink
-
 (** Sink writing to a fresh file; [close] closes it. *)
 val to_file : ?timings:bool -> string -> sink
 

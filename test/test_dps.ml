@@ -135,7 +135,7 @@ let prop_vec_int_chain =
             List.init 4 (fun j ->
                 List.fold_left
                   (fun acc (k, c) ->
-                    Machine.eval_ibinop_lane k Vtype.I32 acc
+                    Eval.eval_ibinop_lane k Vtype.I32 acc
                       (Bits.truncate Vtype.I32 (Int64.of_int c)))
                   lanes0.(j) ops))
       in
@@ -170,7 +170,7 @@ let prop_vec_float_chain =
             Int64.bits_of_float
               (List.fold_left
                  (fun acc (k, c) ->
-                   Machine.eval_fbinop_lane k Vtype.F32 acc (r32 c))
+                   Eval.eval_fbinop_lane k Vtype.F32 acc (r32 c))
                  lanes0.(j) ops))
       in
       vm = reference)

@@ -1,5 +1,4 @@
-(* Tests for dead-code elimination (mark/sweep correctness) and the
-   dominator-tree and natural-loop analyses. *)
+(* Tests for dead-code elimination (mark/sweep correctness). *)
 
 open Vir
 
@@ -76,82 +75,6 @@ let test_dce_removes_dead_maskload () =
   Builder.ret b None;
   check Alcotest.int "dead loads removed" 2 (Dce.run_module m)
 
-(* ---------------- Domtree ---------------- *)
-
-let test_domtree_diamond () =
-  let m = Vmodule.create "d" in
-  let b = Builder.define m ~name:"f" ~params:[ ("c", Vtype.bool_ty) ] ~ret_ty:Vtype.Void in
-  let entry = Builder.new_block b "entry" in
-  let l = Builder.new_block b "l" in
-  let r = Builder.new_block b "r" in
-  let join = Builder.new_block b "join" in
-  ignore (l, r, join);
-  Builder.position_at_end b entry;
-  Builder.condbr b (Builder.param b "c") "l" "r";
-  Builder.position_at_end b l;
-  Builder.br b "join";
-  Builder.position_at_end b r;
-  Builder.br b "join";
-  Builder.position_at_end b join;
-  Builder.ret b None;
-  let f = Vmodule.find_func_exn m "f" in
-  let dt = Analysis.Domtree.compute f in
-  Alcotest.(check bool) "entry dominates all" true
-    (List.for_all
-       (fun x -> Analysis.Domtree.dominates dt "entry" x)
-       [ "entry"; "l"; "r"; "join" ]);
-  Alcotest.(check bool) "l does not dominate join" false
-    (Analysis.Domtree.dominates dt "l" "join");
-  check Alcotest.(option string) "idom(join) = entry" (Some "entry")
-    (Analysis.Domtree.idom_of dt "join");
-  check Alcotest.(option string) "idom(l) = entry" (Some "entry")
-    (Analysis.Domtree.idom_of dt "l");
-  (* dominance frontier: DF(l) = DF(r) = {join} *)
-  let df = Analysis.Domtree.dominance_frontier dt in
-  check Alcotest.(list string) "DF(l)" [ "join" ] (List.assoc "l" df);
-  check Alcotest.(list string) "DF(r)" [ "join" ] (List.assoc "r" df)
-
-let test_domtree_back_edges () =
-  let m = Ir_samples.scale_add_module () in
-  let f = Vmodule.find_func_exn m "scale_add" in
-  let dt = Analysis.Domtree.compute f in
-  check
-    Alcotest.(list (pair string string))
-    "one back edge to the loop header"
-    [ ("body", "loop") ]
-    (Analysis.Domtree.back_edges dt)
-
-(* ---------------- Loops ---------------- *)
-
-let test_loops_scale_add () =
-  let m = Ir_samples.scale_add_module () in
-  let f = Vmodule.find_func_exn m "scale_add" in
-  match Analysis.Loops.find f with
-  | [ l ] ->
-    check Alcotest.string "header" "loop" l.Analysis.Loops.l_header;
-    check Alcotest.string "latch" "body" l.Analysis.Loops.l_latch;
-    Alcotest.(check bool) "blocks include header and latch" true
-      (List.mem "loop" l.Analysis.Loops.l_blocks
-      && List.mem "body" l.Analysis.Loops.l_blocks);
-    check Alcotest.int "depth 1" 1 l.Analysis.Loops.l_depth
-  | ls -> Alcotest.failf "expected one loop, got %d" (List.length ls)
-
-let test_loops_foreach_detection () =
-  let src =
-    "export void f(uniform float a[], uniform int n) { for (uniform int \
-     t = 0; t < 3; t += 1) { foreach (i = 0 ... n) { a[i] = a[i] + 1.0; \
-     } } }"
-  in
-  let m = Minispc.Driver.compile Target.Avx src in
-  let f = Vmodule.find_func_exn m "f" in
-  let all = Analysis.Loops.find f in
-  let fe = Analysis.Loops.foreach_loops f in
-  check Alcotest.int "two loops total" 2 (List.length all);
-  check Alcotest.int "one foreach loop" 1 (List.length fe);
-  (* foreach is nested inside the uniform for: depth 2 *)
-  check Alcotest.int "foreach depth" 2
-    (List.hd fe).Analysis.Loops.l_depth
-
 let () =
   Alcotest.run "passes"
     [
@@ -165,16 +88,5 @@ let () =
             test_dce_removes_dead_phi_cycle;
           Alcotest.test_case "removes dead loads" `Quick
             test_dce_removes_dead_maskload;
-        ] );
-      ( "domtree",
-        [
-          Alcotest.test_case "diamond" `Quick test_domtree_diamond;
-          Alcotest.test_case "back edges" `Quick test_domtree_back_edges;
-        ] );
-      ( "loops",
-        [
-          Alcotest.test_case "scale_add" `Quick test_loops_scale_add;
-          Alcotest.test_case "foreach + nesting" `Quick
-            test_loops_foreach_detection;
         ] );
     ]

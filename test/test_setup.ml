@@ -349,7 +349,7 @@ let slice_targets (m : Vmodule.t) : Analysis.Sites.target list =
   in
   List.concat_map
     (fun (f : Func.t) ->
-      let du = Analysis.Defuse.build f in
+      let du = Defuse.build f in
       let target b i kind ty ~control ~address =
         {
           Analysis.Sites.t_func = f.Func.fname;
@@ -370,10 +370,10 @@ let slice_targets (m : Vmodule.t) : Analysis.Sites.target list =
              else
                let acc =
                  if Instr.defines i then
-                   let slice = Analysis.Slice.forward_slice_of_instr du i in
+                   let slice = Slice.forward_slice_of_instr du i in
                    target b i Analysis.Sites.Lvalue i.Instr.ty
-                     ~control:(Analysis.Slice.contains_control_flow slice)
-                     ~address:(Analysis.Slice.contains_gep slice)
+                     ~control:(Slice.contains_control_flow slice)
+                     ~address:(Slice.contains_gep slice)
                    :: acc
                  else acc
                in
