@@ -14,7 +14,7 @@ type prepared = {
   p_workload : Workload.t;
   p_target : Vir.Target.t;
   p_category : Analysis.Sites.category;
-  p_code : Interp.Compile.cmodule;
+  p_code : Interp.Code.cmodule;
   p_instr : Instrument.t;
 }
 

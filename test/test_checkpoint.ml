@@ -819,18 +819,18 @@ let resume_checkpoint (ff : Vulfi.Experiment.ff_input) site =
    immutable template value and are skipped. *)
 let scramble_dead_registers (ck : Interp.Machine.checkpoint) =
   Array.iter
-    (fun (fc : Interp.Compile.frame_ckpt) ->
+    (fun (fc : Interp.Code.frame_ckpt) ->
       Array.iteri
         (fun r v ->
           if v != Interp.Compile.default_value
-             && not (Array.mem r fc.Interp.Compile.fc_live)
+             && not (Array.mem r fc.Interp.Code.fc_live)
           then
             for lane = 0 to Interp.Vvalue.lanes v - 1 do
               Interp.Vvalue.set_lane_bits_inplace v ~lane
                 ~bits:(Int64.of_int (0x5bd1e995 + (977 * r) + lane))
             done)
-        fc.Interp.Compile.fc_frame)
-    ck.Interp.Compile.ck_stack
+        fc.Interp.Code.fc_frame)
+    ck.Interp.Code.ck_stack
 
 (* Live-register checkpoints: with garbage in every dead slot before
    each resume, fast-forward and converge-pruned runs still equal the
@@ -897,7 +897,7 @@ let test_resume_ignores_dead_registers () =
    fixpoint, then one backward walk per block recording (live before,
    live after) — sorted register arrays — at every call step. *)
 module Dense_live = struct
-  open Interp.Compile
+  open Interp.Code
 
   let live_out_into (cf : cfunc) (live_in : bool array array) (bi : int)
       (blk : cblock) (live : bool array) : unit =
@@ -914,7 +914,7 @@ module Dense_live = struct
             | Some (_, Creg r) -> live.(r) <- true
             | Some (_, Cimm _) | None -> ())
           sb.cphis)
-      (block_succs blk.term)
+      (Interp.Compile.block_succs blk.term)
 
   let live_in_sets (cf : cfunc) : bool array array =
     let nb = Array.length cf.cblocks in
@@ -977,13 +977,13 @@ let test_live_sets_match_dense () =
   let check_module label (m : Vir.Vmodule.t) =
     let cm = Interp.Compile.compile_module m in
     Hashtbl.iter
-      (fun fname (cf : Interp.Compile.cfunc) ->
+      (fun fname (cf : Interp.Code.cfunc) ->
         let live_in = Dense_live.live_in_sets cf in
         Array.iteri
-          (fun bi (blk : Interp.Compile.cblock) ->
+          (fun bi (blk : Interp.Code.cblock) ->
             let lives = Dense_live.step_live_sets cf live_in bi blk in
             Array.iteri
-              (fun k (s : Interp.Compile.tstep) ->
+              (fun k (s : Interp.Code.tstep) ->
                 let expect ~innermost want =
                   let got =
                     Interp.Compile.pending_live cf ~block:bi ~step:k ~innermost
@@ -999,20 +999,20 @@ let test_live_sets_match_dense () =
                       label fname bi k innermost (show want) (show got)
                 in
                 let before, after = lives.(k) in
-                match s.Interp.Compile.s_kind with
-                | Interp.Compile.Kextern ->
+                match s.Interp.Code.s_kind with
+                | Interp.Code.Kextern ->
                   incr externs;
                   expect ~innermost:true before
-                | Interp.Compile.Kcall _ ->
+                | Interp.Code.Kcall _ ->
                   incr calls;
-                  let dst = blk.Interp.Compile.body.(k).Interp.Compile.dst in
+                  let dst = blk.Interp.Code.body.(k).Interp.Code.dst in
                   expect ~innermost:false
                     (Array.of_list
                        (List.filter (fun r -> r <> dst) (Array.to_list after)))
-                | Interp.Compile.Kplain -> ())
-              cf.Interp.Compile.tblocks.(bi).Interp.Compile.t_steps)
-          cf.Interp.Compile.cblocks)
-      cm.Interp.Compile.cfuncs
+                | Interp.Code.Kplain -> ())
+              cf.Interp.Code.tblocks.(bi).Interp.Code.t_steps)
+          cf.Interp.Code.cblocks)
+      cm.Interp.Code.cfuncs
   in
   Instrumented_grid.iter (fun label instr ->
       check_module label instr.Vulfi.Instrument.instrumented);
