@@ -41,6 +41,17 @@ let category_conv =
       fun fmt c ->
         Format.pp_print_string fmt (Analysis.Sites.category_name c) )
 
+(* A count that must be at least 1: anything else is a usage error, so
+   nothing runs and no trace is written. *)
+let positive_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let target_arg =
   Arg.(value & opt target_conv Vir.Target.Avx & info [ "t"; "target" ]
          ~docv:"ISA" ~doc:"Vector target: avx (8 x f32) or sse (4 x f32).")
@@ -313,11 +324,12 @@ let campaign_cmd =
         print_cell ~detectors:with_detectors r)
   in
   let experiments_arg =
-    Arg.(value & opt int 100 & info [ "n"; "experiments" ] ~docv:"N"
+    Arg.(value & opt positive_int_conv 100 & info [ "n"; "experiments" ]
+           ~docv:"N"
            ~doc:"Experiments per campaign (paper: 100).")
   in
   let campaigns_arg =
-    Arg.(value & opt int 20 & info [ "campaigns" ] ~docv:"N"
+    Arg.(value & opt positive_int_conv 20 & info [ "campaigns" ] ~docv:"N"
            ~doc:"Maximum campaigns (paper: 20).")
   in
   let detectors_arg =
@@ -330,7 +342,7 @@ let campaign_cmd =
              ~doc:"Fault model: single (paper), Nbit, random, zero.")
   in
   let jobs_arg =
-    Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
+    Arg.(value & opt positive_int_conv 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Fan experiments out across $(docv) domains \
                  (deterministic: results are identical to -j 1).")
   in

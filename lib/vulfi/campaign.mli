@@ -154,7 +154,10 @@ val effective_executor : detectors:bool -> executor -> executor
     [executor] (default [Checkpointed]) selects the {!executor}; all
     four are bit-identical — results, digests and traces — because
     golden runs are deterministic per (cell, input) and checkpoint
-    placement is a pure function of the seed schedule. *)
+    placement is a pure function of the seed schedule.
+
+    @raise Invalid_argument if [cfg.experiments_per_campaign] or
+    [cfg.max_campaigns] is below 1. *)
 val run :
   ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
   ?hooks:hooks_factory ->
@@ -173,7 +176,8 @@ val run :
 (** [run_cells ~jobs cfg cells] runs a list of
     (workload, target, category) cells over one shared domain pool —
     the shape of a Fig 11 / Table II sweep — returning results in cell
-    order, each bit-identical to a one-job [run] of that cell. *)
+    order, each bit-identical to a one-job [run] of that cell.
+    @raise Invalid_argument as {!run} does, before any cell runs. *)
 val run_cells :
   ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
   ?hooks:hooks_factory ->

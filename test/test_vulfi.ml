@@ -749,6 +749,34 @@ let test_run_cells_matches_run () =
       check result_t "cell driver == sequential" (Campaign.run tiny_config w t c) r)
     cells rs
 
+(* A cell without an experiment, or without a campaign, has no outcome
+   to report: [run] and [run_cells] refuse it instead of returning a
+   0 % row, and the sink gets nothing past its header. *)
+let test_campaign_rejects_empty_config () =
+  let w = vcopy_workload [ 8 ] in
+  let cell = (w, Vir.Target.Avx, Analysis.Sites.Pure_data) in
+  let rejects what cfg =
+    let buf = Buffer.create 64 in
+    let sink = Trace.to_buffer buf in
+    (match Campaign.run ~sink cfg w Vir.Target.Avx Analysis.Sites.Pure_data with
+    | _ -> Alcotest.failf "run accepted %s" what
+    | exception Invalid_argument _ -> ());
+    (match Campaign.run_cells ~sink ~jobs:2 cfg [ cell ] with
+    | _ -> Alcotest.failf "run_cells accepted %s" what
+    | exception Invalid_argument _ -> ());
+    Trace.close sink;
+    check Alcotest.int (what ^ ": header only") 1
+      (List.length
+         (List.filter (( <> ) "")
+            (String.split_on_char '\n' (Buffer.contents buf))))
+  in
+  rejects "no experiments"
+    { tiny_config with Campaign.experiments_per_campaign = 0 };
+  rejects "negative experiments"
+    { tiny_config with Campaign.experiments_per_campaign = -5 };
+  rejects "no campaigns"
+    { tiny_config with Campaign.min_campaigns = 0; max_campaigns = 0 }
+
 (* ---------------- pool ---------------- *)
 
 let test_pool_map_order_and_reuse () =
@@ -1030,6 +1058,8 @@ let () =
             test_parallel_matches_sequential_with_detectors;
           Alcotest.test_case "cell driver == sequential" `Quick
             test_run_cells_matches_run;
+          Alcotest.test_case "rejects an empty cell" `Quick
+            test_campaign_rejects_empty_config;
         ] );
       ( "pool",
         [
