@@ -15,8 +15,9 @@
      ([member_kind]), so a chain can neither swallow a fault site nor
      reorder an allocation.
 
-   [thread_superblock] lowers a chain into fused kernels. The legality
-   argument:
+   [thread_superblock] lowers a chain pair by pair into fused kernels,
+   one for each pair shape a product module forms (DESIGN.md,
+   "Specialized kernel arms"). The legality argument:
 
    - every intermediate register is single-use (its only reader is the
      next chain member), so skipping — or keeping, for load/store
@@ -109,9 +110,8 @@ let chain_length (uses : int array) (body : cinstr array) (k : int) : int =
   done;
   !j - k + 1
 
-(* An in-place binop kernel for the chain members that keep their
-   destination buffer (the binop of load→op, op→store and
-   load→op→store chains). *)
+(* An in-place binop kernel for the consumer of a load→op or cast→op
+   pair. *)
 let binop_kernel (ci : cinstr) : (Vvalue.t -> Vvalue.t -> Vvalue.t -> unit)
     option =
   let i = ci.src in
@@ -140,7 +140,10 @@ let binop_kernel (ci : cinstr) : (Vvalue.t -> Vvalue.t -> Vvalue.t -> unit)
         | _ -> invalid_arg "Machine: fused fbinop kind mismatch")
   | _ -> None
 
-let thread_chain (body : cinstr array) (s : int) (len : int) : texec option =
+(* The fused kernel of the pair at [body.(s)], [body.(s + 1)], if one
+   covers it: fbinop+fbinop, ibinop+ibinop, cast+binop, gep+load,
+   gep+store or load+binop. *)
+let thread_pair (body : cinstr array) (s : int) : texec option =
   let p = body.(s) and c = body.(s + 1) in
   let pi = p.src and ci = c.src in
   let chg1 = if p.cvec then charge_vec else charge in
@@ -148,392 +151,216 @@ let thread_chain (body : cinstr array) (s : int) (len : int) : texec option =
   (* Which consumer operand reads the producer's register; exactly one
      must (two occurrences would mean two uses — not a legal chain). *)
   let puse k = k < Array.length c.ops && uses_creg c.ops.(k) p.dst in
-  if len = 3 then (
-    (* load → binop → store, buffers kept for the trappy endpoints *)
-    let st3 = body.(s + 2) in
-    let chg3 = if st3.cvec then charge_vec else charge in
-    match (pi.Vir.Instr.op, st3.src.Vir.Instr.op, binop_kernel c) with
-    | Vir.Instr.Load _, Vir.Instr.Store _, Some bk
-      when (puse 0 || puse 1)
-           && not (puse 0 && puse 1)
-           && uses_creg st3.ops.(0) c.dst
-           && not (uses_creg st3.ops.(1) c.dst) ->
-      let ld = Memory.loader_into pi.Vir.Instr.ty in
-      let stv =
-        Memory.storer
-          (Vir.Instr.operand_ty (List.hd (Vir.Instr.operands st3.src)))
+  let lanes_match =
+    Vir.Vtype.lanes pi.Vir.Instr.ty = Vir.Vtype.lanes ci.Vir.Instr.ty
+  in
+  match (pi.Vir.Instr.op, ci.Vir.Instr.op) with
+  | Vir.Instr.Fbinop (k1, _, _), Vir.Instr.Fbinop (k2, _, _)
+    when (puse 0 || puse 1) && not (puse 0 && puse 1) && lanes_match -> (
+    (* Only the op/kind combinations with a specialized allocation-free
+       fused kernel are worth fusing; the generic closure-composed
+       form boxes floats per lane and would regress both time and the
+       allocation gate. *)
+    match
+      Eval.fbinop_fused_vec_into_fn
+        (Vir.Vtype.elem ci.Vir.Instr.ty)
+        ~k1 ~k2 ~first:(puse 0)
+    with
+    | None -> None
+    | Some fk ->
+      let ga = getter p.ops.(0) and gb = getter p.ops.(1) in
+      let go = getter c.ops.(if puse 0 then 1 else 0) in
+      let bad () = invalid_arg "Machine: fused fbinop kind mismatch" in
+      Some
+        (fun st ->
+          let regs = st.regs in
+          chg1 st;
+          chg2 st;
+          match (ga regs, gb regs, go regs, Array.unsafe_get regs c.dst) with
+          | ( Vvalue.F (_, a),
+              Vvalue.F (_, b),
+              Vvalue.F (_, cc),
+              Vvalue.F (_, o) ) ->
+            fk a b cc o
+          | _ -> bad ()))
+  | Vir.Instr.Ibinop (k1, _, _), Vir.Instr.Ibinop (k2, _, _)
+    when (puse 0 || puse 1) && not (puse 0 && puse 1) && lanes_match ->
+    (* Both members run through their destination-passing kernels,
+       with the producer's own (single-use) register buffer as the
+       intermediate -- the write there is unobservable. *)
+    let ik1 = Eval.ibinop_into_fn k1 (Vir.Vtype.elem pi.Vir.Instr.ty) in
+    let ik2 = Eval.ibinop_into_fn k2 (Vir.Vtype.elem ci.Vir.Instr.ty) in
+    let ga = getter p.ops.(0) and gb = getter p.ops.(1) in
+    let go = getter c.ops.(if puse 0 then 1 else 0) in
+    let first = puse 0 in
+    let bad () = invalid_arg "Machine: fused ibinop kind mismatch" in
+    if Vir.Vtype.lanes ci.Vir.Instr.ty = 1 then
+      (* Interleaved charges: a trapping divide in the producer must
+         leave the same fuel as unfused stepping. *)
+      Some
+        (fun st ->
+          let regs = st.regs in
+          chg1 st;
+          match (ga regs, gb regs, Array.unsafe_get regs p.dst) with
+          | Vvalue.I (_, a), Vvalue.I (_, b), Vvalue.I (_, t) -> (
+            ik1 a b t;
+            chg2 st;
+            match (go regs, Array.unsafe_get regs c.dst) with
+            | Vvalue.I (_, oo), Vvalue.I (_, o) ->
+              if first then ik2 t oo o else ik2 oo t o
+            | _ -> bad ())
+          | _ -> bad ())
+    else if divlike k1 then None
+    else
+      Some
+        (fun st ->
+          let regs = st.regs in
+          chg1 st;
+          chg2 st;
+          match
+            ( ga regs,
+              gb regs,
+              go regs,
+              Array.unsafe_get regs p.dst,
+              Array.unsafe_get regs c.dst )
+          with
+          | ( Vvalue.I (_, a),
+              Vvalue.I (_, b),
+              Vvalue.I (_, oo),
+              Vvalue.I (_, t),
+              Vvalue.I (_, o) ) ->
+            ik1 a b t;
+            if first then ik2 t oo o else ik2 oo t o
+          | _ -> bad ())
+  | Vir.Instr.Cast (k, _), (Vir.Instr.Ibinop _ | Vir.Instr.Fbinop _)
+    when (puse 0 || puse 1) && not (puse 0 && puse 1) && lanes_match -> (
+    (* The conversion runs through its destination-passing kernel
+       into the producer's (single-use) register buffer; the
+       consumer's binop kernel then reads that register through its
+       ordinary operand getter, at any lane count. *)
+    match binop_kernel c with
+    | None -> None
+    | Some bk ->
+      let ck =
+        Eval.cast_into_fn k ~src:(op_scalar pi 0) ~dst_ty:pi.Vir.Instr.ty
       in
+      let gsrc = getter p.ops.(0) in
+      let g0 = getter c.ops.(0) and g1 = getter c.ops.(1) in
+      Some
+        (fun st ->
+          let regs = st.regs in
+          chg1 st;
+          chg2 st;
+          ck (gsrc regs) (Array.unsafe_get regs p.dst);
+          bk (g0 regs) (g1 regs) (Array.unsafe_get regs c.dst)))
+  | Vir.Instr.Gep (_, _, elem_bytes), Vir.Instr.Load _ when puse 0 -> (
+    let eb = Int64.of_int elem_bytes in
+    let ld = Memory.loader_into ci.Vir.Instr.ty in
+    (* Operand matches inlined like the unfused gep arm, so the
+       address arithmetic never leaves int64 locals; the gep result
+       register is skipped entirely. *)
+    match (p.ops.(0), p.ops.(1)) with
+    | Creg rb, Creg ri ->
+      Some
+        (fun st ->
+          let regs = st.regs in
+          chg1 st;
+          chg2 st;
+          let base =
+            match Array.unsafe_get regs rb with
+            | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
+            | v -> Vvalue.as_int v
+          and idx =
+            match Array.unsafe_get regs ri with
+            | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
+            | v -> Vvalue.as_int v
+          in
+          ld st.mem
+            (Int64.add base (Int64.mul idx eb))
+            (Array.unsafe_get regs c.dst))
+    | Creg rb, Cimm iv ->
+      let off = Int64.mul (Vvalue.as_int iv) eb in
+      Some
+        (fun st ->
+          let regs = st.regs in
+          chg1 st;
+          chg2 st;
+          let base =
+            match Array.unsafe_get regs rb with
+            | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
+            | v -> Vvalue.as_int v
+          in
+          ld st.mem (Int64.add base off) (Array.unsafe_get regs c.dst))
+    | _ -> None)
+  | Vir.Instr.Gep (_, _, elem_bytes), Vir.Instr.Store _
+    when puse 1 && not (puse 0) -> (
+    let eb = Int64.of_int elem_bytes in
+    let stv =
+      Memory.storer
+        (Vir.Instr.operand_ty (List.hd (Vir.Instr.operands ci)))
+    in
+    let gv = getter c.ops.(0) in
+    match (p.ops.(0), p.ops.(1)) with
+    | Creg rb, Creg ri ->
+      Some
+        (fun st ->
+          let regs = st.regs in
+          chg1 st;
+          chg2 st;
+          let base =
+            match Array.unsafe_get regs rb with
+            | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
+            | v -> Vvalue.as_int v
+          and idx =
+            match Array.unsafe_get regs ri with
+            | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
+            | v -> Vvalue.as_int v
+          in
+          stv st.mem (gv regs) (Int64.add base (Int64.mul idx eb)))
+    | Creg rb, Cimm iv ->
+      let off = Int64.mul (Vvalue.as_int iv) eb in
+      Some
+        (fun st ->
+          let regs = st.regs in
+          chg1 st;
+          chg2 st;
+          let base =
+            match Array.unsafe_get regs rb with
+            | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
+            | v -> Vvalue.as_int v
+          in
+          stv st.mem (gv regs) (Int64.add base off))
+    | _ -> None)
+  | Vir.Instr.Load _, (Vir.Instr.Ibinop _ | Vir.Instr.Fbinop _)
+    when (puse 0 || puse 1) && not (puse 0 && puse 1) -> (
+    match binop_kernel c with
+    | None -> None
+    | Some bk ->
+      let ld = Memory.loader_into pi.Vir.Instr.ty in
       let gp = getter p.ops.(0) in
       let g0 = getter c.ops.(0) and g1 = getter c.ops.(1) in
-      let gsp = getter st3.ops.(1) in
       Some
         (fun st ->
           let regs = st.regs in
           chg1 st;
           ld st.mem (as_int_slot (gp regs)) (Array.unsafe_get regs p.dst);
           chg2 st;
-          bk (g0 regs) (g1 regs) (Array.unsafe_get regs c.dst);
-          chg3 st;
-          stv st.mem (Array.unsafe_get regs c.dst) (as_int_slot (gsp regs)))
-    | _ -> None)
-  else
-    let lanes_match =
-      Vir.Vtype.lanes pi.Vir.Instr.ty = Vir.Vtype.lanes ci.Vir.Instr.ty
-    in
-    match (pi.Vir.Instr.op, ci.Vir.Instr.op) with
-    | Vir.Instr.Fbinop (k1, _, _), Vir.Instr.Fbinop (k2, _, _)
-      when (puse 0 || puse 1) && not (puse 0 && puse 1) && lanes_match -> (
-      (* Only the op/kind combinations with a specialized allocation-free
-         fused kernel are worth fusing; the generic closure-composed
-         form boxes floats per lane and would regress both time and the
-         allocation gate. *)
-      match
-        Eval.fbinop_fused_vec_into_fn
-          (Vir.Vtype.elem ci.Vir.Instr.ty)
-          ~k1 ~k2 ~first:(puse 0)
-      with
-      | None -> None
-      | Some fk ->
-        let ga = getter p.ops.(0) and gb = getter p.ops.(1) in
-        let go = getter c.ops.(if puse 0 then 1 else 0) in
-        let bad () = invalid_arg "Machine: fused fbinop kind mismatch" in
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            match (ga regs, gb regs, go regs, Array.unsafe_get regs c.dst) with
-            | ( Vvalue.F (_, a),
-                Vvalue.F (_, b),
-                Vvalue.F (_, cc),
-                Vvalue.F (_, o) ) ->
-              fk a b cc o
-            | _ -> bad ()))
-    | Vir.Instr.Ibinop (k1, _, _), Vir.Instr.Ibinop (k2, _, _)
-      when (puse 0 || puse 1) && not (puse 0 && puse 1) && lanes_match ->
-      (* Both members run through their specialized destination-passing
-         kernels, with the producer's own (single-use) register buffer
-         as the intermediate -- the write there is unobservable, and no
-         lane value ever crosses a closure boundary. *)
-      let ik1 = Eval.ibinop_into_fn k1 (Vir.Vtype.elem pi.Vir.Instr.ty) in
-      let ik2 = Eval.ibinop_into_fn k2 (Vir.Vtype.elem ci.Vir.Instr.ty) in
-      let ga = getter p.ops.(0) and gb = getter p.ops.(1) in
-      let go = getter c.ops.(if puse 0 then 1 else 0) in
-      let first = puse 0 in
-      let bad () = invalid_arg "Machine: fused ibinop kind mismatch" in
-      if Vir.Vtype.lanes ci.Vir.Instr.ty = 1 then
-        (* Interleaved charges: a trapping divide in the producer must
-           leave the same fuel as unfused stepping. *)
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            match (ga regs, gb regs, Array.unsafe_get regs p.dst) with
-            | Vvalue.I (_, a), Vvalue.I (_, b), Vvalue.I (_, t) -> (
-              ik1 a b t;
-              chg2 st;
-              match (go regs, Array.unsafe_get regs c.dst) with
-              | Vvalue.I (_, oo), Vvalue.I (_, o) ->
-                if first then ik2 t oo o else ik2 oo t o
-              | _ -> bad ())
-            | _ -> bad ())
-      else if divlike k1 then None
-      else
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            match
-              ( ga regs,
-                gb regs,
-                go regs,
-                Array.unsafe_get regs p.dst,
-                Array.unsafe_get regs c.dst )
-            with
-            | ( Vvalue.I (_, a),
-                Vvalue.I (_, b),
-                Vvalue.I (_, oo),
-                Vvalue.I (_, t),
-                Vvalue.I (_, o) ) ->
-              ik1 a b t;
-              if first then ik2 t oo o else ik2 oo t o
-            | _ -> bad ())
-    | Vir.Instr.Icmp (pr, _, _), Vir.Instr.Select _
-      when puse 0 && not (puse 1) && not (puse 2) ->
-      (* The compare runs through its specialized kernel into the
-         producer's (single-use) register buffer; the select then reads
-         the mask lanes straight out of that buffer. *)
-      let ick = Eval.icmp_into_fn pr (op_scalar pi 0) in
-      let ga = getter p.ops.(0) and gb = getter p.ops.(1) in
-      let gx = getter c.ops.(1) and gy = getter c.ops.(2) in
-      let bad () = invalid_arg "Machine: fused icmp kind mismatch" in
-      if Vir.Vtype.lanes pi.Vir.Instr.ty = 1 then
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            match (ga regs, gb regs, Array.unsafe_get regs p.dst) with
-            | Vvalue.I (_, a), Vvalue.I (_, b), Vvalue.I (_, t) ->
-              ick a b t;
-              chg2 st;
-              Vvalue.copy_into
-                ~dst:(Array.unsafe_get regs c.dst)
-                (if Ilanes.unsafe_get t 0 <> 0L then gx regs else gy regs)
-            | _ -> bad ())
-      else
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            match (ga regs, gb regs, Array.unsafe_get regs p.dst) with
-            | Vvalue.I (_, a), Vvalue.I (_, b), Vvalue.I (_, t) -> (
-              ick a b t;
-              match (gx regs, gy regs, Array.unsafe_get regs c.dst) with
-              | Vvalue.I (_, x), Vvalue.I (_, y), Vvalue.I (_, o) ->
-                for i = 0 to Ilanes.length o - 1 do
-                  Ilanes.unsafe_set o i
-                    (if Ilanes.unsafe_get t i <> 0L then Ilanes.unsafe_get x i
-                     else Ilanes.unsafe_get y i)
-                done
-              | Vvalue.F (_, x), Vvalue.F (_, y), Vvalue.F (_, o) ->
-                for i = 0 to Array.length o - 1 do
-                  o.(i) <-
-                    (if Ilanes.unsafe_get t i <> 0L then x.(i) else y.(i))
-                done
-              | _ -> invalid_arg "Machine: fused select arm kind mismatch")
-            | _ -> bad ())
-    | Vir.Instr.Fcmp (pr, _, _), Vir.Instr.Select _
-      when puse 0 && not (puse 1) && not (puse 2) ->
-      let fck = Eval.fcmp_into_fn pr in
-      let ga = getter p.ops.(0) and gb = getter p.ops.(1) in
-      let gx = getter c.ops.(1) and gy = getter c.ops.(2) in
-      let bad () = invalid_arg "Machine: fused fcmp kind mismatch" in
-      if Vir.Vtype.lanes pi.Vir.Instr.ty = 1 then
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            match (ga regs, gb regs, Array.unsafe_get regs p.dst) with
-            | Vvalue.F (_, a), Vvalue.F (_, b), Vvalue.I (_, t) ->
-              fck a b t;
-              chg2 st;
-              Vvalue.copy_into
-                ~dst:(Array.unsafe_get regs c.dst)
-                (if Ilanes.unsafe_get t 0 <> 0L then gx regs else gy regs)
-            | _ -> bad ())
-      else
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            match (ga regs, gb regs, Array.unsafe_get regs p.dst) with
-            | Vvalue.F (_, a), Vvalue.F (_, b), Vvalue.I (_, t) -> (
-              fck a b t;
-              match (gx regs, gy regs, Array.unsafe_get regs c.dst) with
-              | Vvalue.I (_, x), Vvalue.I (_, y), Vvalue.I (_, o) ->
-                for i = 0 to Ilanes.length o - 1 do
-                  Ilanes.unsafe_set o i
-                    (if Ilanes.unsafe_get t i <> 0L then Ilanes.unsafe_get x i
-                     else Ilanes.unsafe_get y i)
-                done
-              | Vvalue.F (_, x), Vvalue.F (_, y), Vvalue.F (_, o) ->
-                for i = 0 to Array.length o - 1 do
-                  o.(i) <-
-                    (if Ilanes.unsafe_get t i <> 0L then x.(i) else y.(i))
-                done
-              | _ -> invalid_arg "Machine: fused select arm kind mismatch")
-            | _ -> bad ())
-    | Vir.Instr.Cast (k, _), (Vir.Instr.Ibinop _ | Vir.Instr.Fbinop _)
-      when (puse 0 || puse 1) && not (puse 0 && puse 1) && lanes_match -> (
-      (* The conversion runs through its specialized destination-passing
-         kernel into the producer's (single-use) register buffer; the
-         consumer's binop kernel then reads that register through its
-         ordinary operand getter. Works at any lane count now that both
-         halves are allocation-free. *)
-      match binop_kernel c with
-      | None -> None
-      | Some bk ->
-        let ck =
-          Eval.cast_into_fn k ~src:(op_scalar pi 0) ~dst_ty:pi.Vir.Instr.ty
-        in
-        let gsrc = getter p.ops.(0) in
-        let g0 = getter c.ops.(0) and g1 = getter c.ops.(1) in
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            ck (gsrc regs) (Array.unsafe_get regs p.dst);
-            bk (g0 regs) (g1 regs) (Array.unsafe_get regs c.dst)))
-    | Vir.Instr.Gep (_, _, elem_bytes), Vir.Instr.Load _ when puse 0 -> (
-      let eb = Int64.of_int elem_bytes in
-      let ld = Memory.loader_into ci.Vir.Instr.ty in
-      (* Operand matches inlined like the unfused gep arm, so the
-         address arithmetic never leaves int64 locals; the gep result
-         register is skipped entirely. *)
-      match (p.ops.(0), p.ops.(1)) with
-      | Creg rb, Creg ri ->
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            let base =
-              match Array.unsafe_get regs rb with
-              | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
-              | v -> Vvalue.as_int v
-            and idx =
-              match Array.unsafe_get regs ri with
-              | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
-              | v -> Vvalue.as_int v
-            in
-            ld st.mem
-              (Int64.add base (Int64.mul idx eb))
-              (Array.unsafe_get regs c.dst))
-      | Creg rb, Cimm iv ->
-        let off = Int64.mul (Vvalue.as_int iv) eb in
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            let base =
-              match Array.unsafe_get regs rb with
-              | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
-              | v -> Vvalue.as_int v
-            in
-            ld st.mem (Int64.add base off) (Array.unsafe_get regs c.dst))
-      | _ -> None)
-    | Vir.Instr.Gep (_, _, elem_bytes), Vir.Instr.Store _
-      when puse 1 && not (puse 0) -> (
-      let eb = Int64.of_int elem_bytes in
-      let stv =
-        Memory.storer
-          (Vir.Instr.operand_ty (List.hd (Vir.Instr.operands ci)))
-      in
-      let gv = getter c.ops.(0) in
-      match (p.ops.(0), p.ops.(1)) with
-      | Creg rb, Creg ri ->
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            let base =
-              match Array.unsafe_get regs rb with
-              | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
-              | v -> Vvalue.as_int v
-            and idx =
-              match Array.unsafe_get regs ri with
-              | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
-              | v -> Vvalue.as_int v
-            in
-            stv st.mem (gv regs) (Int64.add base (Int64.mul idx eb)))
-      | Creg rb, Cimm iv ->
-        let off = Int64.mul (Vvalue.as_int iv) eb in
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            chg2 st;
-            let base =
-              match Array.unsafe_get regs rb with
-              | Vvalue.I (_, ia) -> Ilanes.unsafe_get ia 0
-              | v -> Vvalue.as_int v
-            in
-            stv st.mem (gv regs) (Int64.add base off))
-      | _ -> None)
-    | Vir.Instr.Load _, (Vir.Instr.Ibinop _ | Vir.Instr.Fbinop _)
-      when (puse 0 || puse 1) && not (puse 0 && puse 1) -> (
-      match binop_kernel c with
-      | None -> None
-      | Some bk ->
-        let ld = Memory.loader_into pi.Vir.Instr.ty in
-        let gp = getter p.ops.(0) in
-        let g0 = getter c.ops.(0) and g1 = getter c.ops.(1) in
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            ld st.mem (as_int_slot (gp regs)) (Array.unsafe_get regs p.dst);
-            chg2 st;
-            bk (g0 regs) (g1 regs) (Array.unsafe_get regs c.dst)))
-    | (Vir.Instr.Ibinop _ | Vir.Instr.Fbinop _), Vir.Instr.Store _
-      when puse 0 && not (puse 1) -> (
-      match binop_kernel p with
-      | None -> None
-      | Some bk ->
-        let stv =
-          Memory.storer
-            (Vir.Instr.operand_ty (List.hd (Vir.Instr.operands ci)))
-        in
-        let g0 = getter p.ops.(0) and g1 = getter p.ops.(1) in
-        let gp = getter c.ops.(1) in
-        Some
-          (fun st ->
-            let regs = st.regs in
-            chg1 st;
-            bk (g0 regs) (g1 regs) (Array.unsafe_get regs p.dst);
-            chg2 st;
-            stv st.mem (Array.unsafe_get regs p.dst) (as_int_slot (gp regs))))
-    | _ -> None
-
-(* The fused reduction tail: an elementwise float binop whose (single
-   use) result feeds a [reduce_add] intrinsic, lowered as ONE
-   accumulate loop with no intermediate vector ([Eval.
-   fbinop_reduce_fadd_fn] replicates the unfused rounding exactly).
-   Both members are pure and non-trapping, so the charges group up
-   front like the other pure pair kernels. *)
-let reduce_tail_kernel (p : cinstr) (c : cinstr) : texec option =
-  let pi = p.src and ci = c.src in
-  match (pi.Vir.Instr.op, ci.Vir.Instr.op) with
-  | Vir.Instr.Fbinop (k1, _, _), Vir.Instr.Call (callee, [ _ ])
-    when Array.length c.ops = 1
-         && uses_creg c.ops.(0) p.dst
-         && c.dst >= 0
-         && (match Vir.Intrinsics.lookup callee with
-            | Some { Vir.Intrinsics.kind = Vir.Intrinsics.Reduce "add"; _ }
-              ->
-              true
-            | _ -> false)
-         && Vir.Vtype.is_float_scalar (Vir.Vtype.elem pi.Vir.Instr.ty) -> (
-    match
-      Eval.fbinop_reduce_fadd_fn (Vir.Vtype.elem pi.Vir.Instr.ty) k1
-    with
-    | None -> None
-    | Some rk ->
-      let chg1 = if p.cvec then charge_vec else charge in
-      let chg2 = if c.cvec then charge_vec else charge in
-      let ga = getter p.ops.(0) and gb = getter p.ops.(1) in
-      Some
-        (fun st ->
-          let regs = st.regs in
-          chg1 st;
-          chg2 st;
-          match (ga regs, gb regs, Array.unsafe_get regs c.dst) with
-          | Vvalue.F (_, a), Vvalue.F (_, b), Vvalue.F (_, o) ->
-            o.(0) <- rk a b
-          | _ -> invalid_arg "Machine: fused reduce tail kind mismatch"))
+          bk (g0 regs) (g1 regs) (Array.unsafe_get regs c.dst)))
   | _ -> None
 
-(* Generalized superblock lowering: an arbitrary-length chain is walked
-   left to right and collapsed segment by segment — the three-member
-   load→binop→store kernel first, then the fused reduction tail, then
-   any two-member peephole kernel ([thread_chain]); members no merged
-   kernel covers keep their ordinary per-instruction closure
-   ([body_tx]), which still stages the intermediate through the
-   member's own register slot. The segments communicate ONLY through
-   the frame's register buffers ([regs.(dst)]): a fused kernel may be
-   shared by every machine (and every campaign pool domain) running
-   this module, so the scratch an intermediate stages through must live
-   in per-frame state, never in closure-captured buffers.
+(* Superblock lowering: a chain of any length is walked left to right
+   and collapsed pair by pair ([thread_pair]); members no pair kernel
+   covers keep their ordinary per-instruction closure ([body_tx]),
+   which still stages the intermediate through the member's own
+   register slot. The segments communicate ONLY through the frame's
+   register buffers ([regs.(dst)]): a fused kernel may be shared by
+   every machine (and every campaign pool domain) running this module,
+   so the scratch an intermediate stages through must live in
+   per-frame state, never in closure-captured buffers.
 
-   Returns [None] when no segment merged — composing unmodified
-   closures would only add dispatch layers over what [compose_body]
-   already does. *)
+   Returns [None] when no pair merged — composing unmodified closures
+   would only add dispatch layers over what [compose_body] already
+   does. *)
 let thread_superblock (body_tx : texec array) (body : cinstr array) (s : int)
     (len : int) : texec option =
   let e = s + len in
@@ -541,27 +368,14 @@ let thread_superblock (body_tx : texec array) (body : cinstr array) (s : int)
   let merged = ref false in
   let k = ref s in
   while !k < e do
-    let push fx n =
+    match if !k + 2 <= e then thread_pair body !k else None with
+    | Some fx ->
       steps := fx :: !steps;
       merged := true;
-      k := !k + n
-    in
-    let try3 = if !k + 3 <= e then thread_chain body !k 3 else None in
-    match try3 with
-    | Some fx -> push fx 3
-    | None -> (
-      let try2 =
-        if !k + 2 <= e then
-          match reduce_tail_kernel body.(!k) body.(!k + 1) with
-          | Some fx -> Some fx
-          | None -> thread_chain body !k 2
-        else None
-      in
-      match try2 with
-      | Some fx -> push fx 2
-      | None ->
-        steps := body_tx.(!k) :: !steps;
-        incr k)
+      k := !k + 2
+    | None ->
+      steps := body_tx.(!k) :: !steps;
+      incr k
   done;
   if not !merged then None
   else

@@ -444,320 +444,152 @@ let store ?mask m (v : Vvalue.t) addr =
           | Vvalue.F (_, lanes) -> store_scalar m s a 0L lanes.(i)
       done)
 
-(* Pre-specialized load routine for a statically known access type: the
-   threading stage builds one per load site, so the per-access work is
-   region lookup + raw byte moves with no type dispatch, and the loaded
-   lanes go straight into the destination register's pinned buffer.
-   Semantics (including per-lane trap addresses on region-straddling
-   vector accesses) are identical to [load]. The bounds check happens
-   before the first write (and the region-straddling fallback goes
-   through [load], which traps before the copy), so a trapping load
-   leaves the destination untouched. A shape-mismatched destination —
-   only reachable through a kind-confused extern result — raises. *)
+(* Pre-specialized load routine for a statically known access type:
+   the threading stage builds one per load site, so the per-access work
+   is region lookup + raw byte moves with no type dispatch, and the
+   loaded lanes go straight into the destination register's pinned
+   buffer. Only the access types the study modules run (f32 and i32
+   scalars and vectors) get such a routine; every other type copies
+   the value [load] builds. Semantics (including per-lane trap
+   addresses on region-straddling vector accesses) are identical to
+   [load]. The bounds check happens before the first write (and the
+   region-straddling fallback goes through [load], which traps before
+   the copy), so a trapping load leaves the destination untouched. A
+   shape-mismatched destination — only reachable through a
+   kind-confused extern result — raises. *)
 let bad_into () = invalid_arg "Memory.loader_into: shape mismatch"
 
 let loader_into (ty : Vir.Vtype.t) : t -> int64 -> Vvalue.t -> unit =
   match ty with
   | Vir.Vtype.Void -> invalid_arg "Memory.load: void"
-  | Vir.Vtype.Scalar s -> (
-    match s with
-    | I1 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:1 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.I (_, o) ->
-          Ilanes.unsafe_set o 0
-            (if Bytes.get r.data off = '\000' then 0L else 1L)
-        | _ -> bad_into ())
-    | I8 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:1 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.I (_, o) ->
-          Ilanes.unsafe_set o 0
-            (Int64.of_int (Char.code (Bytes.get r.data off) lsl 56 asr 56))
-        | _ -> bad_into ())
-    | I32 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.I (_, o) ->
-          Ilanes.unsafe_set o 0 (Int64.of_int32 (Bytes.get_int32_le r.data off))
-        | _ -> bad_into ())
-    | I64 | Ptr ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.I (_, o) -> Ilanes.unsafe_set o 0 (Bytes.get_int64_le r.data off)
-        | _ -> bad_into ())
-    | F32 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.F (_, o) ->
-          o.(0) <- Int32.float_of_bits (Bytes.get_int32_le r.data off)
-        | _ -> bad_into ())
-    | F64 ->
-      fun m addr out ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match out with
-        | Vvalue.F (_, o) ->
-          o.(0) <- Int64.float_of_bits (Bytes.get_int64_le r.data off)
-        | _ -> bad_into ()))
-  | Vir.Vtype.Vector (n, s) -> (
-    let sb = Vir.Vtype.scalar_bytes s in
-    let bytes = n * sb in
-    (* Monomorphic per-kind lane loops: the byte decode is inlined, so
-       the in-region fast path is region lookup plus raw byte moves. *)
-    match s with
-    | Vir.Vtype.F32 ->
-      fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
-        | Vvalue.F (_, o) when r != no_region ->
-          for i = 0 to n - 1 do
-            o.(i) <-
-              Int32.float_of_bits (Bytes.get_int32_le r.data (off + (i * 4)))
-          done
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
-        | _ -> bad_into ())
-    | Vir.Vtype.F64 ->
-      fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
-        | Vvalue.F (_, o) when r != no_region ->
-          for i = 0 to n - 1 do
-            o.(i) <-
-              Int64.float_of_bits (Bytes.get_int64_le r.data (off + (i * 8)))
-          done
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
-        | _ -> bad_into ())
-    | Vir.Vtype.I32 ->
-      fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
-        | Vvalue.I (_, o) when r != no_region ->
-          for i = 0 to n - 1 do
-            Ilanes.unsafe_set o i
-              (Int64.of_int32 (Bytes.get_int32_le r.data (off + (i * 4))))
-          done
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
-        | _ -> bad_into ())
-    | Vir.Vtype.I64 | Vir.Vtype.Ptr ->
-      fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
-        | Vvalue.I (_, o) when r != no_region ->
-          (* lane buffers are 8-byte little-endian words, same encoding
-             as memory: a vector of I64/Ptr lanes is one byte blit *)
-          Bytes.blit r.data off o 0 (n * 8)
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
-        | _ -> bad_into ())
-    | Vir.Vtype.I1 | Vir.Vtype.I8 ->
-      fun m addr out ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match out with
-        | Vvalue.I (_, o) when r != no_region ->
-          for i = 0 to n - 1 do
-            Ilanes.unsafe_set o i (read_lane_int s r.data (off + (i * sb)))
-          done
-        | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
-        | _ -> bad_into ()))
+  | Vir.Vtype.Scalar I32 ->
+    fun m addr out ->
+      let r = region_at m addr ~bytes:4 in
+      let off = reg_off r addr in
+      (match out with
+      | Vvalue.I (_, o) ->
+        Ilanes.unsafe_set o 0 (Int64.of_int32 (Bytes.get_int32_le r.data off))
+      | _ -> bad_into ())
+  | Vir.Vtype.Scalar F32 ->
+    fun m addr out ->
+      let r = region_at m addr ~bytes:4 in
+      let off = reg_off r addr in
+      (match out with
+      | Vvalue.F (_, o) ->
+        o.(0) <- Int32.float_of_bits (Bytes.get_int32_le r.data off)
+      | _ -> bad_into ())
+  | Vir.Vtype.Vector (n, F32) ->
+    (* the byte decode is inlined, so the in-region fast path is region
+       lookup plus raw byte moves *)
+    fun m addr out ->
+      (let r = range_region m addr ~bytes:(n * 4) in
+       let off = reg_off r addr in
+       match out with
+       | Vvalue.F (_, o) when r != no_region ->
+         for i = 0 to n - 1 do
+           o.(i) <-
+             Int32.float_of_bits (Bytes.get_int32_le r.data (off + (i * 4)))
+         done
+       | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
+       | _ -> bad_into ())
+  | Vir.Vtype.Vector (n, I32) ->
+    fun m addr out ->
+      (let r = range_region m addr ~bytes:(n * 4) in
+       let off = reg_off r addr in
+       match out with
+       | Vvalue.I (_, o) when r != no_region ->
+         for i = 0 to n - 1 do
+           Ilanes.unsafe_set o i
+             (Int64.of_int32 (Bytes.get_int32_le r.data (off + (i * 4))))
+         done
+       | _ when r == no_region -> Vvalue.copy_into ~dst:out (load m ty addr)
+       | _ -> bad_into ())
+  | _ -> fun m addr out -> Vvalue.copy_into ~dst:out (load m ty addr)
 
 (* Pre-specialized unmasked store for a statically known operand type
    (the VIR verifier guarantees the stored value has that type; masked
-   stores go through [store ~mask]). Identical semantics to [store]. *)
+   stores go through [store ~mask]): f32 and i32 scalars and 4- and
+   8-lane vectors, the types the study modules store; every other type
+   goes through [store]. Identical semantics to [store]. *)
 let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
   match ty with
   | Vir.Vtype.Void -> invalid_arg "Memory.storer: void"
-  | Vir.Vtype.Scalar s -> (
-    match s with
-    | I32 ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-          let x = Ilanes.unsafe_get a 0 in
-          touch r off 4;
-          Bytes.set_int32_le r.data off (Int64.to_int32 x)
-        | _ -> store_scalar m I32 addr (Vvalue.as_int v) 0.0)
-    | I64 ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-          let x = Ilanes.unsafe_get a 0 in
-          touch r off 8;
-          Bytes.set_int64_le r.data off x
-        | _ -> store_scalar m I64 addr (Vvalue.as_int v) 0.0)
-    | Ptr ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-          let x = Ilanes.unsafe_get a 0 in
-          touch r off 8;
-          Bytes.set_int64_le r.data off x
-        | _ -> store_scalar m Ptr addr (Vvalue.as_int v) 0.0)
-    | F32 ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:4 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.F (_, [| x |]) ->
-          touch r off 4;
-          Bytes.set_int32_le r.data off (Int32.bits_of_float x)
-        | _ -> store_scalar m F32 addr 0L (Vvalue.as_float v))
-    | F64 ->
-      fun m v addr ->
-        let r = region_at m addr ~bytes:8 in
-        let off = reg_off r addr in
-        (match v with
-        | Vvalue.F (_, [| x |]) ->
-          touch r off 8;
-          Bytes.set_int64_le r.data off (Int64.bits_of_float x)
-        | _ -> store_scalar m F64 addr 0L (Vvalue.as_float v))
-    | I1 | I8 ->
-      fun m v addr ->
-        (match v with
-        | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-          store_scalar m s addr (Ilanes.unsafe_get a 0) 0.0
-        | _ -> store_scalar m s addr (Vvalue.as_int v) 0.0))
-  | Vir.Vtype.Vector (n, s) -> (
-    let sb = Vir.Vtype.scalar_bytes s in
-    let bytes = n * sb in
-    match (s, n) with
-    | Vir.Vtype.F32, 4 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.F (_, l) when r != no_region && Array.length l = 4 ->
-          touch r off bytes;
-          Bytes.set_int32_le r.data off (Int32.bits_of_float l.(0));
-          Bytes.set_int32_le r.data (off + 4) (Int32.bits_of_float l.(1));
-          Bytes.set_int32_le r.data (off + 8) (Int32.bits_of_float l.(2));
-          Bytes.set_int32_le r.data (off + 12) (Int32.bits_of_float l.(3))
-        | _ -> store m v addr)
-    | Vir.Vtype.F32, 8 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.F (_, l) when r != no_region && Array.length l = 8 ->
-          touch r off bytes;
-          Bytes.set_int32_le r.data off (Int32.bits_of_float l.(0));
-          Bytes.set_int32_le r.data (off + 4) (Int32.bits_of_float l.(1));
-          Bytes.set_int32_le r.data (off + 8) (Int32.bits_of_float l.(2));
-          Bytes.set_int32_le r.data (off + 12) (Int32.bits_of_float l.(3));
-          Bytes.set_int32_le r.data (off + 16) (Int32.bits_of_float l.(4));
-          Bytes.set_int32_le r.data (off + 20) (Int32.bits_of_float l.(5));
-          Bytes.set_int32_le r.data (off + 24) (Int32.bits_of_float l.(6));
-          Bytes.set_int32_le r.data (off + 28) (Int32.bits_of_float l.(7))
-        | _ -> store m v addr)
-    | Vir.Vtype.F64, 2 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.F (_, l) when r != no_region && Array.length l = 2 ->
-          touch r off bytes;
-          Bytes.set_int64_le r.data off (Int64.bits_of_float l.(0));
-          Bytes.set_int64_le r.data (off + 8) (Int64.bits_of_float l.(1))
-        | _ -> store m v addr)
-    | Vir.Vtype.F64, 4 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.F (_, l) when r != no_region && Array.length l = 4 ->
-          touch r off bytes;
-          Bytes.set_int64_le r.data off (Int64.bits_of_float l.(0));
-          Bytes.set_int64_le r.data (off + 8) (Int64.bits_of_float l.(1));
-          Bytes.set_int64_le r.data (off + 16) (Int64.bits_of_float l.(2));
-          Bytes.set_int64_le r.data (off + 24) (Int64.bits_of_float l.(3))
-        | _ -> store m v addr)
-    | Vir.Vtype.I32, 4 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 4 ->
-          touch r off bytes;
-          Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get l 0));
-          Bytes.set_int32_le r.data (off + 4) (Int64.to_int32 (Ilanes.unsafe_get l 1));
-          Bytes.set_int32_le r.data (off + 8) (Int64.to_int32 (Ilanes.unsafe_get l 2));
-          Bytes.set_int32_le r.data (off + 12) (Int64.to_int32 (Ilanes.unsafe_get l 3))
-        | _ -> store m v addr)
-    | Vir.Vtype.I32, 8 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 8 ->
-          touch r off bytes;
-          Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get l 0));
-          Bytes.set_int32_le r.data (off + 4) (Int64.to_int32 (Ilanes.unsafe_get l 1));
-          Bytes.set_int32_le r.data (off + 8) (Int64.to_int32 (Ilanes.unsafe_get l 2));
-          Bytes.set_int32_le r.data (off + 12) (Int64.to_int32 (Ilanes.unsafe_get l 3));
-          Bytes.set_int32_le r.data (off + 16) (Int64.to_int32 (Ilanes.unsafe_get l 4));
-          Bytes.set_int32_le r.data (off + 20) (Int64.to_int32 (Ilanes.unsafe_get l 5));
-          Bytes.set_int32_le r.data (off + 24) (Int64.to_int32 (Ilanes.unsafe_get l 6));
-          Bytes.set_int32_le r.data (off + 28) (Int64.to_int32 (Ilanes.unsafe_get l 7))
-        | _ -> store m v addr)
-    | Vir.Vtype.I64, 2 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 2 ->
-          touch r off bytes;
-          Bytes.set_int64_le r.data off (Ilanes.unsafe_get l 0);
-          Bytes.set_int64_le r.data (off + 8) (Ilanes.unsafe_get l 1)
-        | _ -> store m v addr)
-    | Vir.Vtype.I64, 4 ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match v with
-        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 4 ->
-          touch r off bytes;
-          Bytes.set_int64_le r.data off (Ilanes.unsafe_get l 0);
-          Bytes.set_int64_le r.data (off + 8) (Ilanes.unsafe_get l 1);
-          Bytes.set_int64_le r.data (off + 16) (Ilanes.unsafe_get l 2);
-          Bytes.set_int64_le r.data (off + 24) (Ilanes.unsafe_get l 3)
-        | _ -> store m v addr)
-    | _ ->
-      fun m v addr ->
-        (let r = range_region m addr ~bytes in
-    let off = reg_off r addr in
-    match r != no_region with
-        | true -> (
-          touch r off bytes;
-          match v with
-          | Vvalue.I (_, lanes) ->
-            for i = 0 to n - 1 do
-              write_lane_int s r.data (off + (i * sb)) (Ilanes.unsafe_get lanes i)
-            done
-          | Vvalue.F (_, lanes) ->
-            for i = 0 to n - 1 do
-              write_lane_float s r.data (off + (i * sb)) lanes.(i)
-            done)
-        | false -> store m v addr))
+  | Vir.Vtype.Scalar I32 ->
+    fun m v addr ->
+      let r = region_at m addr ~bytes:4 in
+      let off = reg_off r addr in
+      (match v with
+      | Vvalue.I (_, a) when Ilanes.length a = 1 ->
+        let x = Ilanes.unsafe_get a 0 in
+        touch r off 4;
+        Bytes.set_int32_le r.data off (Int64.to_int32 x)
+      | _ -> store_scalar m I32 addr (Vvalue.as_int v) 0.0)
+  | Vir.Vtype.Scalar F32 ->
+    fun m v addr ->
+      let r = region_at m addr ~bytes:4 in
+      let off = reg_off r addr in
+      (match v with
+      | Vvalue.F (_, [| x |]) ->
+        touch r off 4;
+        Bytes.set_int32_le r.data off (Int32.bits_of_float x)
+      | _ -> store_scalar m F32 addr 0L (Vvalue.as_float v))
+  | Vir.Vtype.Vector (4, F32) ->
+    fun m v addr ->
+      (let r = range_region m addr ~bytes:16 in
+       let off = reg_off r addr in
+       match v with
+       | Vvalue.F (_, l) when r != no_region && Array.length l = 4 ->
+         touch r off 16;
+         Bytes.set_int32_le r.data off (Int32.bits_of_float l.(0));
+         Bytes.set_int32_le r.data (off + 4) (Int32.bits_of_float l.(1));
+         Bytes.set_int32_le r.data (off + 8) (Int32.bits_of_float l.(2));
+         Bytes.set_int32_le r.data (off + 12) (Int32.bits_of_float l.(3))
+       | _ -> store m v addr)
+  | Vir.Vtype.Vector (8, F32) ->
+    fun m v addr ->
+      (let r = range_region m addr ~bytes:32 in
+       let off = reg_off r addr in
+       match v with
+       | Vvalue.F (_, l) when r != no_region && Array.length l = 8 ->
+         touch r off 32;
+         Bytes.set_int32_le r.data off (Int32.bits_of_float l.(0));
+         Bytes.set_int32_le r.data (off + 4) (Int32.bits_of_float l.(1));
+         Bytes.set_int32_le r.data (off + 8) (Int32.bits_of_float l.(2));
+         Bytes.set_int32_le r.data (off + 12) (Int32.bits_of_float l.(3));
+         Bytes.set_int32_le r.data (off + 16) (Int32.bits_of_float l.(4));
+         Bytes.set_int32_le r.data (off + 20) (Int32.bits_of_float l.(5));
+         Bytes.set_int32_le r.data (off + 24) (Int32.bits_of_float l.(6));
+         Bytes.set_int32_le r.data (off + 28) (Int32.bits_of_float l.(7))
+       | _ -> store m v addr)
+  | Vir.Vtype.Vector (4, I32) ->
+    fun m v addr ->
+      (let r = range_region m addr ~bytes:16 in
+       let off = reg_off r addr in
+       match v with
+       | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 4 ->
+         touch r off 16;
+         Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get l 0));
+         Bytes.set_int32_le r.data (off + 4) (Int64.to_int32 (Ilanes.unsafe_get l 1));
+         Bytes.set_int32_le r.data (off + 8) (Int64.to_int32 (Ilanes.unsafe_get l 2));
+         Bytes.set_int32_le r.data (off + 12) (Int64.to_int32 (Ilanes.unsafe_get l 3))
+       | _ -> store m v addr)
+  | Vir.Vtype.Vector (8, I32) ->
+    fun m v addr ->
+      (let r = range_region m addr ~bytes:32 in
+       let off = reg_off r addr in
+       match v with
+       | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 8 ->
+         touch r off 32;
+         Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get l 0));
+         Bytes.set_int32_le r.data (off + 4) (Int64.to_int32 (Ilanes.unsafe_get l 1));
+         Bytes.set_int32_le r.data (off + 8) (Int64.to_int32 (Ilanes.unsafe_get l 2));
+         Bytes.set_int32_le r.data (off + 12) (Int64.to_int32 (Ilanes.unsafe_get l 3));
+         Bytes.set_int32_le r.data (off + 16) (Int64.to_int32 (Ilanes.unsafe_get l 4));
+         Bytes.set_int32_le r.data (off + 20) (Int64.to_int32 (Ilanes.unsafe_get l 5));
+         Bytes.set_int32_le r.data (off + 24) (Int64.to_int32 (Ilanes.unsafe_get l 6));
+         Bytes.set_int32_le r.data (off + 28) (Int64.to_int32 (Ilanes.unsafe_get l 7))
+       | _ -> store m v addr)
+  | _ -> fun m v addr -> store m v addr
 
 (* Masked load: disabled lanes read as zero without touching memory
    (matching AVX maskload semantics). *)

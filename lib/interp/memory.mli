@@ -50,9 +50,10 @@ val load : t -> Vir.Vtype.t -> int64 -> Vvalue.t
 val store : ?mask:Vvalue.t -> t -> Vvalue.t -> int64 -> unit
 
 (** Pre-specialized access routines for a statically known access type;
-    the closure-threading stage builds one per load/store site so the
-    per-access work is region lookup plus raw byte moves, with the type
-    dispatch done once at compile time. Semantics identical to [load]
+    the closure-threading stage builds one per load/store site. For f32
+    and i32 accesses the per-access work is region lookup plus raw
+    byte moves, with the type dispatch done once at compile time; other
+    types go through [load] and [store]. Semantics identical to [load]
     and unmasked [store]. *)
 
 val storer : Vir.Vtype.t -> t -> Vvalue.t -> int64 -> unit

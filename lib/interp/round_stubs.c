@@ -82,9 +82,10 @@ F32_BINOP_ARR(vulfi_f32_fsub_arr, ml_fsub)
 F32_BINOP_ARR(vulfi_f32_fmul_arr, ml_fmul)
 F32_BINOP_ARR(vulfi_f32_fdiv_arr, ml_fdiv)
 
-/* Horizontal reductions: sequential accumulate with f32 rounding after
- * every step, exactly as the scalar OCaml loop rounds.  These allocate
- * the boxed float result (one box per whole vector), so no noalloc. */
+/* Horizontal add-reduction: sequential accumulate with f32 rounding
+ * after every step, exactly as the scalar OCaml loop rounds.  It
+ * allocates the boxed float result (one box per whole vector), so no
+ * noalloc. */
 
 CAMLprim value vulfi_f32_reduce_fadd(value a)
 {
@@ -94,20 +95,3 @@ CAMLprim value vulfi_f32_reduce_fadd(value a)
     acc = (double)(float)ml_fadd(acc, Double_field(a, i));
   return caml_copy_double(acc);
 }
-
-#define F32_BINOP_REDUCE(name, OP)                                       \
-  CAMLprim value name(value a, value b)                                  \
-  {                                                                      \
-    mlsize_t n = Wosize_val(a) / Double_wosize;                          \
-    double acc = 0.0;                                                    \
-    for (mlsize_t i = 0; i < n; i++) {                                   \
-      double t = (double)(float)OP(Double_field(a, i), Double_field(b, i)); \
-      acc = (double)(float)ml_fadd(acc, t);                              \
-    }                                                                    \
-    return caml_copy_double(acc);                                        \
-  }
-
-F32_BINOP_REDUCE(vulfi_f32_fadd_reduce_fadd, ml_fadd)
-F32_BINOP_REDUCE(vulfi_f32_fsub_reduce_fadd, ml_fsub)
-F32_BINOP_REDUCE(vulfi_f32_fmul_reduce_fadd, ml_fmul)
-F32_BINOP_REDUCE(vulfi_f32_fdiv_reduce_fadd, ml_fdiv)

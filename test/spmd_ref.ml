@@ -43,9 +43,9 @@ let splat env v =
   | Ub x -> Vb (Array.make env.vl x)
   | Vi _ | Vf _ | Vb _ -> v
 
-let ibin k a b = Interp.Eval.eval_ibinop_lane k Vir.Vtype.I32 a b
+let ibin k a b = Interp.Eval.ibinop_fn k Vir.Vtype.I32 a b
 
-let fbin k a b = Interp.Eval.eval_fbinop_lane k Vir.Vtype.F32 a b
+let fbin k a b = Interp.Eval.fbinop_fn k Vir.Vtype.F32 a b
 
 let map2v f a b = Array.init (Array.length a) (fun i -> f a.(i) b.(i))
 
@@ -105,12 +105,12 @@ let rec eval env (mask : bool array option) (e : Ast.expr) : rvalue =
     | (Uf _ | Vf _) as v -> v
     | _ -> raise (Unsupported "cast"))
   | Ast.Cast (Ast.Tint, a) -> (
-    let f2i x =
-      match Interp.Eval.eval_cast Vir.Instr.Fptosi Vir.Vtype.i32
-              (Interp.Vvalue.F (Vir.Vtype.F32, [| x |]))
+    let f2i =
+      match
+        Interp.Eval.cast_lane_fn Vir.Instr.Fptosi ~src:Vir.Vtype.F32
+          ~dst:Vir.Vtype.I32
       with
-      | Interp.Vvalue.I (_, v) when Interp.Ilanes.length v = 1 ->
-        Interp.Ilanes.unsafe_get v 0
+      | Interp.Eval.Cfi f -> f
       | _ -> assert false
     in
     match eval env mask a with

@@ -136,30 +136,6 @@ let mk_ibinop_div () =
   Builder.ret b (Some (Builder.sdiv b (Builder.param b "c") t));
   m
 
-let mk_icmp_select () =
-  let m = Vmodule.create "fuse" in
-  let b =
-    Builder.define m ~name:"f"
-      ~params:[ ("a", i32v); ("b", i32v); ("x", i32v); ("y", i32v) ]
-      ~ret_ty:i32v
-  in
-  Builder.position_at_end b (Builder.new_block b "entry");
-  let c = Builder.icmp b Instr.Islt (Builder.param b "a") (Builder.param b "b") in
-  Builder.ret b (Some (Builder.select b c (Builder.param b "x") (Builder.param b "y")));
-  m
-
-let mk_fcmp_select () =
-  let m = Vmodule.create "fuse" in
-  let b =
-    Builder.define m ~name:"f"
-      ~params:[ ("a", f32v); ("b", f32v); ("x", f32v); ("y", f32v) ]
-      ~ret_ty:f32v
-  in
-  Builder.position_at_end b (Builder.new_block b "entry");
-  let c = Builder.fcmp b Instr.Folt (Builder.param b "a") (Builder.param b "b") in
-  Builder.ret b (Some (Builder.select b c (Builder.param b "x") (Builder.param b "y")));
-  m
-
 let mk_cast_binop () =
   let m = Vmodule.create "fuse" in
   let b =
@@ -209,19 +185,8 @@ let mk_load_binop () =
   Builder.ret b (Some (Builder.add b t (Builder.param b "c")));
   m
 
-let mk_binop_store () =
-  let m = Vmodule.create "fuse" in
-  let b =
-    Builder.define m ~name:"f"
-      ~params:[ ("a", Vtype.i32); ("b", Vtype.i32); ("p", Vtype.ptr) ]
-      ~ret_ty:Vtype.Void
-  in
-  Builder.position_at_end b (Builder.new_block b "entry");
-  let t = Builder.add b (Builder.param b "a") (Builder.param b "b") in
-  Builder.store b t (Builder.param b "p");
-  Builder.ret b None;
-  m
-
+(* load -> add -> store: the load+binop pair fuses and the store runs
+   its own closure. *)
 let mk_load_binop_store () =
   let m = Vmodule.create "fuse" in
   let b =
@@ -273,21 +238,6 @@ let mk_superblock_int () =
   Builder.ret b (Some (Builder.sdiv b (Builder.param b "c") u));
   m
 
-(* Fused reduction tail: an elementwise fbinop feeding a cross-lane
-   reduce intrinsic, lowered as one accumulate loop. *)
-let mk_reduce_tail () =
-  let m = Vmodule.create "fuse" in
-  let b =
-    Builder.define m ~name:"f"
-      ~params:[ ("a", f32v); ("b", f32v) ]
-      ~ret_ty:Vtype.f32
-  in
-  Builder.position_at_end b (Builder.new_block b "entry");
-  let t = Builder.fmul b (Builder.param b "a") (Builder.param b "b") in
-  Builder.ret b
-    (Some (Builder.call b ~ret:Vtype.f32 "llvm.vector.reduce.fadd" [ t ]));
-  m
-
 (* A longer chain ending in a reduce: the fbinop prefix fuses pairwise
    and the tail still reduces from the staged register. *)
 let mk_superblock_reduce () =
@@ -321,17 +271,13 @@ let test_kernels_fuse () =
       ("fbinop_fbinop", mk_fbinop_fbinop ());
       ("ibinop_ibinop_vec", mk_ibinop_ibinop_vec ());
       ("ibinop_div", mk_ibinop_div ());
-      ("icmp_select", mk_icmp_select ());
-      ("fcmp_select", mk_fcmp_select ());
       ("cast_binop", mk_cast_binop ());
       ("gep_load", mk_gep_load ());
       ("gep_store", mk_gep_store ());
       ("load_binop", mk_load_binop ());
-      ("binop_store", mk_binop_store ());
       ("load_binop_store", mk_load_binop_store ());
       ("superblock", mk_superblock ());
       ("superblock_int", mk_superblock_int ());
-      ("reduce_tail", mk_reduce_tail ());
       ("superblock_reduce", mk_superblock_reduce ());
     ]
 
@@ -461,27 +407,6 @@ let prop_ibinop_div =
               Interp.Vvalue.of_i32 c ],
             fun () -> "" )))
 
-let prop_icmp_select =
-  QCheck.Test.make ~name:"fused icmp->select matches unfused" ~count:100
-    (arb
-       QCheck.Gen.(quad ivec_gen ivec_gen ivec_gen ivec_gen)
-       QCheck.Print.(quad (array int) (array int) (array int) (array int)))
-    (fun (a, b, x, y) ->
-      differential (mk_icmp_select ()) ~fn:"f" ~setup:(fun st ->
-          ignore st;
-          ([ ivec a; ivec b; ivec x; ivec y ], fun () -> "")))
-
-let prop_fcmp_select =
-  QCheck.Test.make ~name:"fused fcmp->select matches unfused (incl. NaN lanes)"
-    ~count:100
-    (arb
-       QCheck.Gen.(quad fvec_gen fvec_gen fvec_gen fvec_gen)
-       QCheck.Print.(quad (array float) (array float) (array float) (array float)))
-    (fun (a, b, x, y) ->
-      differential (mk_fcmp_select ()) ~fn:"f" ~setup:(fun st ->
-          ignore st;
-          ([ fvec a; fvec b; fvec x; fvec y ], fun () -> "")))
-
 let prop_cast_binop =
   QCheck.Test.make ~name:"fused sitofp->fadd matches unfused" ~count:100
     (arb
@@ -534,18 +459,6 @@ let prop_load_binop =
           ( [ Interp.Vvalue.of_ptr base; Interp.Vvalue.of_i32 c ],
             fun () -> mem_words mem base n_slots )))
 
-let prop_binop_store =
-  QCheck.Test.make ~name:"fused add->store matches unfused" ~count:100
-    (arb
-       QCheck.Gen.(pair (int_range (-1000) 1000) (int_range (-1000) 1000))
-       QCheck.Print.(pair int int))
-    (fun (a, b) ->
-      differential (mk_binop_store ()) ~fn:"f" ~setup:(fun st ->
-          let mem, base = mem_setup st in
-          ( [ Interp.Vvalue.of_i32 a; Interp.Vvalue.of_i32 b;
-              Interp.Vvalue.of_ptr base ],
-            fun () -> mem_words mem base n_slots )))
-
 let prop_load_binop_store =
   QCheck.Test.make ~name:"fused load->add->store matches unfused" ~count:100
     (arb QCheck.Gen.(int_range (-1000) 1000) QCheck.Print.int)
@@ -586,18 +499,6 @@ let prop_superblock_int =
           ( [ Interp.Vvalue.of_ptr base; Interp.Vvalue.of_i32 i;
               Interp.Vvalue.of_i32 c ],
             fun () -> mem_words mem base n_slots )))
-
-let prop_reduce_tail =
-  QCheck.Test.make
-    ~name:"fused fmul->reduce_fadd matches unfused (incl. NaN/inf)"
-    ~count:150
-    (arb
-       QCheck.Gen.(pair fvec_gen fvec_gen)
-       QCheck.Print.(pair (array float) (array float)))
-    (fun (a, b) ->
-      differential (mk_reduce_tail ()) ~fn:"f" ~setup:(fun st ->
-          ignore st;
-          ([ fvec a; fvec b ], fun () -> "")))
 
 let prop_superblock_reduce =
   QCheck.Test.make
@@ -654,12 +555,6 @@ let test_budget_sweep () =
           ( [ Interp.Vvalue.of_ptr base; Interp.Vvalue.of_i32 3;
               Interp.Vvalue.of_i32 (-7) ],
             fun () -> mem_words mem base n_slots ) );
-      ( "reduce_tail",
-        mk_reduce_tail,
-        fun st ->
-          ignore st;
-          ( [ fvec (Array.make vl 1.5); fvec (Array.make vl 2.5) ],
-            fun () -> "" ) );
       ( "superblock_reduce",
         mk_superblock_reduce,
         fun st ->
@@ -699,17 +594,13 @@ let () =
             prop_fbinop;
             prop_ibinop_vec;
             prop_ibinop_div;
-            prop_icmp_select;
-            prop_fcmp_select;
             prop_cast_binop;
             prop_gep_load;
             prop_gep_store;
             prop_load_binop;
-            prop_binop_store;
             prop_load_binop_store;
             prop_superblock;
             prop_superblock_int;
-            prop_reduce_tail;
             prop_superblock_reduce;
           ] );
     ]

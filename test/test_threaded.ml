@@ -214,7 +214,7 @@ let prop_int_chain =
         outcome (fun () ->
             List.fold_left
               (fun acc (k, c) ->
-                Eval.eval_ibinop_lane k Vtype.I32 acc
+                Eval.ibinop_fn k Vtype.I32 acc
                   (Interp.Bits.truncate Vtype.I32 (Int64.of_int c)))
               x0 ops)
       in
@@ -240,7 +240,7 @@ let prop_float_chain =
       in
       let reference =
         List.fold_left
-          (fun acc (k, c) -> Eval.eval_fbinop_lane k Vtype.F32 acc (r32 c))
+          (fun acc (k, c) -> Eval.fbinop_fn k Vtype.F32 acc (r32 c))
           x0 ops
       in
       vm = Int64.bits_of_float reference)
