@@ -1,8 +1,8 @@
 (* The interpreter's compiled code and the machine state it runs in:
    the register form ({!Compile}'s stage 1), the threaded code and
-   extern slots (stage 2), the positions and checkpoints of the
-   resumable driver, and the closure helpers that the lowering and both
-   kernel families ({!Fusion}, {!Site_kernels}) build on. *)
+   extern slots (stage 2), the call positions checks see, checkpoints,
+   and the closure helpers that the lowering and both kernel families
+   ({!Fusion}, {!Site_kernels}) build on. *)
 
 (* ------------------------------------------------------------------ *)
 (* Stage-1 (register form) representation: register operands index a
@@ -80,33 +80,11 @@ and tblock = {
      closure-per-slot loop would mispredict. *)
   t_body : texec;
   t_term : tterm;
-  (* The same body closures, one per instruction, annotated with the
-     call structure ([skind]). Only the resumable driver
-     ([Compile.exec_resumable]) walks this array; the hot path
-     ([t_body]) never does. *)
-  t_steps : tstep array;
+  (* The same body closures, one per instruction. Only a resume
+     ([Compile.exec_resumable]) reads this array, for the rest of the
+     block it restarts in; the hot path ([t_body]) never does. *)
+  t_steps : texec array;
 }
-
-and tstep = { s_exec : texec; s_kind : skind }
-
-(* What a body instruction does to the call structure. [Kplain] covers
-   everything that stays within the current activation (including
-   intrinsics and arity-mismatched direct calls, which raise without
-   entering the callee); [Kcall] is a resolved direct call, carrying
-   enough of the call-site shape to re-enter the callee under position
-   tracking; [Kextern] is an extern-slot call, the only place a fault
-   can be injected and hence the only checkpoint site. The registers a
-   checkpoint saves at a [Kcall] or [Kextern] step come from
-   [Compile.pending_live]. *)
-and skind =
-  | Kplain
-  | Kcall of {
-      k_target : cfunc;
-      k_gs : tgetter array;
-      k_dst : int;
-      k_chg : state -> unit;
-    }
-  | Kextern
 
 and texec = state -> unit
 
@@ -178,7 +156,25 @@ and state = {
           deeper. *)
   extern_slots : extern_slot array;
   max_depth : int;
+  mutable check : check;  (** the armed check; [no_check] when none is *)
+  mutable check_at : int;
+      (** the [sites] count from which extern calls fire [check];
+          [max_int] when no check is armed *)
+  calls : pos option array;
+      (** per depth, the direct call that activation waits on, written
+          by the call before it descends. With the position of the
+          extern call that fires a check, it names every activation of
+          the stack the check sees. *)
 }
+
+(* A call's static position: body step [p_step] of block [p_block] of
+   [p_func]. Every direct and extern call closure holds its own. *)
+and pos = { p_func : cfunc; p_block : int; p_step : int }
+
+(* Fired by an extern call, before it charges, once [sites] reaches
+   [check_at], with the call's position; answers the next [check_at]
+   ([max_int]: never again). The call itself then runs. *)
+and check = state -> pos -> int
 
 and extern_fn = state -> Vvalue.t list -> Vvalue.t option
 
@@ -202,21 +198,18 @@ and site = {
   fire : int -> Vvalue.t -> Vvalue.t;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Positions and checkpoints of the resumable driver
-   ([Compile.exec_resumable], which describes the protocol). *)
+let no_check : check = fun _ _ -> max_int
 
-type tracked_frame = {
-  tf_func : cfunc;
-  tf_regs : Vvalue.t array;
-  mutable tf_block : int;
-  mutable tf_instr : int;
-}
+(* ------------------------------------------------------------------ *)
+(* Checkpoints ([Compile.capture] describes them). *)
 
 type frame_ckpt = {
   fc_func : cfunc;
   fc_block : int;
-  fc_instr : int;  (** index into [t_steps]; the step has NOT executed *)
+  fc_instr : int;
+      (** body step of the activation's pending call: an extern call
+          that has NOT executed (innermost), or a direct call that has
+          not returned (outer) *)
   fc_frame : Vvalue.t array;
       (** the live pool frame, aliased — a checkpoint is bound to the
           machine that captured it *)
@@ -235,19 +228,6 @@ type checkpoint = {
   ck_detections : int;  (** [detections] at capture *)
   ck_sites : int;  (** [sites] at capture *)
 }
-
-(* Fired before each extern call of an attached run with the shadow
-   stack (innermost activation first); [false] detaches the run. *)
-type check = state -> tracked_frame list -> bool
-
-(* Where a [Compile.exec_resumable] run starts. [Resume]'s [budget]
-   re-arms the fuel epoch exactly like [Machine.reset ~budget] before a
-   fresh run would: [dyn_count] after the resume reads prefix +
-   suffix. *)
-type entry =
-  | Fresh of cfunc * Vvalue.t array
-      (** enter the function at block 0 over its prepared frame *)
-  | Resume of { ck : checkpoint; budget : int }
 
 (* ------------------------------------------------------------------ *)
 (* Closure helpers                                                     *)

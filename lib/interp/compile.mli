@@ -3,8 +3,9 @@
     threads every instruction into a pre-specialized closure over
     pinned register buffers, with fusion chains ({!Fusion}) and
     instrumented vector fault sites ({!Site_kernels}) lowered to one
-    kernel each on the hot path. The compiled code and the machine
-    state are the types of {!Code}. *)
+    kernel each on the hot path. Every run, checked or resumed, runs on
+    that hot path. The compiled code and the machine state are the
+    types of {!Code}. *)
 
 (** {1 Lowering} *)
 
@@ -43,38 +44,34 @@ val default_value : Vvalue.t
     and reused, without clearing, ever after. *)
 val frame_for : Code.state -> Code.cfunc -> Vvalue.t array
 
-(** Run one function body at full speed over a prepared frame. The
-    result aliases a frame buffer (or a shared immediate): copy it
-    before the frame runs again. *)
+(** Run one function body over a prepared frame. Extern calls fire the
+    machine's check once [sites] reaches [check_at]. The result aliases
+    a frame buffer (or a shared immediate): copy it before the frame
+    runs again. *)
 val exec_cfunc : Code.state -> Code.cfunc -> Vvalue.t array -> Vvalue.t option
 
-(** The resumable tracked driver: run from a fresh entry or resume from
-    a checkpoint, offering every extern call of an attached run to
-    [check] with the shadow call stack before the call executes. The
-    first [false] from [check] detaches the run, which then finishes on
-    the hot path. *)
+(** Resume from a checkpoint with the fuel epoch re-armed under
+    [budget]: restore, unwind the recorded stack, run the rest of each
+    interrupted block one closure per instruction, and every later
+    block as {!exec_cfunc} does. *)
 val exec_resumable :
-  Code.state -> ?check:Code.check -> Code.entry -> Vvalue.t option
+  Code.state -> budget:int -> Code.checkpoint -> Vvalue.t option
 
-(** Checkpoint the machine at the position the stack (innermost
-    activation first) describes: memory, counters, positions and the
-    live registers of every activation. *)
-val capture : Code.state -> Code.tracked_frame list -> Code.checkpoint
+(** Checkpoint the machine inside a check fired at the given extern
+    call: memory, counters, the positions and the live registers of
+    every activation. *)
+val capture : Code.state -> Code.pos -> Code.checkpoint
 
-(** Exact comparison of the machine against a checkpoint over what can
-    influence the continuation: counters, positions, live registers,
-    and memory over [since] plus the run's own dirty spans. *)
+(** Exact comparison of the machine, inside a check fired at the given
+    extern call, against a checkpoint over what can influence the
+    continuation: counters, positions, live registers, and memory over
+    [since] plus the run's own dirty spans. *)
 val state_equal :
-  Code.state ->
-  Code.tracked_frame list ->
-  Code.checkpoint ->
-  since:Memory.spans ->
-  bool
+  Code.state -> Code.pos -> Code.checkpoint -> since:Memory.spans -> bool
 
 (** The registers, ascending, a continuation from the pending call at
     [step] of [block] can read: live before the call for the innermost
-    activation, live after it minus its destination for an outer one.
-    @raise Invalid_argument if the step is not such a call. *)
+    activation, live after it minus its destination for an outer one. *)
 val pending_live :
   Code.cfunc -> block:int -> step:int -> innermost:bool -> int array
 

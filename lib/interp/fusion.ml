@@ -32,8 +32,9 @@
      leaves the same fuel as unfused stepping. Pure producers allow
      grouping the charges up front: the only state a reordered trap
      could expose is a partial register write, which is unobservable;
-   - the resumable driver uses [t_steps], which is NEVER fused — fault
-     sites and checkpoint positions stay per original instruction.
+   - a chain holds no call, so no check fires inside one, and a resume
+     restarts mid-block on [t_steps], which is NEVER fused: checkpoint
+     positions stay per original instruction.
 
    The kernels check every structural assumption (operand positions,
    lane counts, value kinds) and return [None] when anything is off; a

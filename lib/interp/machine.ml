@@ -32,6 +32,9 @@ let create ?(budget = default_budget) ?(max_depth = 512)
     extern_slots =
       Array.make (max code.Code.n_extern_slots 1) Code.Unbound;
     max_depth;
+    check = Code.no_check;
+    check_at = max_int;
+    calls = Array.make (max_depth + 1) None;
   }
 
 (* Re-arm an existing machine for another run: counters and budget come
@@ -115,23 +118,39 @@ let enter (st : state) name (args : Vvalue.t list) : Code.cfunc =
     cf
   | None -> Trap.raise_ (Trap.Unknown_function name)
 
+(* ------------------------------------------------------------------ *)
+(* Runs, checks, full-machine checkpoints and resume                   *)
+
+type checkpoint = Code.checkpoint
+
+type stack_view = Code.pos
+
+type check = state -> stack_view -> int
+
+(* Run [go] with [check] armed, due at the first extern call. The
+   machine drops the check when the run ends, however it ends, so
+   nothing the check holds (the laying replay's checkpoints) outlives
+   the run. *)
+let checked (st : state) (check : check option) go =
+  match check with
+  | None -> go ()
+  | Some c ->
+    st.Code.check <- c;
+    st.Code.check_at <- 0;
+    Fun.protect go ~finally:(fun () ->
+        st.Code.check <- Code.no_check;
+        st.Code.check_at <- max_int)
+
 (* Run function [name] with [args]; returns its value (None for void).
    Raises {!Trap.Trap} on a crash, [Invalid_argument] on an arity
    mismatch (previously extra arguments were silently dropped and
    missing ones defaulted to i32 0). The result is a deep copy, never
    an alias of a frame buffer the next run would overwrite. *)
-let run (st : state) name (args : Vvalue.t list) : Vvalue.t option =
+let run ?check (st : state) name (args : Vvalue.t list) : Vvalue.t option =
   let cf = enter st name args in
-  Option.map Vvalue.copy (Compile.exec_cfunc st cf (Compile.frame_for st cf))
-
-(* ------------------------------------------------------------------ *)
-(* Tracked runs, full-machine checkpoints and convergence checks       *)
-
-type checkpoint = Code.checkpoint
-
-type stack_view = Code.tracked_frame list
-
-type check = state -> stack_view -> bool
+  checked st check (fun () ->
+      Option.map Vvalue.copy
+        (Compile.exec_cfunc st cf (Compile.frame_for st cf)))
 
 (* Capture the machine at the position a [check] sees: before the
    pending extern call, which a resume re-executes. Only live registers
@@ -147,25 +166,14 @@ let checkpoint = Compile.capture
    the checkpoint (see DESIGN.md, convergence soundness). *)
 let state_equal = Compile.state_equal
 
-(* [run] with position tracking: same entry discipline, but every
-   extern call is offered to [check] first, until [check] answers
-   [false] and the run detaches to full speed. *)
-let run_tracked (st : state) name (args : Vvalue.t list) ~(check : check) :
-    Vvalue.t option =
-  let cf = enter st name args in
-  Option.map Vvalue.copy
-    (Compile.exec_resumable st ~check
-       (Code.Fresh (cf, Compile.frame_for st cf)))
-
 (* Resume the machine from a checkpoint it captured earlier (the
    checkpoint's register frames alias this machine's frame pool, so
    cross-machine resume is meaningless). Memory, counters and live
    registers roll back; [budget] re-arms the epoch like [reset ~budget]
-   would, so [dyn_count] afterwards reads prefix + suffix. With a [check] the
-   suffix runs tracked until the check detaches it; without one it runs
-   at full speed from the end of the interrupted block. The result is a
-   deep copy, exactly as [run] returns one. *)
+   would, so [dyn_count] afterwards reads prefix + suffix. [check] is
+   armed as for [run]. The result is a deep copy, exactly as [run]
+   returns one. *)
 let resume ?(check : check option) ~budget (st : state) (ck : checkpoint) :
     Vvalue.t option =
-  Option.map Vvalue.copy
-    (Compile.exec_resumable st ?check (Code.Resume { ck; budget }))
+  checked st check (fun () ->
+      Option.map Vvalue.copy (Compile.exec_resumable st ~budget ck))

@@ -42,7 +42,8 @@ val register_extern :
     instrumentor emits, runs on the hot path as one kernel with the
     same dynamic counts, fuel charges and {!sites} total as its member
     instructions. The kernel defers to the members when fuel runs out
-    inside the chain, or when [armed] falls among its live lanes. *)
+    inside the chain, or when [armed] or an armed {!check}'s threshold
+    falls among its live lanes. *)
 type site = Code.site = {
   respect_masks : bool;
   armed : int;
@@ -81,21 +82,15 @@ val sites : state -> int
 (** Record one live fault site from host code. *)
 val record_site : state -> unit
 
-(** Run function [name] with the given arguments; returns its value
-    ([None] for void).
-    @raise Trap.Trap on crash (bounds, division, budget, ...).
-    @raise Invalid_argument if the argument count does not match the
-      function's parameter count. *)
-val run : state -> string -> Vvalue.t list -> Vvalue.t option
+(** {1 Runs, checks, full-machine checkpoints and convergence checks}
 
-(** {1 Tracked runs, full-machine checkpoints and convergence checks}
-
-    One resumable tracked driver serves the fast-forward and
-    converge-pruned executors. A tracked run offers every extern call,
-    before it executes, to a {!check} callback together with the shadow
-    call stack. A check reads whatever it needs off the machine (its
-    {!sites} counter above all) and can capture a {!checkpoint} there
-    (memory image, the live registers of each activation, call stack
+    Every run executes on one engine, the hot path with its fused and
+    site kernels. A run may arm a {!check}: every extern call, before
+    it executes, compares {!sites} with the check's threshold, and the
+    first call at or past it fires the check with the activation stack.
+    A check reads whatever it needs off the machine (its {!sites}
+    counter above all) and can capture a {!checkpoint} there (memory
+    image, the live registers of each activation, call stack
     positions, dynamic counters) — the checkpoint-laying golden replay
     — or compare the machine against a golden checkpoint with
     {!state_equal} and raise to terminate the run — convergence
@@ -108,18 +103,31 @@ val run : state -> string -> Vvalue.t list -> Vvalue.t option
     representation is exposed for white-box tests only. *)
 type checkpoint = Code.checkpoint
 
-(** The shadow call stack at a check point (innermost activation
-    first); opaque outside {!checkpoint} and {!state_equal}. *)
+(** The activation stack at a check: the position of the extern call
+    that fired it, which with the machine names every activation;
+    opaque outside {!checkpoint} and {!state_equal}, and valid only
+    during the check. *)
 type stack_view
 
-(** Callback fired before each extern call of a tracked run, with the
-    machine and the current shadow stack. It may terminate the run by
-    raising. The return value says whether a future call could still
-    matter: the first [false] detaches the run — tracking stops and the
-    remaining suffix executes at full speed through the fused kernels,
-    with no further checks. Detaching is purely physical; the run's
-    results are unchanged. *)
-type check = state -> stack_view -> bool
+(** Callback fired by an extern call, before the call executes, with
+    the machine and the stack. It is due at the first extern call of
+    the run; it answers the {!sites} count from which it is due next,
+    [max_int] for never again, and may terminate the run by raising.
+    As {!sites} rises by at most one per extern call, a check that
+    answers [n] fires at the first later call where {!sites} reads
+    [n] (or at the next call, when it already does). A check that
+    neither raises nor changes the machine changes nothing the run
+    computes. *)
+type check = state -> stack_view -> int
+
+(** Run function [name] with the given arguments, with [check] armed
+    when given; returns its value ([None] for void). The machine drops
+    the check when the run ends.
+    @raise Trap.Trap on crash (bounds, division, budget, ...).
+    @raise Invalid_argument if the argument count does not match the
+      function's parameter count. *)
+val run :
+  ?check:check -> state -> string -> Vvalue.t list -> Vvalue.t option
 
 (** [checkpoint st stack] captures the machine inside a {!check}: the
     checkpoint sits before the pending extern call, which therefore
@@ -140,13 +148,6 @@ val checkpoint : state -> stack_view -> checkpoint
 val state_equal :
   state -> stack_view -> checkpoint -> since:Memory.spans -> bool
 
-(** {!run} under position tracking, with [check] fired before every
-    extern call until it detaches the run. Slower than {!run} while
-    attached.
-    @raise Trap.Trap and [Invalid_argument] as {!run} does. *)
-val run_tracked :
-  state -> string -> Vvalue.t list -> check:check -> Vvalue.t option
-
 (** Resume from a checkpoint captured by this machine: memory,
     counters and live registers roll back (every other frame slot is
     written before it is read), the recorded call stack is
@@ -154,8 +155,7 @@ val run_tracked :
     call. [budget] re-arms the fuel epoch with the checkpoint's prefix
     already charged against it: {!dyn_count} afterwards reads prefix +
     suffix, exactly what a fresh run under [budget] would report, and
-    traps exactly where that run would. Without [check] the
-    suffix runs at full speed; with one, tracked as in {!run_tracked}.
+    traps exactly where that run would. [check] is armed as for {!run}.
     Returns a deep copy of the function result, like {!run}.
     @raise Trap.Trap on a crash in the resumed suffix. *)
 val resume :

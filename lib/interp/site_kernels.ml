@@ -21,16 +21,19 @@
 
    The kernel leaves the intermediates unwritten. Nothing can observe
    that. SSA confines their reads to the chain, which the kernel
-   replaces as a whole. Only the resumable driver stops inside a chain,
-   and it walks [t_steps], which keep one closure per instruction. The
-   kernel runs the member closures instead, exact by construction,
-   whenever it could differ from them:
+   replaces as a whole; a check inside the chain fires only from the
+   member closures (below), and a resume restarts on [t_steps], one
+   closure per instruction. The kernel runs the member closures
+   instead, exact by construction, whenever it could differ from them:
    - [fuel] is below the member count, so a budget trap lands on the
      member that runs out;
    - the slot is not a [Site]: a host handler sees every call, and an
      unbound slot traps at its first call;
    - [armed] falls among this execution's live lanes, so [fire] runs
      from the lane's own call;
+   - the machine's [check_at] is at most [sites] plus the live lanes,
+     so a due check fires from the lane's own call, at the machine
+     state of per-instruction execution;
    - a value is not shaped as its static type says. *)
 
 open Code
@@ -216,7 +219,11 @@ let thread_site_chain (sc : site_chain) (slow : texec) : texec =
   let commit st (s : site) regs =
     let live = live_lanes s.respect_masks regs in
     let s0 = st.sites in
-    if live < 0 || (s.armed > s0 && s.armed <= s0 + live) then false
+    if
+      live < 0
+      || (s.armed > s0 && s.armed <= s0 + live)
+      || st.check_at <= s0 + live
+    then false
     else begin
       st.fuel <- st.fuel - len;
       st.dyn_vector <- st.dyn_vector + nvec;

@@ -3,7 +3,7 @@
     run on the hot path as one kernel that charges the chain's fuel,
     counts its live sites and copies the site's value through. The
     kernel falls back to the member closures whenever it could differ
-    from them. *)
+    from them, a check due among its lanes included. *)
 
 (** A matched chain. *)
 type site_chain

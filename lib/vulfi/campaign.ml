@@ -208,12 +208,13 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
 (* Bind [executor] to one input on the calling worker, preparing what
-   every faulty run on that input shares: nothing for [Legacy]; the
-   prepared input (machine, post-setup snapshot, golden run) for
-   [Checkpointed]; plus the checkpoints laid along the input's plan for
-   the fast-forward executors. Returns the input's golden run — a thunk,
-   since [Legacy] profiles only when asked — and the faulty half of
-   every experiment on that input. *)
+   every faulty run on that input shares: nothing for [Legacy]; else
+   the prepared input (machine, post-setup snapshot, golden run) and
+   the checkpoints laid along the input's plan — an empty one for
+   [Checkpointed], whose runs therefore all replay from the post-setup
+   image. Returns the input's golden run — a thunk, since [Legacy]
+   profiles only when asked — and the faulty half of every experiment
+   on that input. *)
 let bind_input executor ~(hooks : hooks_factory) ~respect_masks ?fault_kind
     cfg cell w (prepared : Experiment.prepared) ~input :
     (unit -> Experiment.golden) * (Seed.exp -> Experiment.run_result) =
@@ -246,19 +247,19 @@ let bind_input executor ~(hooks : hooks_factory) ~respect_masks ?fault_kind
         ~input
     in
     let golden = pi.Experiment.pi_golden in
+    let plan =
+      if executor = Checkpointed then [||]
+      else plan_for cfg cell w ~input ~dyn_sites:golden.Experiment.g_dyn_sites
+    in
+    (* no hooks for a replay an empty plan skips *)
+    let ff =
+      Experiment.lay_checkpoints
+        ?hooks:(if Array.length plan = 0 then None else Some (hooks ()))
+        ~respect_masks prepared ~pi ~plan
+    in
     let faulty_run =
-      match executor with
-      | Checkpointed -> Experiment.faulty_run_checkpointed ~pi
-      | _ ->
-        let ff =
-          Experiment.lay_checkpoints ~hooks:(hooks ()) ~respect_masks
-            prepared ~pi
-            ~plan:
-              (plan_for cfg cell w ~input
-                 ~dyn_sites:golden.Experiment.g_dyn_sites)
-        in
-        if executor = Fast_forward then Experiment.faulty_run_ff ~ff
-        else Experiment.faulty_run_pruned ~ff
+      if executor = Converge_pruned then Experiment.faulty_run_pruned ~ff
+      else Experiment.faulty_run_ff ~ff
     in
     ( (fun () -> golden),
       fun ex ->

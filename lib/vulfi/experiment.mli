@@ -101,23 +101,6 @@ val faulty_run :
   seed:int ->
   run_result
 
-(** Checkpointed variant of {!faulty_run}: restores [pi]'s post-setup
-    snapshot and re-arms its machine instead of rebuilding them. The
-    result is bit-identical to {!faulty_run} on the same (input,
-    dynamic_site, seed). This and the two resuming variants below run
-    through one faulty-run body; they differ only in how the machine
-    reaches the injection: replay from the post-setup image, resume,
-    or tracked resume. *)
-val faulty_run_checkpointed :
-  ?hooks:hooks ->
-  ?respect_masks:bool ->
-  ?fault_kind:Runtime.fault_kind ->
-  prepared ->
-  pi:prepared_input ->
-  dynamic_site:int ->
-  seed:int ->
-  run_result
-
 (** {1 Fast-forward execution}
 
     Machine-state checkpoints at scheduled injection sites, laid
@@ -152,9 +135,9 @@ type ff_input = {
     checkpoint for each planned site [s] at the first extern call where
     {!Interp.Machine.sites} reads [s - 1]: at or a few extern calls
     before the inject call of site [s], all of which re-execute on
-    resume. The replay stops tracking after the last planned site and
-    finishes at full speed. An empty [plan] skips the replay
-    entirely.
+    resume. The replay runs on the hot path and stops checking after
+    the last planned site. An empty [plan] skips the replay entirely
+    and lays nothing.
     @raise Golden_run_failed when the replay traps. *)
 val lay_checkpoints :
   ?hooks:hooks ->
@@ -164,10 +147,13 @@ val lay_checkpoints :
   plan:int array ->
   ff_input
 
-(** Fast-forward variant of {!faulty_run_checkpointed}: resumes from
-    the nearest checkpoint at or before [dynamic_site], falling back
-    to a full checkpointed replay when none exists. Bit-identical to
-    {!faulty_run} on the same (input, dynamic_site, seed). *)
+(** Faulty run against a prepared input and its checkpoints: resumes
+    from the nearest checkpoint at or before [dynamic_site], or, when
+    none lies that early (always, for an empty plan), restores [pi]'s
+    post-setup snapshot and re-arms its machine instead of rebuilding
+    them. Bit-identical to {!faulty_run} on the same (input,
+    dynamic_site, seed). {!faulty_run_pruned} runs through the same
+    faulty-run body. *)
 val faulty_run_ff :
   ?hooks:hooks ->
   ?respect_masks:bool ->
@@ -182,8 +168,8 @@ val faulty_run_ff :
 
     The fast-forward path skips the pre-injection prefix but runs every
     post-injection suffix to completion; most faults are masked long
-    before that. {!faulty_run_pruned} runs the suffix under position
-    tracking, compares the machine against the golden checkpoint at
+    before that. {!faulty_run_pruned} runs the suffix under a check,
+    compares the machine against the golden checkpoint at
     each post-injection checkpoint site
     ({!Interp.Machine.state_equal}: counters, call stack, live
     registers, dirty-span-restricted memory), and on a match
