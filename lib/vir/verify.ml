@@ -204,10 +204,19 @@ let verify_func (m : Vmodule.t) (f : Func.t) : error list =
     | Instr.Cast (k, a) -> (
       let aty = ty_of a in
       if Vtype.lanes aty <> Vtype.lanes ity then e "cast changes lane count";
+      let bits t = Vtype.scalar_bits (Vtype.elem t) in
+      (* trunc and fptrunc narrow, the extensions widen, as in LLVM *)
+      let narrows () =
+        if bits aty <= bits ity then e (Instr.cast_name k ^ " must narrow")
+      and widens () =
+        if bits aty >= bits ity then e (Instr.cast_name k ^ " must widen")
+      in
       match k with
       | Instr.Trunc | Instr.Zext | Instr.Sext ->
         if not (Vtype.is_int aty && Vtype.is_int ity) then
           e "int cast on non-int"
+        else if k = Instr.Trunc then narrows ()
+        else widens ()
       | Instr.Fptosi ->
         if not (Vtype.is_float aty && Vtype.is_int ity) then
           e "fptosi type error"
@@ -217,6 +226,8 @@ let verify_func (m : Vmodule.t) (f : Func.t) : error list =
       | Instr.Fptrunc | Instr.Fpext ->
         if not (Vtype.is_float aty && Vtype.is_float ity) then
           e "float cast on non-float"
+        else if k = Instr.Fptrunc then narrows ()
+        else widens ()
       | Instr.Ptrtoint ->
         if not (Vtype.is_ptr aty && Vtype.is_int ity) then
           e "ptrtoint type error"
@@ -224,9 +235,12 @@ let verify_func (m : Vmodule.t) (f : Func.t) : error list =
         if not (Vtype.is_int aty && Vtype.is_ptr ity) then
           e "inttoptr type error"
       | Instr.Bitcast ->
-        if
-          Vtype.size_bytes aty <> Vtype.size_bytes ity
-          || Vtype.is_void aty || Vtype.is_void ity
+        if Vtype.is_void aty || Vtype.is_void ity then
+          e "bitcast size mismatch"
+        else if Vtype.is_ptr aty || Vtype.is_ptr ity then
+          e "bitcast of a pointer"
+        else if
+          Vtype.lanes aty * bits aty <> Vtype.lanes ity * bits ity
         then e "bitcast size mismatch")
     | Instr.Alloca _ ->
       if not (Vtype.is_ptr ity) then e "alloca must yield ptr"
