@@ -378,10 +378,11 @@ let campaign_cmd =
   in
   let prune_arg =
     Arg.(value & flag & info [ "prune-executor" ]
-           ~doc:"Run the converge-pruned executor: fast-forward resume \
-                 plus convergence checks at every later checkpoint site \
-                 (counters, call stack, live registers, dirty-span \
-                 memory); a faulty run that re-converges with the \
+           ~doc:"Run the converge-pruned executor: fast-forward resume, \
+                 with the suffix on the hot path and a convergence check \
+                 fired from its extern calls at every later checkpoint \
+                 site (counters, call stack, live registers, the whole \
+                 memory image); a faulty run that re-converges with the \
                  golden run terminates immediately and splices the \
                  golden outcome. Bit-identical output.")
   in

@@ -419,10 +419,9 @@ let frame_at (st : state) (here : pos) d : pos * Vvalue.t array =
     (p, st.frames.(d).(p.p_func.func_id))
 
 (* The machine state at a check fired at [here]: the memory image
-   (through {!Memory.snapshot}'s dirty-span machinery), deep copies of
-   the live registers of every activation, the call-stack positions,
-   and the dynamic counters. It sits before the pending extern call,
-   which a resume re-executes.
+   ({!Memory.snapshot}), deep copies of the live registers of every
+   activation, the call-stack positions, and the dynamic counters. It
+   sits before the pending extern call, which a resume re-executes.
 
    Only live registers are saved, by the argument [state_equal] rests
    on: under verified SSA a continuation reads a register slot only if
@@ -464,16 +463,12 @@ let capture (st : state) (here : pos) : checkpoint =
    firings and fault sites included), the call stack's (function,
    block, instruction) positions, the live registers of each
    interrupted position — the ones [capture] saved; dead slots of
-   pooled frames hold garbage from unrelated runs — and memory over
-   the union of the golden run's accumulated dirty spans [since] and
-   the faulty run's own live dirty spans (every byte outside both is
-   untouched since the shared post-setup image). Equality here implies
-   the two executions complete identically: the continuation reads
-   only live registers, compared memory, and the counters — and fault
-   injectors past the injection site never modify values or draw
-   randomness. *)
-let state_equal (st : state) (here : pos) (ck : checkpoint)
-    ~(since : Memory.spans) : bool =
+   pooled frames hold garbage from unrelated runs — and the whole
+   memory image ({!Memory.equal}). Equality here implies the two
+   executions complete identically: the continuation reads only live
+   registers, memory and the counters — and fault injectors past the
+   injection site never modify values or draw randomness. *)
+let state_equal (st : state) (here : pos) (ck : checkpoint) : bool =
   st.budget0 - st.fuel = ck.ck_spent
   && st.dyn_vector = ck.ck_vec
   && st.detections = ck.ck_detections
@@ -494,7 +489,7 @@ let state_equal (st : state) (here : pos) (ck : checkpoint)
     regs_eq (Array.length live - 1)
   in
   let rec frames_eq d = d < 0 || (frame_eq d && frames_eq (d - 1)) in
-  frames_eq st.depth && Memory.equal_since st.mem ck.ck_mem ~since
+  frames_eq st.depth && Memory.equal st.mem ck.ck_mem
 
 (* Resume from [ck] with the fuel epoch re-armed under [budget], exactly
    like [Machine.reset ~budget] before a fresh run: [dyn_count] after

@@ -64,10 +64,9 @@ val capture : Code.state -> Code.pos -> Code.checkpoint
 
 (** Exact comparison of the machine, inside a check fired at the given
     extern call, against a checkpoint over what can influence the
-    continuation: counters, positions, live registers, and memory over
-    [since] plus the run's own dirty spans. *)
-val state_equal :
-  Code.state -> Code.pos -> Code.checkpoint -> since:Memory.spans -> bool
+    continuation: counters, positions, live registers, and the whole
+    memory image. *)
+val state_equal : Code.state -> Code.pos -> Code.checkpoint -> bool
 
 (** The registers, ascending, a continuation from the pending call at
     [step] of [block] can read: live before the call for the innermost

@@ -158,12 +158,10 @@ let run ?check (st : state) name (args : Vvalue.t list) : Vvalue.t option =
 let checkpoint = Compile.capture
 
 (* Exact machine-state equality against a golden checkpoint captured at
-   the same position: counters, call-stack positions, live
-   registers, and memory restricted to the union of [since] (the golden
-   run's accumulated dirty spans up to the checkpoint) and this
-   machine's own live dirty spans. [true] implies the continuation of
-   this machine is bit-identical to the golden run's continuation from
-   the checkpoint (see DESIGN.md, convergence soundness). *)
+   the same position: counters, call-stack positions, live registers,
+   and the whole memory image. [true] implies the continuation of this
+   machine is bit-identical to the golden run's continuation from the
+   checkpoint (see DESIGN.md, convergence soundness). *)
 let state_equal = Compile.state_equal
 
 (* Resume the machine from a checkpoint it captured earlier (the

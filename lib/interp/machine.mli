@@ -136,17 +136,14 @@ val run :
     {!state_equal} compares. *)
 val checkpoint : state -> stack_view -> checkpoint
 
-(** [state_equal st stack ck ~since] — exact equality of the running
+(** [state_equal st stack ck] — exact equality of the running
     machine against checkpoint [ck] (captured by the same machine):
     dynamic counters (detections and fault sites included),
     call-stack positions, the live registers of each interrupted
-    activation, and memory compared only over the union of [since]
-    (the golden run's accumulated dirty spans up to [ck]) and this
-    run's own live dirty spans. A [true] answer implies the
-    continuation from here is bit-identical to the golden run's
-    continuation from [ck]. *)
-val state_equal :
-  state -> stack_view -> checkpoint -> since:Memory.spans -> bool
+    activation, and the whole memory image ({!Memory.equal}). A
+    [true] answer implies the continuation from here is bit-identical
+    to the golden run's continuation from [ck]. *)
+val state_equal : state -> stack_view -> checkpoint -> bool
 
 (** Resume from a checkpoint captured by this machine: memory,
     counters and live registers roll back (every other frame slot is

@@ -12,21 +12,13 @@ type region = {
   size : int;        (** bytes *)
   data : Bytes.t;
   rname : string;    (** for debugging *)
-  mutable dlo : int;
-  mutable dhi : int;
-      (** dirty span [dlo, dhi): bytes written since the last
-          snapshot/restore point (empty when [dlo >= dhi]). Every store
-          path widens it, so [restore] only copies back what a run
-          actually touched. *)
 }
 
 (* Sentinel for "no region": zero-sized, so [in_region] is false for
    every address and the lookup cache can be a plain (never-[option])
    field — a cache miss then neither allocates a [Some] nor follows an
    extra indirection on the hot path. *)
-let no_region =
-  { base = -1L; size = 0; data = Bytes.empty; rname = "<none>";
-    dlo = max_int; dhi = 0 }
+let no_region = { base = -1L; size = 0; data = Bytes.empty; rname = "<none>" }
 
 type t = {
   mutable regions : region list;  (** most recent first *)
@@ -35,16 +27,11 @@ type t = {
       (** one-entry lookup cache ([no_region] when empty): consecutive
           accesses overwhelmingly hit the same region. Purely an
           accelerator — hit or miss, the lookup result is unchanged. *)
-  mutable cur_gen : int;
-      (** generation of the snapshot the dirty spans are relative to *)
-  mutable next_gen : int;  (** monotonic snapshot-id source *)
 }
 
 (* Bases start high and advance by the allocation size rounded up to a
    page plus a guard page, mimicking a sparse address space. *)
-let create () =
-  { regions = []; next_base = 0x1000_0000L; last = no_region;
-    cur_gen = 0; next_gen = 0 }
+let create () = { regions = []; next_base = 0x1000_0000L; last = no_region }
 
 let page = 4096
 
@@ -54,148 +41,51 @@ let alloc m ~name ~bytes =
   if bytes < 0 then invalid_arg "Memory.alloc: negative size";
   let size = max bytes 1 in
   let base = m.next_base in
-  let region =
-    { base; size; data = Bytes.make size '\000'; rname = name;
-      dlo = max_int; dhi = 0 }
-  in
+  let region = { base; size; data = Bytes.make size '\000'; rname = name } in
   m.regions <- region :: m.regions;
   m.next_base <-
     Int64.add base (Int64.of_int (round_up size page + page));
   base
 
-(* Widen a region's dirty span over [off, off + bytes). On the store
-   hot path this is two compares and at most two int stores. *)
-let[@inline] touch r off bytes =
-  if off < r.dlo then r.dlo <- off;
-  let e = off + bytes in
-  if e > r.dhi then r.dhi <- e
-
 (* ------------------------------------------------------------------ *)
 (* Checkpointing. A snapshot captures the allocation state (region
-   list, bump pointer) plus a full copy of every region's bytes; the
-   copy is paid once per snapshot. Restoring the *current* snapshot
-   copies back only each region's dirty span — cost proportional to the
-   bytes written since the snapshot — and drops regions allocated after
-   it (so in-run [alloca]s replay at identical addresses). Restoring an
-   older snapshot falls back to a full copy, because the spans are
-   relative to the latest snapshot only. *)
+   list, bump pointer) plus a full copy of every region's bytes.
+   Restoring copies every saved region back and drops regions allocated
+   after the snapshot (so in-run [alloca]s replay at identical
+   addresses); comparing reads every byte. The workloads' images are a
+   few KB, so whole copies and comparisons are cheap, and the store
+   paths keep no bookkeeping for them. *)
 
 type snapshot = {
-  snap_gen : int;
   snap_next_base : int64;
   snap_regions : region list;
   snap_saved : (region * Bytes.t) array;
 }
 
 let snapshot m =
-  let saved =
-    Array.of_list
-      (List.map
-         (fun r ->
-           r.dlo <- max_int;
-           r.dhi <- 0;
-           (r, Bytes.copy r.data))
-         m.regions)
-  in
-  m.next_gen <- m.next_gen + 1;
-  m.cur_gen <- m.next_gen;
   {
-    snap_gen = m.cur_gen;
     snap_next_base = m.next_base;
     snap_regions = m.regions;
-    snap_saved = saved;
+    snap_saved =
+      Array.of_list (List.map (fun r -> (r, Bytes.copy r.data)) m.regions);
   }
 
 let restore m snap =
-  if snap.snap_gen = m.cur_gen then
-    (* Latest snapshot: the dirty spans say exactly which bytes differ
-       from the saved image. *)
-    Array.iter
-      (fun (r, saved) ->
-        if r.dlo < r.dhi then begin
-          let lo = r.dlo and hi = min r.dhi r.size in
-          Bytes.blit saved lo r.data lo (hi - lo);
-          r.dlo <- max_int;
-          r.dhi <- 0
-        end)
-      snap.snap_saved
-  else begin
-    (* Stale snapshot: spans track a different baseline; copy whole
-       regions and make this snapshot the span baseline. *)
-    Array.iter
-      (fun (r, saved) ->
-        Bytes.blit saved 0 r.data 0 r.size;
-        r.dlo <- max_int;
-        r.dhi <- 0)
-      snap.snap_saved;
-    m.cur_gen <- snap.snap_gen
-  end;
+  Array.iter
+    (fun (r, saved) -> Bytes.blit saved 0 r.data 0 r.size)
+    snap.snap_saved;
   m.regions <- snap.snap_regions;
   m.next_base <- snap.snap_next_base;
   m.last <- no_region
 
-(* ------------------------------------------------------------------ *)
-(* Dirty-span bookkeeping for convergence checks. A [spans] value is an
-   accumulated per-region convex hull of dirty bytes, keyed by physical
-   region identity; [diff_spans] folds the live spans (writes since the
-   last snapshot/restore event) into an accumulator, and [equal_since]
-   compares the current memory against a snapshot restricted to the
-   union of the live spans and an accumulated hull — every byte outside
-   that union is untouched since the snapshot on both sides, so the
-   restricted comparison is exact (see DESIGN.md, convergence
-   soundness). *)
-
-type spans = (region * int * int) list
-
-let no_spans : spans = []
-
-let rec merge_span r lo hi = function
-  | [] -> [ (r, lo, hi) ]
-  | (r', lo', hi') :: rest when r' == r ->
-    (r, min lo lo', max hi hi') :: rest
-  | e :: rest -> e :: merge_span r lo hi rest
-
-let diff_spans m acc =
-  List.fold_left
-    (fun acc r ->
-      if r.dlo < r.dhi then merge_span r r.dlo (min r.dhi r.size) acc
-      else acc)
-    acc m.regions
-
-(* Byte-range equality in 8-byte strides with a bytewise tail. *)
-let bytes_equal_range a b lo hi =
-  let i = ref lo in
-  let ok = ref true in
-  while !ok && !i + 8 <= hi do
-    if Bytes.get_int64_ne a !i <> Bytes.get_int64_ne b !i then ok := false
-    else i := !i + 8
-  done;
-  while !ok && !i < hi do
-    if Bytes.unsafe_get a !i <> Bytes.unsafe_get b !i then ok := false
-    else incr i
-  done;
-  !ok
-
-(* Hull of region [r]'s entry in [since] and its live dirty span. *)
-let[@inline] hull_for r (since : spans) =
-  let rec find = function
-    | [] -> (max_int, 0)
-    | (r', lo, hi) :: rest -> if r' == r then (lo, hi) else find rest
-  in
-  let slo, shi = find since in
-  let llo = r.dlo and lhi = min r.dhi r.size in
-  (min slo llo, max shi lhi)
-
-let equal_since m snap ~since =
+let equal m snap =
   (* Any divergence in the allocation state (a region allocated after
      the snapshot that is still live, or a different bump pointer) is
      conservatively "not equal" — sound, and free to test. *)
   m.regions == snap.snap_regions
   && m.next_base = snap.snap_next_base
   && Array.for_all
-       (fun (r, saved) ->
-         let lo, hi = hull_for r since in
-         lo >= hi || bytes_equal_range r.data saved lo (min hi r.size))
+       (fun (r, saved) -> Bytes.equal r.data saved)
        snap.snap_saved
 
 let[@inline] in_region r addr =
@@ -283,7 +173,6 @@ let store_scalar m (s : Vir.Vtype.scalar) addr (lane_int : int64)
   let bytes = Vir.Vtype.scalar_bytes s in
   let r = region_at m addr ~bytes in
         let off = reg_off r addr in
-  touch r off bytes;
   match s with
   | I1 -> Bytes.set r.data off (if lane_int = 0L then '\000' else '\001')
   | I8 -> Bytes.set r.data off (Char.chr (Int64.to_int lane_int land 0xFF))
@@ -377,10 +266,9 @@ let load m (ty : Vir.Vtype.t) addr : Vvalue.t =
    Masked stores whose whole vector span lies inside one region resolve
    the region once and write enabled lanes at integer offsets (disabled
    lanes untouched and — being in bounds along with the rest of the
-   span — needing no bounds check); each enabled lane's span is dirtied
-   individually, exactly like the per-lane path. Spans not contained in
-   one region take the per-lane path, which bounds-checks only enabled
-   lanes and reproduces exact per-lane trap addresses. *)
+   span — needing no bounds check). Spans not contained in one region
+   take the per-lane path, which bounds-checks only enabled lanes and
+   reproduces exact per-lane trap addresses. *)
 let store ?mask m (v : Vvalue.t) addr =
   let n = Vvalue.lanes v in
   let s = Vvalue.scalar_kind v in
@@ -391,7 +279,6 @@ let store ?mask m (v : Vvalue.t) addr =
     let off = reg_off r addr in
     match r != no_region with
     | true -> (
-      touch r off (n * sb);
       match v with
       | Vvalue.I (_, lanes) ->
         for i = 0 to n - 1 do
@@ -419,19 +306,13 @@ let store ?mask m (v : Vvalue.t) addr =
       match v with
       | Vvalue.I (_, lanes) ->
         for i = 0 to n - 1 do
-          if Vvalue.is_true_lane mk i then begin
-            let lo = off + (i * sb) in
-            touch r lo sb;
-            write_lane_int s data lo (Ilanes.unsafe_get lanes i)
-          end
+          if Vvalue.is_true_lane mk i then
+            write_lane_int s data (off + (i * sb)) (Ilanes.unsafe_get lanes i)
         done
       | Vvalue.F (_, lanes) ->
         for i = 0 to n - 1 do
-          if Vvalue.is_true_lane mk i then begin
-            let lo = off + (i * sb) in
-            touch r lo sb;
-            write_lane_float s data lo (Array.unsafe_get lanes i)
-          end
+          if Vvalue.is_true_lane mk i then
+            write_lane_float s data (off + (i * sb)) (Array.unsafe_get lanes i)
         done)
     | false ->
       let step = Int64.of_int sb in
@@ -520,9 +401,7 @@ let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
       let off = reg_off r addr in
       (match v with
       | Vvalue.I (_, a) when Ilanes.length a = 1 ->
-        let x = Ilanes.unsafe_get a 0 in
-        touch r off 4;
-        Bytes.set_int32_le r.data off (Int64.to_int32 x)
+        Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get a 0))
       | _ -> store_scalar m I32 addr (Vvalue.as_int v) 0.0)
   | Vir.Vtype.Scalar F32 ->
     fun m v addr ->
@@ -530,7 +409,6 @@ let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
       let off = reg_off r addr in
       (match v with
       | Vvalue.F (_, [| x |]) ->
-        touch r off 4;
         Bytes.set_int32_le r.data off (Int32.bits_of_float x)
       | _ -> store_scalar m F32 addr 0L (Vvalue.as_float v))
   | Vir.Vtype.Vector (4, F32) ->
@@ -539,7 +417,6 @@ let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
        let off = reg_off r addr in
        match v with
        | Vvalue.F (_, l) when r != no_region && Array.length l = 4 ->
-         touch r off 16;
          Bytes.set_int32_le r.data off (Int32.bits_of_float l.(0));
          Bytes.set_int32_le r.data (off + 4) (Int32.bits_of_float l.(1));
          Bytes.set_int32_le r.data (off + 8) (Int32.bits_of_float l.(2));
@@ -551,7 +428,6 @@ let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
        let off = reg_off r addr in
        match v with
        | Vvalue.F (_, l) when r != no_region && Array.length l = 8 ->
-         touch r off 32;
          Bytes.set_int32_le r.data off (Int32.bits_of_float l.(0));
          Bytes.set_int32_le r.data (off + 4) (Int32.bits_of_float l.(1));
          Bytes.set_int32_le r.data (off + 8) (Int32.bits_of_float l.(2));
@@ -567,7 +443,6 @@ let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
        let off = reg_off r addr in
        match v with
        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 4 ->
-         touch r off 16;
          Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get l 0));
          Bytes.set_int32_le r.data (off + 4) (Int64.to_int32 (Ilanes.unsafe_get l 1));
          Bytes.set_int32_le r.data (off + 8) (Int64.to_int32 (Ilanes.unsafe_get l 2));
@@ -579,7 +454,6 @@ let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
        let off = reg_off r addr in
        match v with
        | Vvalue.I (_, l) when r != no_region && Ilanes.length l = 8 ->
-         touch r off 32;
          Bytes.set_int32_le r.data off (Int64.to_int32 (Ilanes.unsafe_get l 0));
          Bytes.set_int32_le r.data (off + 4) (Int64.to_int32 (Ilanes.unsafe_get l 1));
          Bytes.set_int32_le r.data (off + 8) (Int64.to_int32 (Ilanes.unsafe_get l 2));
@@ -591,37 +465,11 @@ let storer (ty : Vir.Vtype.t) : t -> Vvalue.t -> int64 -> unit =
        | _ -> store m v addr)
   | _ -> fun m v addr -> store m v addr
 
-(* Masked load: disabled lanes read as zero without touching memory
-   (matching AVX maskload semantics). *)
-let masked_load m (ty : Vir.Vtype.t) addr ~mask : Vvalue.t =
-  match ty with
-  | Vir.Vtype.Vector (n, s) ->
-    let step = Int64.of_int (Vir.Vtype.scalar_bytes s) in
-    let lane_addr i = Int64.add addr (Int64.mul step (Int64.of_int i)) in
-    if Vir.Vtype.is_float_scalar s then
-      Vvalue.F
-        ( s,
-          Array.init n (fun i ->
-              if Vvalue.is_true_lane mask i then
-                match load_scalar m s (lane_addr i) with
-                | Vvalue.F (_, [| x |]) -> x
-                | _ -> assert false
-              else 0.0) )
-    else
-      Vvalue.I
-        ( s,
-          Ilanes.init n (fun i ->
-              if Vvalue.is_true_lane mask i then
-                match load_scalar m s (lane_addr i) with
-                | Vvalue.I (_, a) -> Ilanes.unsafe_get a 0
-                | _ -> assert false
-              else 0L) )
-  | _ -> invalid_arg "Memory.masked_load: scalar type"
-
 (* Destination-passing masked load: every lane of the destination is
-   written (disabled lanes as zero, per AVX maskload), so no stale lane
-   survives in the pinned buffer. Enabled lanes that point out of
-   bounds trap exactly like [masked_load]. When the whole vector span
+   written (disabled lanes read as zero without touching memory, per
+   AVX maskload), so no stale lane survives in the pinned buffer. An
+   enabled lane that points out of bounds traps with its own address;
+   a masked-off one never traps. When the whole vector span
    lies inside one region (the common foreach-tail case) the region is
    resolved once and lanes are read at integer offsets, so the access
    neither boxes per-lane [int64] addresses nor allocates region/offset
@@ -677,7 +525,7 @@ let masked_load_into m (ty : Vir.Vtype.t) addr ~mask (out : Vvalue.t) =
       done)
   | Vir.Vtype.Vector _, _ ->
     invalid_arg "Memory.masked_load_into: shape mismatch"
-  | _ -> invalid_arg "Memory.masked_load: scalar type"
+  | _ -> invalid_arg "Memory.masked_load_into: scalar type"
 
 (* Typed bulk accessors used by the benchmark harness. Each resolves
    the region once when the whole range is in bounds (the usual case);
@@ -688,7 +536,6 @@ let write_i32_array m base (xs : int array) =
     let off = reg_off r base in
     match r != no_region with
   | true ->
-    touch r off (4 * Array.length xs);
     Array.iteri
       (fun i x -> Bytes.set_int32_le r.data (off + (4 * i)) (Int32.of_int x))
       xs
@@ -717,7 +564,6 @@ let write_f32_array m base (xs : float array) =
     let off = reg_off r base in
     match r != no_region with
   | true ->
-    touch r off (4 * Array.length xs);
     Array.iteri
       (fun i x ->
         Bytes.set_int32_le r.data (off + (4 * i)) (Int32.bits_of_float x))

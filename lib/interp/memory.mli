@@ -13,33 +13,21 @@ val create : unit -> t
 val alloc : t -> name:string -> bytes:int -> int64
 
 (** Checkpointing. [snapshot] captures the allocation state (region
-    list, bump pointer) plus the contents of every region; [restore]
-    rolls all of it back, so allocations made after the snapshot are
-    dropped and replay at identical addresses. Dirty-span tracking makes
-    restoring the {e most recent} snapshot cost proportional to the
-    bytes written since it was taken; restoring an older snapshot falls
-    back to a full copy. *)
+    list, bump pointer) plus a copy of every region's bytes; [restore]
+    copies every saved region back and rolls the allocation state back,
+    so allocations made after the snapshot are dropped and replay at
+    identical addresses. Any snapshot of the memory can be restored,
+    any number of times, in any order. *)
 
 type snapshot
 
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 
-(** Accumulated dirty-span hulls for convergence checks. [diff_spans m
-    acc] widens [acc] with every region's live dirty span (the bytes
-    written since the last snapshot/restore event); [equal_since m snap
-    ~since] compares the current memory against [snap] restricted to
-    the union of [since] and the live spans — bytes outside that union
-    are untouched since [snap] on both sides, so the restricted
-    comparison equals a full comparison. Allocation-state divergence
-    (regions allocated after [snap] still live) conservatively returns
-    [false]. *)
-
-type spans
-
-val no_spans : spans
-val diff_spans : t -> spans -> spans
-val equal_since : t -> snapshot -> since:spans -> bool
+(** [equal m snap] — [m] holds exactly [snap]'s image: the same region
+    list, the same bump pointer and every byte equal. A region
+    allocated after [snap] that is still live makes it [false]. *)
+val equal : t -> snapshot -> bool
 
 (** Load a (possibly vector) value of [ty] from contiguous memory.
     @raise Trap.Trap on out-of-bounds access. *)
@@ -64,13 +52,12 @@ val storer : Vir.Vtype.t -> t -> Vvalue.t -> int64 -> unit
     @raise Invalid_argument if the destination shape does not match. *)
 val loader_into : Vir.Vtype.t -> t -> int64 -> Vvalue.t -> unit
 
-(** Masked vector load: disabled lanes read as zero without touching
-    memory (AVX maskload semantics — a masked-off lane may point out of
-    bounds without trapping). *)
-val masked_load : t -> Vir.Vtype.t -> int64 -> mask:Vvalue.t -> Vvalue.t
-
-(** Destination-passing {!masked_load}: every destination lane is
-    written (disabled lanes as zero), so no stale lane survives. *)
+(** Destination-passing masked vector load: every destination lane is
+    written, so no stale lane survives. Disabled lanes read as zero
+    without touching memory (AVX maskload semantics — a masked-off lane
+    may point out of bounds without trapping); an enabled lane out of
+    bounds traps with its own address.
+    @raise Invalid_argument if the destination shape does not match. *)
 val masked_load_into :
   t -> Vir.Vtype.t -> int64 -> mask:Vvalue.t -> Vvalue.t -> unit
 

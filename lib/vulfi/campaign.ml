@@ -191,20 +191,21 @@ let plan_for cfg cell w ~input ~dyn_sites : int array =
 
    [Fast_forward] additionally lays machine-state checkpoints at the
    cell's scheduled injection sites during one instrumented golden
-   replay, executes each campaign's experiments in injection order and
-   resumes every faulty run from the nearest checkpoint at or before
-   its site — only the post-injection suffix executes. Detector firings
-   are a machine counter, so a resumed run starts with the prefix's.
+   replay and resumes every faulty run from the nearest checkpoint at
+   or before its site — only the post-injection suffix executes.
+   Detector firings are a machine counter, so a resumed run starts with
+   the prefix's.
 
    [Converge_pruned] rides the fast-forward machinery (same plans,
-   same resume points, same execution order) and additionally runs
-   each faulty suffix under position tracking: at every later
-   checkpoint site it compares the machine against the golden state
-   captured there ({!Interp.Machine.state_equal} — counters, call
-   stack, live registers, dirty-span-restricted memory) and, on a
-   match, terminates immediately and splices the golden outcome. The
-   splice is provably identical to running the suffix out (DESIGN.md,
-   convergence soundness), so results and traces stay byte-identical. *)
+   same resume points) and runs each faulty suffix on the same hot-path
+   engine with a check armed: the extern calls fire it when the site
+   counter reaches the next later checkpoint site's threshold, and it
+   compares the machine against the golden state captured there
+   ({!Interp.Machine.state_equal} — counters, call stack, live
+   registers, the whole memory image). On a match it terminates
+   immediately and splices the golden outcome. The splice is provably
+   identical to running the suffix out (DESIGN.md, convergence
+   soundness), so results and traces stay byte-identical. *)
 type executor = Legacy | Checkpointed | Fast_forward | Converge_pruned
 
 (* Bind [executor] to one input on the calling worker, preparing what
@@ -443,32 +444,6 @@ let executor_name = function
 let effective_executor ~detectors:_ (executor : executor) : executor =
   executor
 
-(* The order a campaign's experiments execute in: schedule order for
-   the replaying executors; (input, injection site) order for the
-   fast-forward executor, so consecutive runs of one input resume from
-   monotonically advancing checkpoints (each restore is then a cheap
-   dirty-span rollback of the most recent image instead of a full
-   copy). Results are un-permuted afterwards — experiments are
-   independent, so execution order never changes what they compute. *)
-let execution_order (executor : executor) (exps : Seed.exp array)
-    (inputs : int array) ~(dyn_sites_of : int -> int) : int array =
-  let n = Array.length exps in
-  let order = Array.init n Fun.id in
-  (match executor with
-  | Fast_forward | Converge_pruned ->
-    let keys =
-      Array.init n (fun e ->
-          let dyn = dyn_sites_of inputs.(e) in
-          let site =
-            if dyn = 0 then 0
-            else 1 + Seed.uniform exps.(e).Seed.site_key dyn
-          in
-          (inputs.(e), site, e))
-    in
-    Array.sort (fun a b -> compare keys.(a) keys.(b)) order
-  | Legacy | Checkpointed -> ());
-  order
-
 (* Run the full campaign protocol for one (workload, target,
    site-category) cell. [transform] pre-processes the module (e.g.
    detector insertion); [hooks] builds per-run extra runtime (e.g. the
@@ -550,26 +525,20 @@ let run ?transform ?hooks ?(respect_masks = true) ?fault_kind ?pool ?sink
         in
         Array.iteri (fun k g -> Hashtbl.add golden_cache fresh.(k) g) goldens;
         (* The cache is read-only during the fan-out below. Workers
-           only buffer (result, wall) pairs; the fan-out runs in
-           injection-sorted order on the fast-forward executors and
-           results are un-permuted right after, so the buffered array —
-           and hence the sink, written from this protocol loop — is in
+           only buffer (result, wall) pairs, gathered in experiment
+           order, so the sink — written from this protocol loop — is in
            experiment order at any [jobs]. *)
-        let dyn_sites_of i =
-          (Hashtbl.find golden_cache i).Experiment.g_dyn_sites
-        in
-        let order = execution_order executor exps inputs ~dyn_sites_of in
-        let fanned =
-          Pool.map_with_worker pool
-            (fun wid e -> timed ~timings (half_for wid inputs.(e)) exps.(e))
-            order
-        in
         let results =
-          Array.make cfg.experiments_per_campaign (vacuous_benign, 0.0)
+          Pool.map_with_worker pool
+            (fun wid ex -> timed ~timings (half_for wid (input_of w ex)) ex)
+            exps
         in
-        Array.iteri (fun k e -> results.(e) <- fanned.(k)) order;
         emit_experiments sink w target category ~campaign:c ~inputs
-          ~site_counts:(Array.map dyn_sites_of inputs) ~results;
+          ~site_counts:
+            (Array.map
+               (fun i -> (Hashtbl.find golden_cache i).Experiment.g_dyn_sites)
+               inputs)
+          ~results;
         Array.map fst results
       in
       let r =

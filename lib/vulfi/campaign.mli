@@ -103,16 +103,19 @@ type hooks_factory = unit -> Experiment.hooks
       the scheduled injection sites during one instrumented golden
       replay per (cell, input), and resumes every faulty run from the
       nearest checkpoint at or before its injection site, executing
-      only the post-injection suffix. Campaigns run their experiments
-      in injection-sorted order (results and traces are emitted in
-      experiment order regardless).
+      only the post-injection suffix.
     - [Converge_pruned] rides the fast-forward machinery and runs each
-      faulty suffix under position tracking, comparing the machine
-      against the golden state at every later checkpoint site
+      faulty suffix on the same hot-path engine with a check armed:
+      the machine's extern calls fire it at each later checkpoint
+      site's site-count threshold, where it compares the machine —
+      counters, call stack, live registers and the whole memory image
+      — against the golden state captured there
       ({!Interp.Machine.state_equal}); on a match it terminates
       immediately and splices the golden outcome, which is provably
       identical to running the suffix out (DESIGN.md, convergence
       soundness).
+
+    Every executor runs a campaign's experiments in schedule order.
 
     Detector cells run on every executor: detector firings are a
     machine counter ({!Interp.Machine.detections}) that checkpoints

@@ -200,10 +200,10 @@ let faulty_run ?(hooks = no_hooks) ?(respect_masks = true) ?fault_kind
    every realistic cell (paper cells schedule at most
    [experiments_per_campaign * max_campaigns] distinct sites, and the
    distinct count is far smaller on short traces). A checkpoint costs
-   one memory snapshot (dirty spans of small workload heaps) plus
-   copies of the registers live at the check, so even a
-   few hundred are cheap; runs whose site falls exactly on a plan site
-   resume with zero pre-injection re-execution. *)
+   one memory snapshot (a copy of the small workload heap) plus copies
+   of the registers live at the check, so even a few hundred are
+   cheap; runs whose site falls exactly on a plan site resume with
+   zero pre-injection re-execution. *)
 let default_max_checkpoints = 192
 
 (* The checkpoint sites for one (cell, input): the distinct scheduled
@@ -231,13 +231,6 @@ let checkpoint_plan ?(max_checkpoints = default_max_checkpoints)
 type ff_input = {
   ff_pi : prepared_input;
   ff_checkpoints : (int * Interp.Machine.checkpoint) array;
-  ff_spans : Interp.Memory.spans array;
-      (** aligned with [ff_checkpoints]: the golden run's accumulated
-          dirty-span hulls from the post-setup image up to each
-          checkpoint. A faulty run's convergence check at checkpoint
-          [j] compares memory only over [ff_spans.(j)] united with its
-          own live dirty spans — everything outside both is untouched
-          since the shared post-setup image on both sides. *)
 }
 
 (* Index of the rightmost checkpoint whose site is <= [site], or -1:
@@ -270,7 +263,7 @@ let resume_point (cks : (int * Interp.Machine.checkpoint) array) site =
 let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
     (p : prepared) ~(pi : prepared_input) ~(plan : int array) : ff_input =
   if Array.length plan = 0 then
-    { ff_pi = pi; ff_checkpoints = [||]; ff_spans = [||] }
+    { ff_pi = pi; ff_checkpoints = [||] }
   else begin
     let st = pi.pi_machine in
     Interp.Memory.restore (Interp.Machine.memory st) pi.pi_snapshot;
@@ -279,20 +272,12 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
     hooks.h_attach st;
     let nplan = Array.length plan in
     let pidx = ref 0 in
-    (* Accumulated golden dirty spans relative to the post-setup image.
-       They must be folded before the capture's [Memory.snapshot]
-       resets the live spans; each fold therefore covers exactly the
-       writes since the previous capture (or since the post-setup
-       restore for the first one). *)
-    let cum = ref Interp.Memory.no_spans in
     let cks = ref [] in
     (* Due next where plan site [pidx] is captured; never again once the
        last one is. *)
     let check mst stack =
       if Interp.Machine.sites mst + 1 = plan.(!pidx) then begin
-        cum := Interp.Memory.diff_spans (Interp.Machine.memory mst) !cum;
-        cks :=
-          (plan.(!pidx), Interp.Machine.checkpoint mst stack, !cum) :: !cks;
+        cks := (plan.(!pidx), Interp.Machine.checkpoint mst stack) :: !cks;
         incr pidx
       end;
       if !pidx < nplan then plan.(!pidx) - 1 else max_int
@@ -307,12 +292,7 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
            (Printf.sprintf "%s input %d (checkpoint replay): %s"
               p.p_workload.Workload.w_name pi.pi_golden.g_input
               (Interp.Trap.to_string k))));
-    let laid = Array.of_list (List.rev !cks) in
-    {
-      ff_pi = pi;
-      ff_checkpoints = Array.map (fun (s, ck, _) -> (s, ck)) laid;
-      ff_spans = Array.map (fun (_, _, spans) -> spans) laid;
-    }
+    { ff_pi = pi; ff_checkpoints = Array.of_list (List.rev !cks) }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -325,7 +305,7 @@ let lay_checkpoints ?(hooks = no_hooks) ?(respect_masks = true)
    runs the suffix under a check and, at each checkpoint site after
    the injection, compares the machine against the golden
    checkpoint retained at that site ({!Interp.Machine.state_equal}:
-   counters, call stack, live registers, dirty-span-restricted memory).
+   counters, call stack, live registers, the whole memory image).
    On a match it terminates immediately and splices the golden
    outcome — Benign, the golden dynamic counters, the golden run's
    final detector flag — which is byte-identical to what running the
@@ -445,10 +425,8 @@ let faulty_run_pruned ?(hooks = no_hooks) ?(respect_masks = true)
     done;
     if !next < ncks && fst cks.(!next) = site then begin
       Atomic.incr prune_checks_performed;
-      if
-        Interp.Machine.state_equal st stack (snd cks.(!next))
-          ~since:ff.ff_spans.(!next)
-      then raise Converged;
+      if Interp.Machine.state_equal st stack (snd cks.(!next)) then
+        raise Converged;
       incr failed;
       incr next
     end;

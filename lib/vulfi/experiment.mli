@@ -124,11 +124,6 @@ val checkpoint_plan : ?max_checkpoints:int -> int list -> int array
 type ff_input = {
   ff_pi : prepared_input;
   ff_checkpoints : (int * Interp.Machine.checkpoint) array;
-  ff_spans : Interp.Memory.spans array;
-      (** aligned with [ff_checkpoints]: the golden run's accumulated
-          dirty-span hulls from the post-setup image up to each
-          checkpoint (convergence checks compare memory only over
-          these plus the faulty run's own live spans) *)
 }
 
 (** One instrumented golden replay over [pi]'s machine capturing a
@@ -172,7 +167,7 @@ val faulty_run_ff :
     compares the machine against the golden checkpoint at
     each post-injection checkpoint site
     ({!Interp.Machine.state_equal}: counters, call stack, live
-    registers, dirty-span-restricted memory), and on a match
+    registers, the whole memory image), and on a match
     terminates immediately, splicing the golden outcome — Benign, the
     golden dynamic-instruction count and the golden run's final
     detector flag — which is byte-identical to running the suffix out

@@ -1,5 +1,6 @@
 (* Tests for the checkpointed and fast-forward execution layers: Memory
-   snapshot/restore (differential against a fresh replay), Machine.reset
+   snapshot/restore (differential against a fresh replay, and restores
+   and comparisons against a byte-level model), Machine.reset
    (including prefix accounting), masked access at region edges,
    full-machine checkpoint resume == fresh replay differentials,
    convergence-pruning soundness, a pin of where checks act (the
@@ -95,8 +96,8 @@ let prop_restore_equals_fresh_replay =
       && Interp.Memory.alloc m1 ~name:"probe" ~bytes:16
          = Interp.Memory.alloc m2 ~name:"probe" ~bytes:16)
 
-(* Restoring the same snapshot repeatedly keeps working: the dirty-span
-   fast path must re-arm after each restore. *)
+(* Restoring the same snapshot repeatedly keeps working: each restore
+   rolls back the damage done since the previous one. *)
 let prop_double_restore =
   Test.make ~name:"restore is idempotent across faulty epochs" ~count:100
     (make ops_gen ~print:print_ops)
@@ -117,7 +118,7 @@ let prop_double_restore =
       observe m1 pre_regions = obs0)
 
 (* An older snapshot must still restore correctly after a newer one has
-   been taken and used (the stale-generation full-copy path). *)
+   been taken and restored. *)
 let test_stale_snapshot_restores () =
   let mem = Interp.Memory.create () in
   let a = Interp.Memory.alloc mem ~name:"a" ~bytes:64 in
@@ -131,7 +132,6 @@ let test_stale_snapshot_restores () =
     Alcotest.(array int)
     "newest snapshot restores" (Array.make 16 111)
     (Interp.Memory.read_i32_array mem a 16);
-  (* snap1 is now a stale generation: full-copy fallback *)
   Interp.Memory.restore mem snap1;
   check
     Alcotest.(array int)
@@ -146,6 +146,224 @@ let test_stale_snapshot_restores () =
     "re-restore after new damage"
     (Array.init 16 (fun i -> i))
     (Interp.Memory.read_i32_array mem a 16)
+
+(* ---------------- whole-image snapshots: reference model ---------------- *)
+
+(* Random interleavings of allocations, stores of every kind, snapshots,
+   restores of any earlier snapshot and comparisons, run against a
+   byte-level reference: the model keeps every live region's expected
+   bytes, and each snapshot a copy of the model. Picks are raw ints
+   reduced modulo the live state at interpretation time. *)
+type image_op =
+  | I_alloc of int  (** bytes *)
+  | I_store of int * int * int * int  (** region, word, shape, value *)
+  | I_masked of int * int * int * int  (** region, word, mask bits, value *)
+  | I_bulk of int * int * int * int  (** region, word, length, value *)
+  | I_flip of int * int * int  (** region, byte, xor mask *)
+  | I_snapshot
+  | I_restore of int  (** snapshot *)
+  | I_equal of int  (** snapshot *)
+
+let image_op_gen =
+  let pick = Gen.int_range 0 1000 in
+  let four f = Gen.map4 f pick pick pick Gen.int in
+  Gen.frequency
+    [
+      (3, Gen.map (fun b -> I_alloc b) (Gen.int_range 1 80));
+      (5, four (fun r o k v -> I_store (r, o, k, v)));
+      (2, four (fun r o k v -> I_masked (r, o, k, v)));
+      (2, four (fun r o k v -> I_bulk (r, o, k, v)));
+      (2, Gen.map3 (fun r o x -> I_flip (r, o, x)) pick pick pick);
+      (2, Gen.return I_snapshot);
+      (2, Gen.map (fun k -> I_restore k) pick);
+      (4, Gen.map (fun k -> I_equal k) pick);
+    ]
+
+let print_image_op = function
+  | I_alloc b -> Printf.sprintf "alloc %d" b
+  | I_store (r, o, k, v) -> Printf.sprintf "store %d %d %d %d" r o k v
+  | I_masked (r, o, k, v) -> Printf.sprintf "masked %d %d %d %d" r o k v
+  | I_bulk (r, o, k, v) -> Printf.sprintf "bulk %d %d %d %d" r o k v
+  | I_flip (r, o, x) -> Printf.sprintf "flip %d %d %d" r o x
+  | I_snapshot -> "snapshot"
+  | I_restore k -> Printf.sprintf "restore %d" k
+  | I_equal k -> Printf.sprintf "equal %d" k
+
+(* A model region: its allocation number (fresh per [alloc], so two
+   region lists are the same allocation state exactly when their
+   numbers agree), base and expected bytes. *)
+type model_region = { m_id : int; m_base : int64; m_bytes : Bytes.t }
+
+let run_image_ops ops =
+  let module M = Interp.Memory in
+  let module V = Interp.Vvalue in
+  let i8 = Vir.Vtype.Scalar Vir.Vtype.I8 in
+  let mem = M.create () in
+  let live = ref [] (* most recent first, like the memory's own list *) in
+  let allocs = ref 0 and snaps = ref [||] in
+  let copy_model =
+    List.map (fun r -> { r with m_bytes = Bytes.copy r.m_bytes })
+  in
+  let region k =
+    match !live with
+    | [] -> None
+    | rs -> Some (List.nth rs (k mod List.length rs))
+  in
+  let words r = Bytes.length r.m_bytes / 4 in
+  let addr r off = Int64.add r.m_base (Int64.of_int off) in
+  (* lane [i] of a value seeded by [v] (an i32 or an f32), in memory
+     and at word [w + i] of the model *)
+  let lane v i = v + (31 * i) in
+  let f32 v i = float_of_int (lane v i mod 1000) in
+  let lanes ~float n v =
+    if float then V.F (Vir.Vtype.F32, Array.init n (f32 v))
+    else
+      V.I
+        ( Vir.Vtype.I32,
+          Interp.Ilanes.init n (fun i ->
+              Int64.of_int32 (Int32.of_int (lane v i))) )
+  in
+  let set_lane ~float r w v i =
+    Bytes.set_int32_le r.m_bytes
+      (4 * (w + i))
+      (if float then Int32.bits_of_float (f32 v i)
+       else Int32.of_int (lane v i))
+  in
+  let read_byte a = Int64.to_int (V.int_lane (M.load mem i8 a) 0) land 0xFF in
+  let holds r =
+    let rec from i =
+      i = Bytes.length r.m_bytes
+      || (read_byte (addr r i) = Bytes.get_uint8 r.m_bytes i && from (i + 1))
+    in
+    from 0
+  in
+  let traps a =
+    match M.load mem i8 a with
+    | _ -> false
+    | exception Interp.Trap.Trap (Interp.Trap.Out_of_bounds _) -> true
+  in
+  let fail fmt = Printf.ksprintf Test.fail_report fmt in
+  let step = function
+    | I_alloc bytes ->
+      let m_base = M.alloc mem ~name:"r" ~bytes in
+      live :=
+        { m_id = !allocs; m_base; m_bytes = Bytes.make bytes '\000' } :: !live;
+      incr allocs
+    | I_store (r, o, k, v) -> (
+      (* scalar or vector, i32 or f32, through [store] or [storer] *)
+      let n = [| 1; 4; 8 |].(k mod 3) in
+      let float = (k / 3) land 1 = 1 and via_storer = (k / 6) land 1 = 1 in
+      match region r with
+      | Some r when words r >= n ->
+        let w = o mod (words r - n + 1) in
+        let s = if float then Vir.Vtype.F32 else Vir.Vtype.I32 in
+        let ty = if n = 1 then Vir.Vtype.Scalar s else Vir.Vtype.vector n s in
+        let x = lanes ~float n v in
+        if via_storer then M.storer ty mem x (addr r (4 * w))
+        else M.store mem x (addr r (4 * w));
+        for i = 0 to n - 1 do set_lane ~float r w v i done
+      | _ -> ())
+    | I_masked (r, o, k, v) -> (
+      match region r with
+      | Some r when words r > 0 ->
+        (* 8 lanes from word [w]; lanes past the region are masked off,
+           so the store may straddle the region's end *)
+        let w = o mod words r and float = k land 256 = 256 in
+        let on i = k land (1 lsl i) <> 0 && w + i < words r in
+        let mask =
+          V.I
+            ( Vir.Vtype.I1,
+              Interp.Ilanes.init 8 (fun i -> if on i then 1L else 0L) )
+        in
+        M.store ~mask mem (lanes ~float 8 v) (addr r (4 * w));
+        for i = 0 to 7 do if on i then set_lane ~float r w v i done
+      | _ -> ())
+    | I_bulk (r, o, k, v) -> (
+      match region r with
+      | Some r when words r > 0 ->
+        let w = o mod words r in
+        let n = 1 + (k mod (words r - w)) and float = v land 1 = 1 in
+        let a = addr r (4 * w) in
+        if float then M.write_f32_array mem a (Array.init n (f32 v))
+        else M.write_i32_array mem a (Array.init n (lane v));
+        for i = 0 to n - 1 do set_lane ~float r w v i done
+      | _ -> ())
+    | I_flip (r, o, x) -> (
+      match region r with
+      | Some r ->
+        (* one byte changed at a random offset *)
+        let off = o mod Bytes.length r.m_bytes in
+        let b = Bytes.get_uint8 r.m_bytes off lxor (1 + (x mod 255)) in
+        M.store mem
+          (V.I (Vir.Vtype.I8, Interp.Ilanes.make 1 (Int64.of_int b)))
+          (addr r off);
+        Bytes.set_uint8 r.m_bytes off b
+      | None -> ())
+    | I_snapshot ->
+      snaps := Array.append !snaps [| (copy_model !live, M.snapshot mem) |]
+    | I_restore k when Array.length !snaps > 0 ->
+      let snap_rs, snap = !snaps.(k mod Array.length !snaps) in
+      (* fill the region cache with the newest region, which the
+         restore may drop *)
+      (match !live with r :: _ -> ignore (read_byte r.m_base) | [] -> ());
+      M.restore mem snap;
+      (* a dropped region's base traps, unless a region of the
+         snapshot, allocated on another branch of restores, lies there *)
+      let kept r = List.exists (fun s -> s.m_id = r.m_id) snap_rs in
+      let covered a =
+        List.exists
+          (fun s ->
+            a >= s.m_base
+            && Int64.sub a s.m_base < Int64.of_int (Bytes.length s.m_bytes))
+          snap_rs
+      in
+      List.iter
+        (fun r ->
+          if not (kept r || covered r.m_base || traps r.m_base) then
+            fail "region %d, not in the snapshot, survived the restore" r.m_id)
+        !live;
+      List.iter
+        (fun r ->
+          if not (holds r) then
+            fail "region %d does not hold the snapshot's bytes" r.m_id)
+        snap_rs;
+      (* the next allocation lands where it would after a fresh run of
+         the snapshot's allocations; a second restore drops it again *)
+      let fresh = M.create () in
+      List.iter
+        (fun r ->
+          ignore (M.alloc fresh ~name:"r" ~bytes:(Bytes.length r.m_bytes)))
+        (List.rev snap_rs);
+      let expected = M.alloc fresh ~name:"probe" ~bytes:8 in
+      let got = M.alloc mem ~name:"probe" ~bytes:8 in
+      if got <> expected then
+        fail "next allocation at %Lx, expected %Lx" got expected;
+      M.restore mem snap;
+      live := copy_model snap_rs
+    | I_equal k when Array.length !snaps > 0 ->
+      let j = k mod Array.length !snaps in
+      let snap_rs, snap = !snaps.(j) in
+      let ids = List.map (fun r -> r.m_id) in
+      let expected =
+        ids !live = ids snap_rs
+        && List.for_all2
+             (fun a b -> Bytes.equal a.m_bytes b.m_bytes)
+             !live snap_rs
+      in
+      if M.equal mem snap <> expected then
+        fail "Memory.equal against snapshot %d is %b, the reference says %b"
+          j (not expected) expected
+    | I_restore _ | I_equal _ -> ()
+  in
+  List.iter step ops;
+  true
+
+let prop_whole_image_snapshots =
+  Test.make ~name:"whole-image snapshots == byte reference" ~count:500
+    (make
+       Gen.(list_size (int_range 1 40) image_op_gen)
+       ~print:(fun ops -> String.concat "; " (List.map print_image_op ops)))
+    run_image_ops
 
 (* ---------------- masked access at region edges ---------------- *)
 
@@ -172,10 +390,9 @@ let prop_masked_oob_lanes_never_trap =
           ( Vir.Vtype.I1,
             Interp.Ilanes.init 8 (fun i -> if i < live then 1L else 0L) )
       in
-      let loaded =
-        Interp.Memory.masked_load mem (Vir.Vtype.vector 8 Vir.Vtype.F32) addr
-          ~mask
-      in
+      let loaded = Interp.Vvalue.F (Vir.Vtype.F32, Array.make 8 nan) in
+      Interp.Memory.masked_load_into mem (Vir.Vtype.vector 8 Vir.Vtype.F32)
+        addr ~mask loaded;
       let load_ok =
         Array.for_all Fun.id
           (Array.init 8 (fun i ->
@@ -333,12 +550,10 @@ let test_site_counter () =
     if !seen < 0 then begin
       seen := Interp.Machine.sites mst;
       check Alcotest.bool "equal to the checkpoint after the restore" true
-        (Interp.Machine.state_equal mst stack ck
-           ~since:Interp.Memory.no_spans);
+        (Interp.Machine.state_equal mst stack ck);
       Interp.Machine.record_site mst;
       check Alcotest.bool "site counter alone differs" false
-        (Interp.Machine.state_equal mst stack ck
-           ~since:Interp.Memory.no_spans)
+        (Interp.Machine.state_equal mst stack ck)
     end;
     max_int
   in
@@ -1495,6 +1710,7 @@ let () =
              [
                prop_restore_equals_fresh_replay;
                prop_double_restore;
+               prop_whole_image_snapshots;
                prop_masked_oob_lanes_never_trap;
              ] );
       ( "machine",

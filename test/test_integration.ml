@@ -171,9 +171,10 @@ let run_dir = "figures_run"
 (* [exe args] run inside [run_dir] (where fig11 and fig12 write their
    RESULTS files), stdout kept in [run_dir/name.out], stderr (progress
    lines) dropped. *)
-let run_pinned (name, exe, args) =
+let run_in_dir (name, exe, args) =
+  if not (Sys.file_exists run_dir) then Sys.mkdir run_dir 0o755;
   let cmd =
-    Printf.sprintf "cd %s && %s %s --prune-executor > %s.out 2> /dev/null"
+    Printf.sprintf "cd %s && %s %s > %s.out 2> /dev/null"
       (Filename.quote run_dir)
       (Filename.quote (Filename.concat ".." exe))
       args name
@@ -181,6 +182,9 @@ let run_pinned (name, exe, args) =
   match Sys.command cmd with
   | 0 -> ()
   | code -> Alcotest.failf "%s exited %d" cmd code
+
+let run_pinned (name, exe, args) =
+  run_in_dir (name, exe, args ^ " --prune-executor")
 
 let lines_of file =
   In_channel.with_open_text file In_channel.input_lines
@@ -199,6 +203,8 @@ let file_row file records =
 
 let trace_records path = List.length (lines_of path)
 
+let first_field r = List.hd (String.split_on_char ' ' r)
+
 let results_cells path =
   let json = In_channel.with_open_text path In_channel.input_all in
   match Vulfi.Json.member "cells" (Vulfi.Json.of_string json) with
@@ -206,7 +212,6 @@ let results_cells path =
   | _ -> Alcotest.failf "%s has no cells list" path
 
 let test_pinned_figures () =
-  if not (Sys.file_exists run_dir) then Sys.mkdir run_dir 0o755;
   let bench = "../bench/main.exe" and cli = "../bin/vulfi_cli.exe" in
   let runs =
     [
@@ -233,9 +238,32 @@ let test_pinned_figures () =
         file_row "RESULTS_fig12.json" results_cells;
       ]
   in
-  let first_field r = List.hd (String.split_on_char ' ' r) in
   Pinned.check ~file:figures_file ~header:figures_header ~what:"rows"
     ~label:first_field ~expected:(Pinned.read figures_file) actual
+
+(* The stdout of the five README examples, pinned in examples_pinned.txt
+   the same way. campaign_blackscholes runs its campaigns on the default
+   executor, so the pin covers that executor's snapshot restores. *)
+let examples_file = "examples_pinned.txt"
+
+let examples_header =
+  "# Stdout of the five README examples (examples/*.exe), one\n\
+   # \"<example>:<line> |<stdout line>\" row a line. Checked by\n\
+   # test_integration's \"pinned examples\" case; re-record only in a\n\
+   # change that means to move an example's output, and say why.\n"
+
+let test_pinned_examples () =
+  let examples =
+    [ "quickstart"; "campaign_blackscholes"; "detector_demo"; "custom_pass";
+      "abft_matvec" ]
+  in
+  List.iter
+    (fun e -> run_in_dir (e, Printf.sprintf "../examples/%s.exe" e, ""))
+    examples;
+  Pinned.check ~file:examples_file ~header:examples_header ~what:"rows"
+    ~label:first_field
+    ~expected:(Pinned.read examples_file)
+    (List.concat_map stdout_rows examples)
 
 let () =
   Alcotest.run "integration"
@@ -261,5 +289,6 @@ let () =
             test_pinned_dynamic_sites;
           Alcotest.test_case "pinned figures (quick scale)" `Quick
             test_pinned_figures;
+          Alcotest.test_case "pinned examples" `Quick test_pinned_examples;
         ] );
     ]

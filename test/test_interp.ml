@@ -145,16 +145,18 @@ let test_memory_masked () =
     "masked store wrote even lanes only"
     [| 0.; 2.; 0.; 4.; 0.; 6.; 0.; 8. |]
     (Memory.read_f32_array m base 8);
-  let loaded =
-    Memory.masked_load m (Vtype.vector 8 Vtype.F32) base ~mask
-  in
+  (* the destination starts non-zero, so a disabled lane left stale
+     would show *)
+  let loaded = Vvalue.F (Vtype.F32, Array.make 8 9.0) in
+  Memory.masked_load_into m (Vtype.vector 8 Vtype.F32) base ~mask loaded;
   check (Alcotest.float 0.0) "masked load disabled lane is 0" 0.0
     (Vvalue.float_lane loaded 1);
   check (Alcotest.float 0.0) "masked load enabled lane reads" 0.0
     (Vvalue.float_lane loaded 0)
 
 (* A masked load where the disabled lanes point out of bounds must not
-   trap: maskload semantics touch only enabled lanes. *)
+   trap: maskload semantics touch only enabled lanes. Enabling one of
+   them traps with that lane's own address. *)
 let test_memory_masked_oob_disabled_lanes () =
   let m = Memory.create () in
   let base = Memory.alloc m ~name:"v" ~bytes:8 in
@@ -164,10 +166,19 @@ let test_memory_masked_oob_disabled_lanes () =
     Vvalue.I
       (Vtype.I1, Interp.Ilanes.of_array [| 1L; 1L; 0L; 0L; 0L; 0L; 0L; 0L |])
   in
-  let v = Memory.masked_load m (Vtype.vector 8 Vtype.F32) base ~mask in
+  let v = Vvalue.F (Vtype.F32, Array.make 8 9.0) in
+  Memory.masked_load_into m (Vtype.vector 8 Vtype.F32) base ~mask v;
   check (Alcotest.float 0.0) "lane 0" 5.0 (Vvalue.float_lane v 0);
   check (Alcotest.float 0.0) "lane 1" 6.0 (Vvalue.float_lane v 1);
-  check (Alcotest.float 0.0) "disabled lane" 0.0 (Vvalue.float_lane v 7)
+  check (Alcotest.float 0.0) "disabled lane" 0.0 (Vvalue.float_lane v 7);
+  let mask =
+    Vvalue.I
+      (Vtype.I1, Interp.Ilanes.of_array [| 1L; 1L; 1L; 0L; 0L; 0L; 0L; 0L |])
+  in
+  match Memory.masked_load_into m (Vtype.vector 8 Vtype.F32) base ~mask v with
+  | () -> Alcotest.fail "enabled out-of-bounds lane did not trap"
+  | exception Trap.Trap (Trap.Out_of_bounds a) ->
+    check Alcotest.int64 "trap address is lane 2's" (Int64.add base 8L) a
 
 (* ---------------- Machine ---------------- *)
 
