@@ -71,7 +71,7 @@ let bench_or_file_arg =
          ~docv:"NAME" ~doc:"Benchmark name (see $(b,vulfi list)).")
 
 let opt_file_arg =
-  Arg.(value & opt (some file) None & info [ "f"; "file" ]
+  Arg.(value & opt (some non_dir_file) None & info [ "f"; "file" ]
          ~docv:"FILE" ~doc:"mini-ISPC source file to analyse instead.")
 
 let find_bench name =
@@ -101,7 +101,7 @@ let list_cmd =
 (* ---------------- compile ---------------- *)
 
 let file_arg =
-  Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE"
+  Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"FILE"
          ~doc:"mini-ISPC source file.")
 
 let compile_cmd =
@@ -272,8 +272,7 @@ let print_cell ~detectors (r : Vulfi.Campaign.result) =
 
 let campaign_cmd =
   let run target category name experiments campaigns with_detectors
-      fault_kind jobs trace trace_timings legacy ff prune no_fusion =
-    if no_fusion then Interp.Compile.fusion := false;
+      fault_kind jobs trace trace_timings legacy ff prune =
     (* executor flags are mutually exclusive, pairwise *)
     List.iter
       (fun (a, b, msg) ->
@@ -304,7 +303,11 @@ let campaign_cmd =
       else Vulfi.Campaign.Checkpointed
     in
     let sink =
-      Option.map (fun f -> Vulfi.Trace.to_file ~timings:trace_timings f) trace
+      try
+        Option.map (fun f -> Vulfi.Trace.to_file ~timings:trace_timings f) trace
+      with Sys_error msg ->
+        prerr_endline ("vulfi campaign: " ^ msg);
+        exit 1
     in
     Fun.protect
       ~finally:(fun () -> Option.iter Vulfi.Trace.close sink)
@@ -386,21 +389,13 @@ let campaign_cmd =
                  golden run terminates immediately and splices the \
                  golden outcome. Bit-identical output.")
   in
-  let no_fusion_arg =
-    Arg.(value & flag & info [ "no-fusion" ]
-           ~doc:"Compile without superblock fusion: every chain runs \
-                 one closure per member. Fusion only changes how the \
-                 hot path is lowered, never what it computes, so \
-                 results and traces are byte-identical either way; the \
-                 flag exists for cross-checking and timing comparisons.")
-  in
   Cmd.v
     (Cmd.info "campaign"
        ~doc:"Run a statistically sized fault-injection campaign")
     Term.(const run $ target_arg $ category_arg $ bench_arg
           $ experiments_arg $ campaigns_arg $ detectors_arg
           $ fault_kind_arg $ jobs_arg $ trace_arg $ trace_timings_arg
-          $ legacy_arg $ ff_arg $ prune_arg $ no_fusion_arg)
+          $ legacy_arg $ ff_arg $ prune_arg)
 
 (* ---------------- report ---------------- *)
 
@@ -457,7 +452,7 @@ let report_cmd =
       if not !ok then exit 1
   in
   let trace_file_arg =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"TRACE"
+    Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"TRACE"
            ~doc:"JSONL trace written by $(b,--trace).")
   in
   Cmd.v
@@ -516,19 +511,6 @@ let load_module target file =
       Printf.eprintf "%s: %s\n" file (Minispc.Driver.error_to_string e);
       exit 1
 
-(* The fusion decisions [Interp.Compile] takes on [m]: chains fused,
-   their length histogram, and the member kinds of the chains no kernel
-   covers. *)
-let print_fusion_stats m =
-  let cm = Interp.Compile.compile_module m in
-  Printf.eprintf "; fused chains: %d\n" (Interp.Compile.fused_chain_count cm);
-  List.iter
-    (fun (len, n) -> Printf.eprintf ";   chain length %d: %d\n" len n)
-    (Interp.Compile.fused_length_hist cm);
-  List.iter
-    (fun (shape, n) -> Printf.eprintf ";   unfused %s: %d\n" shape n)
-    (Interp.Compile.unfused_shapes cm)
-
 let opt_cmd =
   let run target file do_dce do_verify =
     let m = load_module target file in
@@ -536,9 +518,7 @@ let opt_cmd =
       Printf.eprintf "; dce: %d removed\n" (Vir.Dce.run_module m);
     if do_verify then begin
       match Vir.Verify.verify_module m with
-      | [] ->
-        Printf.eprintf "; verify: ok\n";
-        print_fusion_stats m
+      | [] -> Printf.eprintf "; verify: ok\n"
       | errs ->
         List.iter
           (fun e -> Printf.eprintf "%s\n" (Vir.Verify.error_to_string e))
@@ -551,10 +531,7 @@ let opt_cmd =
     Arg.(value & flag & info [ "dce" ] ~doc:"Run dead-code elimination.")
   in
   let verify_arg =
-    Arg.(value & flag & info [ "verify" ]
-           ~doc:"Verify and report; a module that verifies is then \
-                 compiled and its fusion decisions reported (chains \
-                 fused, chain lengths, the shapes of unfused chains).")
+    Arg.(value & flag & info [ "verify" ] ~doc:"Verify and report.")
   in
   Cmd.v
     (Cmd.info "opt"

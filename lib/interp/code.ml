@@ -1,8 +1,8 @@
 (* The interpreter's compiled code and the machine state it runs in:
    the register form ({!Compile}'s stage 1), the threaded code and
    extern slots (stage 2), the call positions checks see, checkpoints,
-   and the closure helpers that the lowering and both kernel families
-   ({!Fusion}, {!Site_kernels}) build on. *)
+   and the closure helpers that the lowering and the site kernels
+   ({!Site_kernels}) build on. *)
 
 (* ------------------------------------------------------------------ *)
 (* Stage-1 (register form) representation: register operands index a
@@ -107,18 +107,9 @@ and cmodule = {
      handler table is indexed by these slots. *)
   extern_index : (string, int) Hashtbl.t;
   n_extern_slots : int;
-  mutable n_fused_chains : int;
-      (** fusion chains ([Fusion.chain_length]) lowered with at least
-          one fused kernel *)
-  fused_hist : (int, int) Hashtbl.t;
-      (** chain length -> count over the fused chains *)
-  unfused : (string, int) Hashtbl.t;
-      (** member kinds (["fbinop+select"]) -> count over the chains no
-          kernel covers, which run one closure per member *)
   mutable n_site_kernels : int;
       (** instrumented vector fault sites lowered to one hot-path
-          kernel each (see [Site_kernels.thread_site_chain]); not
-          counted in [n_fused_chains] *)
+          kernel each (see [Site_kernels.thread_site_chain]) *)
 }
 
 and state = {

@@ -35,8 +35,7 @@
     happen once per module instead of once per dynamic call. A slot
     bound as a fault site runs inside the interpreter, and each
     instrumented vector fault site runs on the hot path as one kernel
-    ({!Site_kernels}), as does each fusion chain a kernel covers
-    ({!Fusion}). The campaign semantics (fuel, dyn_count/dyn_vector
+    ({!Site_kernels}). The campaign semantics (fuel, dyn_count/dyn_vector
     accounting, traps, extern hook surface) are preserved exactly.
 
     The representation of both stages, the machine state and the
@@ -392,8 +391,8 @@ let exec_cfunc (st : state) (cf : cfunc) (regs : Vvalue.t array) :
    threshold. [sites] rises by at most one per extern call, so that
    call is the first whose [sites] equals the threshold. A site kernel
    whose live lanes reach [check_at] runs its member closures, so the
-   check fires from the lane's own call; fused chains hold no calls.
-   Checks therefore run on the hot path, over fused and site kernels.
+   check fires from the lane's own call. Checks therefore run on the
+   hot path, site kernels included.
    A check may [capture] a checkpoint there (the checkpoint-laying
    replay), or compare the machine against one with [state_equal] and
    raise to terminate the run (the converge-pruned executor).
@@ -1305,22 +1304,10 @@ let thread_term (t : cterm) : tterm =
   | Tret None -> Ct_ret_void
   | Tunreachable -> Ct_unreachable
 
-let bump (tbl : ('a, int) Hashtbl.t) (key : 'a) =
-  Hashtbl.replace tbl key
-    (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-(* Whether [hot_body] fuses chains. Fusion changes how the hot path is
-   lowered, never what it computes: with it cleared before
-   [compile_module] every chain runs one closure per member. Site
-   kernels are unaffected. *)
-let fusion = ref true
-
-(* Hot-path body: fusion chains lowered to fused kernels, then the
-   instrumented vector sites to site kernels. Site-chain instructions
-   are never chain members, so the two cannot compete for a position.
-   The per-instruction closures ([body]) always exist — they are
-   [t_steps] and every kernel's fallback — so a chain no kernel covers
-   simply stays per-instruction. *)
+(* Hot-path body: each instrumented vector site lowered to one site
+   kernel, every other instruction its own closure. The per-instruction
+   closures ([body]) always exist: they are [t_steps] and every site
+   kernel's fallback. *)
 let hot_body (cm : cmodule) (uses : int array) (blk : cblock)
     (body : texec array) : texec array =
   let n = Array.length blk.body in
@@ -1332,28 +1319,14 @@ let hot_body (cm : cmodule) (uses : int array) (blk : cblock)
   in
   while !k < n do
     let s = !k in
-    let l = if !fusion then Fusion.chain_length uses blk.body s else 1 in
-    if l >= 2 then (
-      match Fusion.thread_superblock body blk.body s l with
-      | Some fx ->
-        cm.n_fused_chains <- cm.n_fused_chains + 1;
-        bump cm.fused_hist l;
-        emit fx l
-      | None ->
-        let kind j = Option.get (Fusion.member_kind blk.body.(s + j)) in
-        bump cm.unfused (String.concat "+" (List.init l kind));
-        for j = s to s + l - 1 do
-          emit body.(j) 1
-        done)
-    else
-      match Site_kernels.match_site_chain cm uses blk.body s with
-      | Some sc ->
-        let len = Site_kernels.length sc in
-        cm.n_site_kernels <- cm.n_site_kernels + 1;
-        emit
-          (Site_kernels.thread_site_chain sc (compose_body body s (s + len)))
-          len
-      | None -> emit body.(s) 1
+    match Site_kernels.match_site_chain cm uses blk.body s with
+    | Some sc ->
+      let len = Site_kernels.length sc in
+      cm.n_site_kernels <- cm.n_site_kernels + 1;
+      emit
+        (Site_kernels.thread_site_chain sc (compose_body body s (s + len)))
+        len
+    | None -> emit body.(s) 1
   done;
   Array.of_list (List.rev !out)
 
@@ -1417,30 +1390,16 @@ let compile_module (m : Vir.Vmodule.t) : cmodule =
       n_funcs = !n_funcs;
       extern_index;
       n_extern_slots = !n_extern_slots;
-      n_fused_chains = 0;
-      fused_hist = Hashtbl.create 8;
-      unfused = Hashtbl.create 8;
       n_site_kernels = 0;
     }
   in
   Hashtbl.iter (fun _ cf -> thread_func cm cf) cfuncs;
   cm
 
-(* How many chains the threading stage fused, for the fusion report
-   and the bench coverage counters. *)
-let fused_chain_count (cm : cmodule) : int = cm.n_fused_chains
-
-(* (chain length, count) over the fused chains, ascending by length —
-   the chain-length histogram of the fusion report. *)
-let fused_length_hist (cm : cmodule) : (int * int) list =
-  Hashtbl.fold (fun l n acc -> (l, n) :: acc) cm.fused_hist []
-  |> List.sort compare
-
-(* (member kinds, count) over the chains no kernel covers, most
-   frequent first: why a candidate chain did not fuse. *)
-let unfused_shapes (cm : cmodule) : (string * int) list =
-  Hashtbl.fold (fun k n acc -> (k, n) :: acc) cm.unfused []
-  |> List.sort (fun (k1, n1) (k2, n2) -> compare (n2, k1) (n1, k2))
+(* Always 0: the interpreter fuses no chains. perfbench's traced pass
+   still reads it for its per-layer count [interp.chains_fused]; the
+   change that retires that metric deletes this function. *)
+let fused_chain_count (_ : cmodule) : int = 0
 
 (* How many instrumented vector fault sites the threading stage lowered
    to site kernels, for tests and the bench coverage counters. *)

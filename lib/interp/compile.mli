@@ -1,11 +1,10 @@
 (** Two-stage lowering of VIR for the interpreter, and the engine that
     runs the result: stage 1 turns a module into register form, stage 2
     threads every instruction into a pre-specialized closure over
-    pinned register buffers, with fusion chains ({!Fusion}) and
-    instrumented vector fault sites ({!Site_kernels}) lowered to one
-    kernel each on the hot path. Every run, checked or resumed, runs on
-    that hot path. The compiled code and the machine state are the
-    types of {!Code}. *)
+    pinned register buffers, with each instrumented vector fault site
+    ({!Site_kernels}) lowered to one kernel on the hot path. Every run,
+    checked or resumed, runs on that hot path. The compiled code and
+    the machine state are the types of {!Code}. *)
 
 (** {1 Lowering} *)
 
@@ -13,21 +12,11 @@
     direct call, an intrinsic closure or a dense extern slot. *)
 val compile_module : Vir.Vmodule.t -> Code.cmodule
 
-(** Whether [compile_module] fuses chains (default [true]). Fusion
-    changes how the hot path is lowered, never what it computes: with
-    it cleared every chain runs one closure per member. Site kernels
-    are unaffected. *)
-val fusion : bool ref
-
-(** How many chains the threading stage fused. *)
+(** Always 0: the interpreter fuses no chains. It remains only because
+    perfbench's traced pass reads it for the per-layer count
+    [interp.chains_fused]; the change that retires that metric deletes
+    it. *)
 val fused_chain_count : Code.cmodule -> int
-
-(** (chain length, count) over the fused chains, ascending by length. *)
-val fused_length_hist : Code.cmodule -> (int * int) list
-
-(** (member kinds, count) over the chains no kernel covers, most
-    frequent first: why a candidate chain did not fuse. *)
-val unfused_shapes : Code.cmodule -> (string * int) list
 
 (** How many instrumented vector fault sites run as site kernels. *)
 val site_kernel_count : Code.cmodule -> int

@@ -287,36 +287,6 @@ let fbinop_vec_into_fn (k : Vir.Instr.fbinop) (s : Vir.Vtype.scalar) :
   | Vir.Vtype.F32, Vir.Instr.Fdiv -> Some f32_fdiv_arr
   | _ -> None
 
-(* Fused producer->consumer f32 pairs: [o.(i) <- k2 (k1 a.(i) b.(i))
-   c.(i)] when [first] (the producer's result is the consumer's first
-   operand), or [o.(i) <- k2 c.(i) (k1 a.(i) b.(i))] otherwise, as two
-   whole-vector C kernel calls staged through [o]: pass one writes the
-   rounded producer lanes into [o], pass two combines them with [c] in
-   place. Per lane this is exactly [round (k2 (round (k1 a b)) c)] (or
-   the [c]-first mirror) -- the rounding sequence of the unfused
-   kernels. In destination-passing style [o] never aliases an operand
-   buffer (SSA: the consumer's register differs from every source
-   register), so staging through [o] is safe. Floats stay unboxed lane
-   to lane, which is the whole point -- the generic closure-composed
-   form boxes three floats per lane -- so every other pair ([frem], f64)
-   stays unfused ([None]). Length-generic, so scalar chains pass 1-lane
-   arrays. *)
-let fbinop_fused_vec_into_fn (s : Vir.Vtype.scalar) ~(k1 : Vir.Instr.fbinop)
-    ~(k2 : Vir.Instr.fbinop) ~(first : bool) :
-    (float array -> float array -> float array -> float array -> unit)
-    option =
-  match (fbinop_vec_into_fn k1 s, fbinop_vec_into_fn k2 s) with
-  | Some p1, Some p2 ->
-    Some
-      (if first then fun a b c o ->
-         p1 a b o;
-         p2 o c o
-       else
-         fun a b c o ->
-         p1 a b o;
-         p2 c o o)
-  | _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Comparisons                                                         *)
 
@@ -438,10 +408,9 @@ let fcmp_into_fn (p : Vir.Instr.fcmp_pred) :
 
 (* Per-lane cast semantics, pre-selected from the cast opcode and the
    source/destination scalar kinds. This is the single source of truth
-   for conversion semantics: [cast_into_fn]'s generic loop, its
-   specialized loops and the fused cast→op kernel in {!Fusion} all
-   compute these conversions, so a fused kernel cannot disagree with
-   the unfused steps. The variant encodes the value-kind signature so
+   for conversion semantics: [cast_into_fn]'s generic loop and its
+   specialized loops both compute these conversions, so they cannot
+   disagree. The variant encodes the value-kind signature so
    callers can specialize on it once, at threading time. *)
 type lane_conv =
   | Cii of (int64 -> int64)

@@ -1,6 +1,6 @@
 (** Lane-level arithmetic of the VIR VM, as factories that match the
-    opcode and scalar kind once: {!Compile} and {!Fusion} hoist all
-    dispatch out of the dynamic path.
+    opcode and scalar kind once: {!Compile} hoists all dispatch out of
+    the dynamic path.
 
     Each family has a lane-semantics closure ([ibinop_fn], [fbinop_fn],
     [icmp_fn], [fcmp_fn], [cast_lane_fn]), the single source of truth
@@ -34,18 +34,6 @@ val fbinop_vec_into_fn :
   Vir.Instr.fbinop ->
   Vir.Vtype.scalar ->
   (float array -> float array -> float array -> unit) option
-
-(** [fbinop_fused_vec_into_fn s ~k1 ~k2 ~first a b c o] computes
-    [k2 (k1 a b) c] lane-wise into [o] ([k2 c (k1 a b)] unless
-    [first]), rounding after each op exactly as the two unfused kernels
-    do; [o] must not alias an operand. [None] for pairs without
-    whole-vector kernels, which stay unfused. *)
-val fbinop_fused_vec_into_fn :
-  Vir.Vtype.scalar ->
-  k1:Vir.Instr.fbinop ->
-  k2:Vir.Instr.fbinop ->
-  first:bool ->
-  (float array -> float array -> float array -> float array -> unit) option
 
 (** {1 Comparisons} (results are 0/1 i1 lanes) *)
 

@@ -84,8 +84,8 @@ val record_site : state -> unit
 
 (** {1 Runs, checks, full-machine checkpoints and convergence checks}
 
-    Every run executes on one engine, the hot path with its fused and
-    site kernels. A run may arm a {!check}: every extern call, before
+    Every run executes on one engine, the hot path with its site
+    kernels. A run may arm a {!check}: every extern call, before
     it executes, compares {!sites} with the check's threshold, and the
     first call at or past it fires the check with the activation stack.
     A check reads whatever it needs off the machine (its {!sites}

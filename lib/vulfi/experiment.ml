@@ -20,11 +20,8 @@ type prepared = {
 
 (* Build, select fault sites for [category], instrument, verify and
    compile a workload. [transform] optionally rewrites the module
-   before instrumentation (used to insert error detectors). Compiling
-   fuses chains ({!Interp.Compile.fusion}) after instrumentation: the
-   injected calls have already split every targeted def-use link, so a
-   chain can never swallow a fault site, and site numbering comes from
-   the module before instrumentation either way. *)
+   before instrumentation (used to insert error detectors). Site
+   numbering comes from the module before instrumentation. *)
 let prepare ?(transform = fun (m : Vir.Vmodule.t) -> m)
     (w : Workload.t) (target : Vir.Target.t)
     (category : Analysis.Sites.category) : prepared =

@@ -22,8 +22,7 @@ type prepared = {
 
 (** [prepare ?transform w target category] builds the workload module,
     applies [transform] (e.g. detector insertion), selects the fault
-    sites of [category], instruments and compiles (fusing chains per
-    {!Interp.Compile.fusion}). *)
+    sites of [category], instruments and compiles. *)
 val prepare :
   ?transform:(Vir.Vmodule.t -> Vir.Vmodule.t) ->
   Workload.t ->

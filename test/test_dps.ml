@@ -143,13 +143,23 @@ let prop_vec_int_chain (label, s, lanes) =
       in
       vm = reference)
 
+(* Input lanes: finite floats, NaN, infinities and signed zeros. *)
+let float_input_lane =
+  QCheck.make ~print:QCheck.Print.float
+    QCheck.Gen.(
+      oneof
+        [
+          float_range (-1e6) 1e6;
+          oneofl [ Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0 ];
+        ])
+
 let prop_vec_float_chain (label, s, lanes) =
   QCheck.Test.make
     ~name:(Printf.sprintf "DPS vector kernels match lane evaluator (%s)" label)
     ~count:200
     QCheck.(
       pair
-        (list_of_size (QCheck.Gen.return lanes) (float_range (-1e6) 1e6))
+        (list_of_size (QCheck.Gen.return lanes) float_input_lane)
         (small_list (pair (oneofl float_ops) (float_range (-1e3) 1e3))))
     (fun (xs, ops) ->
       let r = Bits.round_float s in

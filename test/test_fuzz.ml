@@ -65,20 +65,6 @@ let prop_vm_matches_reference_sse =
     ~count:120 fuzz_case (fun (src, n, seed) ->
       agree (run_vm Vir.Target.Sse src n seed) (run_ref 4 src n seed))
 
-let prop_fusion_off_agrees =
-  (* [run_vm] compiles with fusion on; the same kernel compiled with
-     every chain one closure per member must agree bit-exactly. *)
-  Test.make ~name:"fusion off matches fused on fuzzed kernels" ~count:60
-    fuzz_case (fun (src, n, seed) ->
-      let unfused =
-        let saved = !Interp.Compile.fusion in
-        Interp.Compile.fusion := false;
-        Fun.protect
-          ~finally:(fun () -> Interp.Compile.fusion := saved)
-          (fun () -> run_vm Vir.Target.Avx src n seed)
-      in
-      agree unfused (run_vm Vir.Target.Avx src n seed))
-
 let prop_instrumented_profile_agrees =
   (* profile-mode instrumentation must be transparent on any kernel *)
   Test.make ~name:"instrumented profile run matches plain run" ~count:40
@@ -112,7 +98,6 @@ let () =
           [
             prop_vm_matches_reference_avx;
             prop_vm_matches_reference_sse;
-            prop_fusion_off_agrees;
             prop_instrumented_profile_agrees;
           ] );
     ]

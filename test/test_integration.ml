@@ -265,6 +265,41 @@ let test_pinned_examples () =
     ~expected:(Pinned.read examples_file)
     (List.concat_map stdout_rows examples)
 
+(* ---------------- unusable paths ---------------- *)
+
+(* A path that names a directory, or a file in a missing directory, is
+   a usage error: the command exits with its usage code, prints nothing
+   on stdout and says why on stderr instead of dying of an uncaught
+   exception. *)
+let test_unusable_paths () =
+  let dir = "unusable_paths" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let missing = Filename.concat dir "missing/trace.jsonl" in
+  let out = Filename.concat dir "stdout" and err = Filename.concat dir "stderr" in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let cli = "../bin/vulfi_cli.exe" and bench = "../bench/main.exe" in
+  List.iter
+    (fun (exe, args, code) ->
+      let label = Printf.sprintf "%s %s" (Filename.basename exe) args in
+      check Alcotest.int (label ^ ": exit code") code
+        (Sys.command (Printf.sprintf "%s %s > %s 2> %s" exe args out err));
+      check Alcotest.string (label ^ ": stdout") "" (read out);
+      let msg = read err in
+      check Alcotest.bool (label ^ ": a message on stderr, no exception") true
+        (msg <> "" && not (Astring_contains.contains msg "exception")))
+    [
+      (cli, "compile " ^ dir, 124);
+      (cli, "detect " ^ dir, 124);
+      (cli, "opt " ^ dir, 124);
+      (cli, "report " ^ dir, 124);
+      (cli, "sites -f " ^ dir, 124);
+      (cli, "mix -f " ^ dir, 124);
+      (cli, "campaign -b Blackscholes -n 1 --trace " ^ dir, 1);
+      (cli, "campaign -b Blackscholes -n 1 --trace " ^ missing, 1);
+      (bench, "fig12 --trace " ^ dir, 2);
+      (bench, "fig12 --trace " ^ missing, 2);
+    ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -290,5 +325,10 @@ let () =
           Alcotest.test_case "pinned figures (quick scale)" `Quick
             test_pinned_figures;
           Alcotest.test_case "pinned examples" `Quick test_pinned_examples;
+        ] );
+      ( "usage errors",
+        [
+          Alcotest.test_case "unusable paths exit cleanly" `Quick
+            test_unusable_paths;
         ] );
     ]

@@ -113,7 +113,55 @@ let test_memory_oob () =
     (try
        ignore (Memory.load m Vtype.i32 0xDEAD0000L);
        false
-     with Trap.Trap (Trap.Out_of_bounds _) -> true)
+     with Trap.Trap (Trap.Out_of_bounds _) -> true);
+  (* The same through compiled code: a load or store through a gep one
+     element past either end of the region traps, and the store leaves
+     memory as it was. *)
+  let md = Vmodule.create "oob" in
+  let define name params ret_ty =
+    let b = Builder.define md ~name ~params ~ret_ty in
+    Builder.position_at_end b (Builder.new_block b "entry");
+    (b, Builder.gep b (Builder.param b "p") (Builder.param b "i") ~elem_bytes:4)
+  in
+  let b, g = define "get" [ ("p", Vtype.ptr); ("i", Vtype.i32) ] Vtype.i32 in
+  Builder.ret b (Some (Builder.load b Vtype.i32 g));
+  let b, g =
+    define "put"
+      [ ("p", Vtype.ptr); ("i", Vtype.i32); ("v", Vtype.i32) ]
+      Vtype.Void
+  in
+  Builder.store b (Builder.param b "v") g;
+  Builder.ret b None;
+  Verify.check_module md;
+  let st = Machine.create (Compile.compile_module md) in
+  let mem = Machine.memory st in
+  let base = Memory.alloc mem ~name:"a" ~bytes:8 in
+  Memory.write_i32_array mem base [| 7; 9 |];
+  let run fn i extra =
+    Machine.reset st;
+    Machine.run st fn (Vvalue.of_ptr base :: Vvalue.of_i32 i :: extra)
+  in
+  (match run "get" 1 [] with
+  | Some v -> check Alcotest.int64 "gep load in bounds" 9L (Vvalue.as_int v)
+  | None -> Alcotest.fail "expected value");
+  List.iter
+    (fun (fn, i, extra) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "gep %s at index %d traps" fn i)
+        true
+        (match run fn i extra with
+        | _ -> false
+        | exception Trap.Trap (Trap.Out_of_bounds _) -> true))
+    [
+      ("get", 2, []);
+      ("get", -1, []);
+      ("put", 2, [ Vvalue.of_i32 5 ]);
+      ("put", -1, [ Vvalue.of_i32 5 ]);
+    ];
+  check
+    Alcotest.(array int)
+    "trapped stores write nothing" [| 7; 9 |]
+    (Memory.read_i32_array mem base 2)
 
 let test_memory_guard_gaps () =
   let m = Memory.create () in

@@ -4,15 +4,14 @@
 
    The kernel is checked against the per-instruction closures it
    replaces. [Machine.run] takes the kernels; the stepped side runs the
-   module compiled with fusion off under a check due at every extern
-   call, so every site kernel defers to its members and the whole run
-   goes one closure per instruction. Every dynamic site of small
-   workloads, on both ISAs, all categories, both mask policies and all
-   four fault kinds, must give the same outputs, trap, counters and
-   injection record either way. A budget sweep pins the fuel fallback,
-   a coverage pin keeps the kernel from silently turning off, and a
-   host handler registered under an inject name must still see every
-   call. *)
+   same module under a check due at every extern call, so every site
+   kernel defers to its members and the whole run goes one closure per
+   instruction. Every dynamic site of small workloads, on both ISAs,
+   all categories, both mask policies and all four fault kinds, must
+   give the same outputs, trap, counters and injection record either
+   way. A budget sweep pins the fuel fallback, a coverage pin keeps the
+   kernel from silently turning off, and a host handler registered
+   under an inject name must still see every call. *)
 
 let check = Alcotest.check
 
@@ -40,28 +39,14 @@ type run = {
   injection : Vulfi.Runtime.injection_record option;
 }
 
-(* [p]'s instrumented module compiled with fusion off. *)
-let unfused (p : Vulfi.Experiment.prepared) =
-  let fused = !Interp.Compile.fusion in
-  Interp.Compile.fusion := false;
-  Fun.protect
-    ~finally:(fun () -> Interp.Compile.fusion := fused)
-    (fun () ->
-      Interp.Compile.compile_module
-        p.Vulfi.Experiment.p_instr.Vulfi.Instrument.instrumented)
-
-(* One run of [p] on a fresh machine: on the hot path, or stepped one
-   instruction at a time over [stepped], [p]'s [unfused] module, with a
-   check due at every extern call. *)
-let exec ?stepped ?(budget = Interp.Machine.default_budget)
+(* One run of [p] on a fresh machine: on the hot path, or, when
+   [stepped], one instruction at a time under a check due at every
+   extern call. *)
+let exec ?(stepped = false) ?(budget = Interp.Machine.default_budget)
     (p : Vulfi.Experiment.prepared) (rt : Vulfi.Runtime.t) =
   let w = p.Vulfi.Experiment.p_workload in
-  let code, check =
-    match stepped with
-    | Some code -> (code, Some (fun _ _ -> 0))
-    | None -> (p.Vulfi.Experiment.p_code, None)
-  in
-  let st = Interp.Machine.create ~budget code in
+  let check = if stepped then Some (fun _ _ -> 0) else None in
+  let st = Interp.Machine.create ~budget p.Vulfi.Experiment.p_code in
   Vulfi.Runtime.attach rt st;
   let args, read = w.Vulfi.Workload.w_setup ~input:0 st in
   let outcome =
@@ -102,7 +87,6 @@ let test_kernel_vs_steps () =
           List.iter
             (fun category ->
               let p = Vulfi.Experiment.prepare w target category in
-              let stepped = unfused p in
               kernels :=
                 !kernels
                 + Interp.Compile.site_kernel_count p.Vulfi.Experiment.p_code;
@@ -115,7 +99,7 @@ let test_kernel_vs_steps () =
                   check_same
                     (label w target category respect_masks "profile")
                     golden
-                    (exec ~stepped p (profile ()));
+                    (exec ~stepped:true p (profile ()));
                   let budget = (golden.dyn * 10) + 10_000 in
                   List.iter
                     (fun fault_kind ->
@@ -132,7 +116,7 @@ let test_kernel_vs_steps () =
                                 (Vulfi.Runtime.fault_kind_name fault_kind)
                                 site))
                           hot
-                          (exec ~stepped ~budget p (rt ()));
+                          (exec ~stepped:true ~budget p (rt ()));
                         check Alcotest.bool "the armed site fired" true
                           (hot.injection <> None);
                         incr runs
@@ -155,7 +139,6 @@ let test_budget_sweep () =
       let p = Vulfi.Experiment.prepare w target Analysis.Sites.Pure_data in
       check Alcotest.bool "the module has site kernels" true
         (Interp.Compile.site_kernel_count p.Vulfi.Experiment.p_code > 0);
-      let stepped = unfused p in
       let full = exec p (Vulfi.Runtime.create Vulfi.Runtime.Profile) in
       let traps = ref 0 in
       for budget = 0 to full.dyn do
@@ -167,7 +150,7 @@ let test_budget_sweep () =
               (Printf.sprintf "%s %s budget %d" w.Vulfi.Workload.w_name
                  (Vir.Target.name target) budget)
               hot
-              (exec ~stepped ~budget p (rt ()));
+              (exec ~stepped:true ~budget p (rt ()));
             if hot.outcome = Error Interp.Trap.Budget_exhausted then
               incr traps)
           [
@@ -193,31 +176,36 @@ let vector_targets (instr : Vulfi.Instrument.t) =
       | _ -> acc)
     0 instr.Vulfi.Instrument.site_table
 
-(* Every vector site the instrumentor emits runs as one kernel: a change
-   to [Instrument] that breaks the matched shape fails here instead of
-   silently turning the kernel off. *)
+(* Every vector site the instrumentor emits runs as one kernel, and a
+   module without instrumentation has none: a change to [Instrument]
+   that breaks the matched shape fails here instead of silently turning
+   the kernel off. The modules are the 24 uninstrumented registry
+   modules (12 workloads x 2 ISAs) and the 144 cells of the study grid
+   ({!Instrumented_grid}), detector arm included. *)
 let test_coverage_pin () =
-  let total = ref 0 in
+  let modules = ref 0 and total = ref 0 in
+  let expect label (m : Vir.Vmodule.t) expected =
+    incr modules;
+    total := !total + expected;
+    check Alcotest.int label expected
+      (Interp.Compile.site_kernel_count (Interp.Compile.compile_module m))
+  in
   List.iter
     (fun (b : Benchmarks.Harness.benchmark) ->
       let w = b.Benchmarks.Harness.bench in
       List.iter
         (fun target ->
-          List.iter
-            (fun category ->
-              let p = Vulfi.Experiment.prepare w target category in
-              let expected = vector_targets p.Vulfi.Experiment.p_instr in
-              total := !total + expected;
-              check Alcotest.int
-                (Printf.sprintf "%s %s %s" w.Vulfi.Workload.w_name
-                   (Vir.Target.name target)
-                   (Analysis.Sites.category_name category))
-                expected
-                (Interp.Compile.site_kernel_count p.Vulfi.Experiment.p_code))
-            Analysis.Sites.all_categories)
+          expect
+            (Printf.sprintf "%s/%s/uninstrumented" w.Vulfi.Workload.w_name
+               (Vir.Target.name target))
+            (w.Vulfi.Workload.w_build target)
+            0)
         Vir.Target.all)
     Benchmarks.Registry.all;
-  check Alcotest.bool "the registry has vector sites" true (!total > 0)
+  Instrumented_grid.iter (fun label instr ->
+      expect label instr.Vulfi.Instrument.instrumented (vector_targets instr));
+  check Alcotest.int "modules" 168 !modules;
+  check Alcotest.bool "the grid has vector sites" true (!total > 0)
 
 (* A host handler registered under an inject name replaces the site
    extern: the kernels defer to their member instructions, so the host
